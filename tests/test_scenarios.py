@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,10 @@ from hvlab import (
 )
 
 from conftest import X, Y, Z
+
+REPO = Path(__file__).resolve().parent.parent
+DEMO_CONFIGS = sorted((REPO / "demos" / "configs").glob("*.cfg"))
+PINNED_REPORTS = Path(__file__).resolve().parent / "reports"
 
 ROUTE_CFG = """\
 # conditional measurement, both routes
@@ -214,6 +219,16 @@ def test_report_deterministic_up_to_runtime(tmp_path):
     first.pop("runtime_ms")
     second.pop("runtime_ms")
     assert json.dumps(first) == json.dumps(second)
+
+
+@pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda p: p.stem)
+def test_demo_config_report_bytes_are_pinned(path):
+    # tests/reports/<name>.json holds each demo config's report with runtime_ms
+    # removed; refactors must reproduce it byte for byte
+    report = run_scenario(load_config(path)).to_dict()
+    del report["runtime_ms"]
+    pinned = (PINNED_REPORTS / f"{path.stem}.json").read_text(encoding="utf-8")
+    assert json.dumps(report, indent=2) + "\n" == pinned
 
 
 def test_report_json_shape(tmp_path):
