@@ -9,7 +9,7 @@ exactly the quantum probability (1 + s.m)/2.
 
 import numpy as np
 
-from hvlab import PureState, bell_value, expectation, integrate, projector
+from hvlab import PureState, bell_value, expectation, projector
 
 rng = np.random.default_rng(1)
 
@@ -29,7 +29,7 @@ for label, axis in [
     quantum = expectation(psi, projector(axis))
     print(f"axis {label} -> map {assignment.values}")
     print(
-        f"     integral {integrate(assignment.values):.6f}"
+        f"     integral {assignment.values.integrate():.6f}"
         f"  vs quantum probability {quantum:.6f}"
     )
 print()

@@ -17,7 +17,6 @@ from hvlab import (
     bell_value,
     classical_conditional,
     conditional_expectation,
-    integrate,
     projector,
 )
 
@@ -30,7 +29,7 @@ psi = PureState(z)
 map_x = bell_value(psi, x).values
 map_y = bell_value(psi, y).values
 print("state z; the maps for axes x and y are both:", map_x)
-print("their intersection has measure", integrate(map_x * map_y))
+print("their intersection has measure", (map_x * map_y).integrate())
 print()
 
 classical = classical_conditional(psi, y, x)

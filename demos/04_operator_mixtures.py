@@ -16,7 +16,6 @@ from hvlab import (
     bell_value_operator,
     complement,
     expectation,
-    integrate,
     projector,
     sum_conflict_witness,
 )
@@ -40,13 +39,13 @@ map_y = bell_value(psi, y).values
 mixed = w * map_x + (1.0 - w) * map_y
 print("map of E directly  :", direct)
 print("mixture of the maps:", mixed)
-print(f"integrals: {integrate(direct):.6f} vs {integrate(mixed):.6f}"
+print(f"integrals: {direct.integrate():.6f} vs {mixed.integrate():.6f}"
       f" (quantum expectation {expectation(psi, mixture):.6f})")
 print()
 
 both_zero = complement(map_x) * complement(map_y)
 region = [(left, right) for left, right, value in both_zero.segments() if value == 1.0]
-print(f"both projector maps vanish on {region} (measure {integrate(both_zero):.6f});")
+print(f"both projector maps vanish on {region} (measure {both_zero.integrate():.6f});")
 print(f"there the mixed map is 0 but the direct map is {low:.6f} > 0:")
 print("a single operator carries two incompatible definite-value stories.")
 print()

@@ -17,148 +17,22 @@ The package has four computational layers plus a scenario runner:
   seeded property sweeps, JSON reports, and omega-grid CSV traces.
 """
 
-from .errors import (
-    ConfigError,
-    HvlabError,
-    ReductionUndefinedError,
-    ScenarioError,
-    UndefinedConditionalError,
-    ValidationError,
-    WitnessUndefinedError,
-    ZeroProbabilityError,
-)
-from .stepfn import (
-    OMEGA_MAX,
-    OMEGA_MIN,
-    ProductFunction,
-    StepFunction,
-    complement,
-    constant,
-    indicator_from_sign,
-    integrate,
-    mc_integrate,
-    minimum,
-    pointwise,
-    product_integrate,
-    write_segments_csv,
-)
-from .qubit import (
-    ORTHOGONALITY_CUTOFF,
-    HermitianOp,
-    PureState,
-    chain_probability,
-    conditional_expectation,
-    cosine_between,
-    expectation,
-    projector,
-    reduce_state,
-    sandwich,
-    unit_vector,
-)
-from .bell import (
-    ConflictWitness,
-    ValueAssignment,
-    WitnessSample,
-    bell_value,
-    bell_value_operator,
-    classical_conditional,
-    disagreement_witness,
-    nonuniqueness_witness,
-    route_operator_product,
-    route_state_update,
-    sum_conflict_witness,
-)
-from .branching import (
-    COMPLEMENT,
-    SELECTED,
-    BranchHistory,
-    BranchNode,
-    MeasurementStep,
-    branch,
-    branch_records,
-    integrate_in_order,
-    joint_function,
-    outcome_probabilities,
-    repeated_measurement_check,
-    sequence_probability,
-)
-from .scenarios import (
-    DEFAULT_GRID_POINTS,
-    DEFAULT_TOLERANCE,
-    SCENARIO_NAMES,
-    ScenarioConfig,
-    ScenarioReport,
-    emit_trace,
-    load_config,
-    run_scenario,
-    run_sweep,
-)
+from . import bell, branching, errors, qubit, scenarios, stepfn
+from .bell import *  # noqa: F403
+from .branching import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .qubit import *  # noqa: F403
+from .scenarios import *  # noqa: F403
+from .stepfn import *  # noqa: F403
 
 __version__ = "0.1.0"
 
+# each public name is listed once, in its submodule's __all__
 __all__ = [
-    "HvlabError",
-    "ValidationError",
-    "ConfigError",
-    "ReductionUndefinedError",
-    "UndefinedConditionalError",
-    "WitnessUndefinedError",
-    "ZeroProbabilityError",
-    "ScenarioError",
-    "OMEGA_MIN",
-    "OMEGA_MAX",
-    "StepFunction",
-    "ProductFunction",
-    "constant",
-    "indicator_from_sign",
-    "integrate",
-    "pointwise",
-    "complement",
-    "minimum",
-    "product_integrate",
-    "mc_integrate",
-    "write_segments_csv",
-    "ORTHOGONALITY_CUTOFF",
-    "HermitianOp",
-    "PureState",
-    "projector",
-    "expectation",
-    "sandwich",
-    "reduce_state",
-    "conditional_expectation",
-    "chain_probability",
-    "cosine_between",
-    "unit_vector",
-    "ValueAssignment",
-    "ConflictWitness",
-    "WitnessSample",
-    "bell_value",
-    "bell_value_operator",
-    "route_state_update",
-    "route_operator_product",
-    "nonuniqueness_witness",
-    "classical_conditional",
-    "sum_conflict_witness",
-    "disagreement_witness",
-    "SELECTED",
-    "COMPLEMENT",
-    "MeasurementStep",
-    "BranchNode",
-    "BranchHistory",
-    "branch",
-    "branch_records",
-    "joint_function",
-    "integrate_in_order",
-    "repeated_measurement_check",
-    "sequence_probability",
-    "outcome_probabilities",
-    "SCENARIO_NAMES",
-    "DEFAULT_TOLERANCE",
-    "DEFAULT_GRID_POINTS",
-    "ScenarioConfig",
-    "ScenarioReport",
-    "load_config",
-    "run_scenario",
-    "run_sweep",
-    "emit_trace",
+    *errors.__all__,
+    *stepfn.__all__,
+    *qubit.__all__,
+    *bell.__all__,
+    *branching.__all__,
+    *scenarios.__all__,
 ]

@@ -22,7 +22,6 @@ completeness holds only for s.m != 0.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +41,7 @@ from .qubit import (
     sandwich,
     unit_vector,
 )
-from .stepfn import OMEGA_MAX, OMEGA_MIN, StepFunction, constant, indicator_from_sign
+from .stepfn import StepFunction, _common_segments, constant, indicator_from_sign
 
 NONCOLLINEARITY_TOLERANCE = 1e-9
 
@@ -186,20 +185,17 @@ def disagreement_witness(lhs: StepFunction, rhs: StepFunction) -> ConflictWitnes
     segment of the common breakpoint partition on which the sides disagree,
     so both reported values are constant over the sampled interval.
     """
-    bps = sorted({*lhs.breakpoints, *rhs.breakpoints})
-    lefts = [OMEGA_MIN, *bps]
-    rights = [*bps, OMEGA_MAX]
-    flags = []
-    samples = []
-    for left, right in zip(lefts, rights):
-        a = lhs.values[bisect_right(lhs.breakpoints, left)]
-        b = rhs.values[bisect_right(rhs.breakpoints, left)]
-        differs = a != b
-        flags.append(1.0 if differs else 0.0)
-        if differs:
-            samples.append(WitnessSample(left, right, 0.5 * (left + right), a, b))
-    region = StepFunction(bps, flags)
-    return ConflictWitness(region, region.integrate(), tuple(samples))
+    segments = _common_segments(lhs, rhs)
+    region = StepFunction(
+        [right for _, right, _, _ in segments[:-1]],
+        [1.0 if a != b else 0.0 for _, _, a, b in segments],
+    )
+    samples = tuple(
+        WitnessSample(left, right, 0.5 * (left + right), a, b)
+        for left, right, a, b in segments
+        if a != b
+    )
+    return ConflictWitness(region, region.integrate(), samples)
 
 
 def nonuniqueness_witness(psi: PureState, condition_axis, observed_axis) -> ConflictWitness:
@@ -212,6 +208,12 @@ def nonuniqueness_witness(psi: PureState, condition_axis, observed_axis) -> Conf
     via_state = route_state_update(condition_axis, observed_axis)
     via_product = route_operator_product(psi, condition_axis, observed_axis)
     return disagreement_witness(via_state.values, via_product.values)
+
+
+def _collinear(n: np.ndarray, m: np.ndarray) -> bool:
+    # |n x m| at or below the tolerance: the axes (anti-)align and their projectors commute
+    cross = np.cross(n, m)
+    return float(np.sqrt(cross @ cross)) <= NONCOLLINEARITY_TOLERANCE
 
 
 def classical_conditional(psi: PureState, observed_axis, condition_axis) -> float:
@@ -232,6 +234,28 @@ def classical_conditional(psi: PureState, observed_axis, condition_axis) -> floa
     return (observed * condition).integrate() / weight
 
 
+def _sum_conflict_maps(psi: PureState, n_axis, m_axis, weight: float):
+    """Validated value maps of the projector mixture ``E = weight * P_n + (1 - weight) * P_m``.
+
+    Returns ``(E, lhs, rhs, map_n, map_m)``: the value map of E, the same
+    mixture of the projector maps, and the maps of P_n and P_m in ``psi``.
+    Raises for a weight outside (0, 1) and for collinear axes.
+    """
+    weight = float(weight)
+    if not 0.0 < weight < 1.0:
+        raise ValidationError(f"mixture weight must lie strictly in (0, 1), got {weight!r}")
+    n = unit_vector(n_axis, "first mixture axis")
+    m = unit_vector(m_axis, "second mixture axis")
+    if _collinear(n, m):
+        raise WitnessUndefinedError("collinear axes degenerate the mixture conflict")
+    mixture = weight * projector(n) + (1.0 - weight) * projector(m)
+    lhs = bell_value_operator(psi, mixture).values
+    map_n = bell_value(psi, n).values
+    map_m = bell_value(psi, m).values
+    rhs = weight * map_n + (1.0 - weight) * map_m
+    return mixture, lhs, rhs, map_n, map_m
+
+
 def sum_conflict_witness(psi: PureState, n_axis, m_axis, weight: float) -> ConflictWitness:
     """Where the value map of a projector mixture differs from the mixture of maps.
 
@@ -241,15 +265,5 @@ def sum_conflict_witness(psi: PureState, n_axis, m_axis, weight: float) -> Confl
     necessarily contains every omega where both projector maps are 0 and every
     omega where both are 1, even though the two sides share the same integral.
     """
-    weight = float(weight)
-    if not 0.0 < weight < 1.0:
-        raise ValidationError(f"mixture weight must lie strictly in (0, 1), got {weight!r}")
-    n = unit_vector(n_axis, "first mixture axis")
-    m = unit_vector(m_axis, "second mixture axis")
-    cross = np.cross(n, m)
-    if float(np.sqrt(cross @ cross)) <= NONCOLLINEARITY_TOLERANCE:
-        raise WitnessUndefinedError("collinear axes degenerate the mixture conflict")
-    mixture = weight * projector(n) + (1.0 - weight) * projector(m)
-    lhs = bell_value_operator(psi, mixture).values
-    rhs = weight * bell_value(psi, n).values + (1.0 - weight) * bell_value(psi, m).values
+    _, lhs, rhs, _, _ = _sum_conflict_maps(psi, n_axis, m_axis, weight)
     return disagreement_witness(lhs, rhs)

@@ -27,7 +27,14 @@ import numpy as np
 
 from .bell import ValueAssignment, bell_value
 from .errors import ReductionUndefinedError, ValidationError, ZeroProbabilityError
-from .qubit import ORTHOGONALITY_CUTOFF, PureState, cosine_between, projector, unit_vector
+from .qubit import (
+    ORTHOGONALITY_CUTOFF,
+    PureState,
+    chain_probability,
+    cosine_between,
+    projector,
+    unit_vector,
+)
 from .stepfn import ProductFunction, StepFunction, complement
 
 SELECTED = "selected"
@@ -108,9 +115,6 @@ class BranchHistory:
     def zero_probability(self) -> bool:
         return any(node.zero_probability for node in self.nodes)
 
-    def joint(self, normalize_all_levels: bool = False) -> ProductFunction:
-        return joint_function(self, normalize_all_levels=normalize_all_levels)
-
 
 def branch(history: BranchHistory, axis) -> tuple[BranchHistory, BranchHistory]:
     """Split a history on a new measurement axis.
@@ -190,6 +194,12 @@ def integrate_in_order(
     return current.prefactor
 
 
+def _require_reducible(psi: PureState, u: np.ndarray) -> None:
+    # the selected outcome of measuring u must have positive probability in psi
+    if 1.0 + cosine_between(psi.bloch, u) <= ORTHOGONALITY_CUTOFF:
+        raise ReductionUndefinedError("state is orthogonal to the measured projector")
+
+
 def repeated_measurement_check(psi: PureState, axis) -> ValueAssignment:
     """Measure the same projector twice; return the second level's assignment.
 
@@ -198,8 +208,7 @@ def repeated_measurement_check(psi: PureState, axis) -> ValueAssignment:
     repeating a measurement no longer changes anything.
     """
     u = unit_vector(axis, "measurement axis")
-    if 1.0 + cosine_between(psi.bloch, u) <= ORTHOGONALITY_CUTOFF:
-        raise ReductionUndefinedError("state is orthogonal to the measured projector")
+    _require_reducible(psi, u)
     first, _ = branch(BranchHistory(psi), u)
     second, _ = branch(first, u)
     return ValueAssignment(first.current_state, projector(u), second.nodes[1].level_function)
@@ -208,29 +217,30 @@ def repeated_measurement_check(psi: PureState, axis) -> ValueAssignment:
 def sequence_probability(initial: PureState, steps: Iterable[MeasurementStep]) -> float:
     """Probability of one full outcome pattern along a measurement sequence.
 
-    Multiplies the per-step branch weights ((1 + s.n)/2 for selected,
-    (1 - s.n)/2 for complement) while the prepared state walks the axes.
-    A zero-probability step short-circuits to 0.0 rather than raising.
+    The quantum chain rule over the projectors on +axis (selected steps) or
+    -axis (complement steps), so the per-step weights are (1 + s.n)/2 and
+    (1 - s.n)/2 while the prepared state walks the axes.  A zero-probability
+    step gives 0.0 rather than raising.
     """
-    current = initial.bloch
-    total = 1.0
-    for step in steps:
-        c = cosine_between(current, step.axis)
-        weight = 0.5 * (1.0 + c) if step.outcome == SELECTED else 0.5 * (1.0 - c)
-        if weight <= ORTHOGONALITY_CUTOFF:
-            return 0.0
-        total *= weight
-        current = step.axis if step.outcome == SELECTED else np.negative(step.axis)
-    return total
+    sequence = [
+        projector(step.axis if step.outcome == SELECTED else np.negative(step.axis))
+        for step in steps
+    ]
+    try:
+        return chain_probability(initial, sequence)
+    except ReductionUndefinedError:
+        return 0.0
 
 
 def outcome_probabilities(initial: PureState, axes: Sequence) -> dict[tuple[str, ...], float]:
     """Probabilities of all 2^k outcome patterns for a fixed axis sequence."""
     units = [unit_vector(a, "measurement axis") for a in axes]
+    steps = {outcome: [MeasurementStep(u, outcome) for u in units] for outcome in _OUTCOMES}
     table: dict[tuple[str, ...], float] = {}
     for pattern in _outcome_product(_OUTCOMES, repeat=len(units)):
-        steps = [MeasurementStep(a, o) for a, o in zip(units, pattern)]
-        table[pattern] = sequence_probability(initial, steps)
+        table[pattern] = sequence_probability(
+            initial, [steps[outcome][k] for k, outcome in enumerate(pattern)]
+        )
     return table
 
 

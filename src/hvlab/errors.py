@@ -2,6 +2,17 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "HvlabError",
+    "ValidationError",
+    "ConfigError",
+    "ReductionUndefinedError",
+    "UndefinedConditionalError",
+    "WitnessUndefinedError",
+    "ZeroProbabilityError",
+    "ScenarioError",
+]
+
 
 class HvlabError(Exception):
     """Base class for every error raised by this package."""

@@ -138,9 +138,6 @@ class HermitianOp:
             return NotImplemented
         return self.a == other.a and np.array_equal(self.b, other.b)
 
-    def isclose(self, other: "HermitianOp", tol: float = 1e-12) -> bool:
-        return abs(self.a - other.a) <= tol and float(np.max(np.abs(self.b - other.b))) <= tol
-
     def __repr__(self) -> str:
         return f"HermitianOp(a={self.a!r}, b={self.b.tolist()!r})"
 
@@ -153,10 +150,6 @@ class PureState:
 
     def __post_init__(self):
         object.__setattr__(self, "bloch", unit_vector(self.bloch, "state Bloch vector"))
-
-    @property
-    def density(self) -> HermitianOp:
-        return HermitianOp(0.5, self.bloch * 0.5)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PureState):

@@ -28,13 +28,13 @@ import numpy as np
 from . import branching
 from .bell import (
     ConflictWitness,
+    _collinear,
+    _sum_conflict_maps,
     bell_value,
-    bell_value_operator,
     classical_conditional,
-    nonuniqueness_witness,
+    disagreement_witness,
     route_operator_product,
     route_state_update,
-    sum_conflict_witness,
 )
 from .branching import BranchHistory, branch, integrate_in_order, joint_function
 from .errors import ConfigError, HvlabError, ScenarioError, ValidationError
@@ -49,35 +49,11 @@ from .qubit import (
 )
 from .stepfn import OMEGA_MAX, OMEGA_MIN, StepFunction, complement, constant
 
-SCENARIO_NAMES = (
-    "measure_reproduction",
-    "sandwich",
-    "route_agreement",
-    "nonuniqueness",
-    "classical_rule",
-    "sum_conflict",
-    "branching_chain",
-    "idempotence",
-    "sweep",
-)
-
 DEFAULT_TOLERANCE = 1e-12
 DEFAULT_GRID_POINTS = 2001
 DEFAULT_SWEEP_TRIALS = 1000
 NORMALIZE_WARN_ABOVE = 1e-9
 NORMALIZE_LIMIT = 1e-6
-
-_REQUIRED_KEYS: dict[str, tuple[str, ...]] = {
-    "measure_reproduction": ("state", "m"),
-    "sandwich": ("n", "m"),
-    "route_agreement": ("state", "n", "m"),
-    "nonuniqueness": ("state", "n", "m"),
-    "classical_rule": ("state", "n", "m"),
-    "sum_conflict": ("state", "n", "m", "lambda"),
-    "branching_chain": ("state", "n", "m"),
-    "idempotence": ("state", "n"),
-    "sweep": (),
-}
 
 _SCALAR_KEYS = ("lambda", "seed", "trials", "grid_points")
 _VECTOR_KEYS = ("state", "n", "m", "c")
@@ -121,7 +97,7 @@ class ScenarioConfig:
             raise ConfigError("tolerance must be positive")
         missing = [
             key
-            for key in _REQUIRED_KEYS[self.scenario]
+            for key in _scenario(self.scenario).required
             if (key == "state" and self.state is None)
             or (key == "lambda" and self.lam is None)
             or (key in ("n", "m", "c") and key not in self.axes)
@@ -274,40 +250,63 @@ def _inputs_echo(config: ScenarioConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# scenario executors: each returns (hv, qm, max_abs_error, witnesses, passed,
-# notes, traces) plus an optional trailing details dict; traces maps a role
-# name to a StepFunction for CSV export
+# scenario executors
 # ---------------------------------------------------------------------------
 
 
-def _run_measure_reproduction(config: ScenarioConfig):
+@dataclass(kw_only=True)
+class ScenarioResult:
+    """What one scenario executor found; :func:`run_scenario` copies it into a report.
+
+    ``traces`` maps a role name to a step function for CSV export; it is not
+    part of the report.
+    """
+
+    hv: dict = field(default_factory=dict)
+    qm: dict = field(default_factory=dict)
+    error: float
+    passed: bool
+    witnesses: list[dict] = field(default_factory=list)
+    notes: list[str] = field(default_factory=list)
+    traces: dict[str, StepFunction] = field(default_factory=dict)
+    details: dict = field(default_factory=dict)
+
+
+def _run_measure_reproduction(config: ScenarioConfig) -> ScenarioResult:
     psi = PureState(config.state)
-    assignment = bell_value(psi, config.axis("m"))
+    assignment = bell_value(psi, config.axes["m"])
     hv = {"measure": assignment.integral()}
     qm = {"expectation": expectation(psi, assignment.observable)}
     err = abs(hv["measure"] - qm["expectation"])
-    traces = {"value_map": assignment.values}
-    return hv, qm, err, [], err <= config.tolerance, [], traces
+    return ScenarioResult(
+        hv=hv,
+        qm=qm,
+        error=err,
+        passed=err <= config.tolerance,
+        traces={"value_map": assignment.values},
+    )
 
 
-def _run_sandwich(config: ScenarioConfig):
-    n = config.axis("n")
-    m = config.axis("m")
+def _run_sandwich(config: ScenarioConfig) -> ScenarioResult:
+    n = config.axes["n"]
+    m = config.axes["m"]
     product = sandwich(projector(n), projector(m))
     coefficient = 2.0 * product.a
     expected = 0.5 * (1.0 + cosine_between(n, m))
     axis_deviation = float(np.max(np.abs(product.b - coefficient * 0.5 * n)))
     err = max(abs(coefficient - expected), axis_deviation)
-    hv: dict = {}
-    qm = {"coefficient": coefficient, "expected_coefficient": expected}
-    notes = ["quantum-side identity check; no hidden-variable map involved"]
-    return hv, qm, err, [], err <= config.tolerance, notes, {}
+    return ScenarioResult(
+        qm={"coefficient": coefficient, "expected_coefficient": expected},
+        error=err,
+        passed=err <= config.tolerance,
+        notes=["quantum-side identity check; no hidden-variable map involved"],
+    )
 
 
-def _run_route_agreement(config: ScenarioConfig):
+def _run_route_agreement(config: ScenarioConfig) -> ScenarioResult:
     psi = PureState(config.state)
-    n = config.axis("n")
-    m = config.axis("m")
+    n = config.axes["n"]
+    m = config.axes["m"]
     via_state = route_state_update(n, m)
     via_product = route_operator_product(psi, n, m)
     qm_value = conditional_expectation(psi, projector(m), projector(n))
@@ -315,59 +314,44 @@ def _run_route_agreement(config: ScenarioConfig):
         "route_state_update": via_state.integral(),
         "route_operator_product": via_product.integral(),
     }
-    qm = {"conditional_expectation": qm_value}
     err = max(abs(v - qm_value) for v in hv.values())
     traces = {
         "route_a": via_state.values,
         "route_b": via_product.values,
         "difference": via_state.values - via_product.values,
     }
-    return hv, qm, err, [], err <= config.tolerance, [], traces
-
-
-def _run_nonuniqueness(config: ScenarioConfig):
-    psi = PureState(config.state)
-    n = config.axis("n")
-    m = config.axis("m")
-    via_state = route_state_update(n, m)
-    via_product = route_operator_product(psi, n, m)
-    witness = nonuniqueness_witness(psi, n, m)
-    qm_value = conditional_expectation(psi, projector(m), projector(n))
-    hv = {
-        "route_state_update": via_state.integral(),
-        "route_operator_product": via_product.integral(),
-        "disagreement_measure": witness.measure,
-    }
-    qm = {"conditional_expectation": qm_value}
-    err = max(
-        abs(hv["route_state_update"] - qm_value),
-        abs(hv["route_operator_product"] - qm_value),
+    return ScenarioResult(
+        hv=hv,
+        qm={"conditional_expectation": qm_value},
+        error=err,
+        passed=err <= config.tolerance,
+        traces=traces,
     )
-    notes = []
+
+
+def _run_nonuniqueness(config: ScenarioConfig) -> ScenarioResult:
+    # route agreement on averages, plus where the two routes differ pointwise
+    result = _run_route_agreement(config)
+    witness = disagreement_witness(result.traces["route_a"], result.traces["route_b"])
+    result.hv["disagreement_measure"] = witness.measure
+    result.witnesses = _witness_dicts(witness)
     if witness.measure == 0.0:
-        notes.append("degenerate agreement: the two routes coincide identically")
+        result.notes.append("degenerate agreement: the two routes coincide identically")
     else:
-        notes.append(
+        result.notes.append(
             "the two routes agree on averages but disagree pointwise on a set of "
             f"measure {witness.measure!r}"
         )
-    traces = {
-        "route_a": via_state.values,
-        "route_b": via_product.values,
-        "difference": via_state.values - via_product.values,
-    }
-    return hv, qm, err, _witness_dicts(witness), err <= config.tolerance, notes, traces
+    return result
 
 
-def _run_classical_rule(config: ScenarioConfig):
+def _run_classical_rule(config: ScenarioConfig) -> ScenarioResult:
     psi = PureState(config.state)
-    n = config.axis("n")
-    m = config.axis("m")
+    n = config.axes["n"]
+    m = config.axes["m"]
     classical = classical_conditional(psi, m, n)
     qm_value = conditional_expectation(psi, projector(m), projector(n))
     violation = abs(classical - qm_value)
-    cross = np.cross(n, m)
-    collinear = float(np.sqrt(cross @ cross)) <= 1e-9
     hv = {"classical_conditional": classical, "violation": violation}
     qm = {"conditional_expectation": qm_value}
     observed = bell_value(psi, m).values
@@ -377,7 +361,7 @@ def _run_classical_rule(config: ScenarioConfig):
         "indicator_condition": condition,
         "intersection": observed * condition,
     }
-    if collinear:
+    if _collinear(n, m):
         notes = ["commuting axes: classical conditioning must match the quantum value"]
         if violation > config.tolerance and cosine_between(n, psi.bloch) == 0.0:
             notes.append(
@@ -398,27 +382,21 @@ def _run_classical_rule(config: ScenarioConfig):
             notes.append("no violation at this particular geometry")
         err = 0.0
         passed = True
-    return hv, qm, err, [], passed, notes, traces
+    return ScenarioResult(hv=hv, qm=qm, error=err, passed=passed, notes=notes, traces=traces)
 
 
-def _run_sum_conflict(config: ScenarioConfig):
+def _run_sum_conflict(config: ScenarioConfig) -> ScenarioResult:
     psi = PureState(config.state)
-    n = config.axis("n")
-    m = config.axis("m")
-    lam = config.lam
-    witness = sum_conflict_witness(psi, n, m, lam)
-    mixture = lam * projector(n) + (1.0 - lam) * projector(m)
-    lhs = bell_value_operator(psi, mixture).values
-    map_n = bell_value(psi, n).values
-    map_m = bell_value(psi, m).values
-    rhs = lam * map_n + (1.0 - lam) * map_m
+    mixture, lhs, rhs, map_n, map_m = _sum_conflict_maps(
+        psi, config.axes["n"], config.axes["m"], config.lam
+    )
+    witness = disagreement_witness(lhs, rhs)
     qm_value = expectation(psi, mixture)
     hv = {
         "mixture_map_integral": lhs.integrate(),
         "mixture_of_maps_integral": rhs.integrate(),
         "disagreement_measure": witness.measure,
     }
-    qm = {"mixture_expectation": qm_value}
     err = max(
         abs(hv["mixture_map_integral"] - qm_value),
         abs(hv["mixture_of_maps_integral"] - qm_value),
@@ -434,16 +412,22 @@ def _run_sum_conflict(config: ScenarioConfig):
     ]
     if not covered:
         notes.append("witness fails to cover a region it must contain")
-    passed = err <= config.tolerance and covered
-    traces = {"mixture_map": lhs, "mixture_of_maps": rhs, "difference": lhs - rhs}
-    return hv, qm, err, _witness_dicts(witness), passed, notes, traces
+    return ScenarioResult(
+        hv=hv,
+        qm={"mixture_expectation": qm_value},
+        error=err,
+        passed=err <= config.tolerance and covered,
+        witnesses=_witness_dicts(witness),
+        notes=notes,
+        traces={"mixture_map": lhs, "mixture_of_maps": rhs, "difference": lhs - rhs},
+    )
 
 
-def _run_branching_chain(config: ScenarioConfig):
+def _run_branching_chain(config: ScenarioConfig) -> ScenarioResult:
     psi = PureState(config.state)
-    axes = [config.axis("n"), config.axis("m")]
+    axes = [config.axes["n"], config.axes["m"]]
     if "c" in config.axes:
-        axes.append(config.axis("c"))
+        axes.append(config.axes["c"])
     history = BranchHistory(psi)
     for axis in axes:
         history, _ = branch(history, axis)
@@ -467,18 +451,21 @@ def _run_branching_chain(config: ScenarioConfig):
         "order_spread": spread,
     }
     err = max(spread, max(abs(v - qm_value) for v in values), abs(joint_integral - qm_value))
-    traces = {
-        f"level_{node.level}": node.level_function for node in history.nodes
-    }
-    notes = [f"levels: {k}; integration orders checked: {len(order_values)}"]
-    details = {"branch_tree": branching.branch_records(history)}
-    return hv, qm, err, [], err <= config.tolerance, notes, traces, details
+    return ScenarioResult(
+        hv=hv,
+        qm=qm,
+        error=err,
+        passed=err <= config.tolerance,
+        notes=[f"levels: {k}; integration orders checked: {len(order_values)}"],
+        traces={f"level_{node.level}": node.level_function for node in history.nodes},
+        details={"branch_tree": branching.branch_records(history)},
+    )
 
 
-def _run_idempotence(config: ScenarioConfig):
+def _run_idempotence(config: ScenarioConfig) -> ScenarioResult:
     psi = PureState(config.state)
-    axis = config.axis("n")
-    branching.repeated_measurement_check(psi, axis)  # raises on orthogonal input
+    axis = config.axes["n"]
+    branching._require_reducible(psi, axis)
     # first measurement, then three repetitions of the same axis
     history, _ = branch(BranchHistory(psi), axis)
     functions = [history.nodes[0].level_function]
@@ -494,73 +481,91 @@ def _run_idempotence(config: ScenarioConfig):
         "level_2_max_deviation": deviations[0],
         "levels_3_4_max_deviation": max(deviations[1:]),
     }
-    qm = {"repeated_outcome_probability": 1.0}
     err = max(deviations)
-    notes = []
     if exactly_one:
-        notes.append("levels 2..4 are identically the constant 1")
+        notes = ["levels 2..4 are identically the constant 1"]
     else:
-        notes.append("a repeated level deviates from the constant 1")
-    traces = {f"level_{i + 1}": fn for i, fn in enumerate(functions)}
-    return hv, qm, err, [], exactly_one and err == 0.0, notes, traces
+        notes = ["a repeated level deviates from the constant 1"]
+    return ScenarioResult(
+        hv=hv,
+        qm={"repeated_outcome_probability": 1.0},
+        error=err,
+        passed=exactly_one and err == 0.0,
+        notes=notes,
+        traces={f"level_{i + 1}": fn for i, fn in enumerate(functions)},
+    )
 
 
-def _run_sweep_scenario(config: ScenarioConfig):
+def _run_sweep_scenario(config: ScenarioConfig) -> ScenarioResult:
     seed = config.seed if config.seed is not None else 0
     trials = config.trials if config.trials is not None else DEFAULT_SWEEP_TRIALS
     summary = run_sweep(seed, trials, tolerance=config.tolerance)
     skip = ("pass", "failures", "trials", "seed", "max_abs_error")
-    hv = {key: summary[key] for key in summary if key not in skip}
-    notes = [f"seed={seed} trials={trials}"] + summary["failures"]
-    return hv, {}, summary["max_abs_error"], [], summary["pass"], notes, {}
+    return ScenarioResult(
+        hv={key: summary[key] for key in summary if key not in skip},
+        error=summary["max_abs_error"],
+        passed=summary["pass"],
+        notes=[f"seed={seed} trials={trials}"] + summary["failures"],
+    )
 
 
-_EXECUTORS: dict[str, Callable] = {
-    "measure_reproduction": _run_measure_reproduction,
-    "sandwich": _run_sandwich,
-    "route_agreement": _run_route_agreement,
-    "nonuniqueness": _run_nonuniqueness,
-    "classical_rule": _run_classical_rule,
-    "sum_conflict": _run_sum_conflict,
-    "branching_chain": _run_branching_chain,
-    "idempotence": _run_idempotence,
-    "sweep": _run_sweep_scenario,
-}
+@dataclass(frozen=True)
+class Scenario:
+    """A named scenario: the config keys it requires and its executor."""
+
+    name: str
+    required: tuple[str, ...]
+    run: Callable[[ScenarioConfig], ScenarioResult]
 
 
-def _execute(config: ScenarioConfig):
-    executor = _EXECUTORS[config.scenario]
+_SCENARIOS = (
+    Scenario("measure_reproduction", ("state", "m"), _run_measure_reproduction),
+    Scenario("sandwich", ("n", "m"), _run_sandwich),
+    Scenario("route_agreement", ("state", "n", "m"), _run_route_agreement),
+    Scenario("nonuniqueness", ("state", "n", "m"), _run_nonuniqueness),
+    Scenario("classical_rule", ("state", "n", "m"), _run_classical_rule),
+    Scenario("sum_conflict", ("state", "n", "m", "lambda"), _run_sum_conflict),
+    Scenario("branching_chain", ("state", "n", "m"), _run_branching_chain),
+    Scenario("idempotence", ("state", "n"), _run_idempotence),
+    Scenario("sweep", (), _run_sweep_scenario),
+)
+
+SCENARIO_NAMES = tuple(scenario.name for scenario in _SCENARIOS)
+
+
+def _scenario(name: str) -> Scenario:
+    return _SCENARIOS[SCENARIO_NAMES.index(name)]
+
+
+def _execute(config: ScenarioConfig) -> ScenarioResult:
     try:
-        result = executor(config)
+        return _scenario(config.scenario).run(config)
     except HvlabError as exc:
         raise ScenarioError(f"scenario {config.scenario!r}: {exc}") from exc
-    if len(result) == 7:
-        result = (*result, {})
-    return result
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     """Execute one named scenario and return its report."""
     start = time.perf_counter()
-    hv, qm, err, witnesses, passed, notes, _traces, details = _execute(config)
+    result = _execute(config)
     runtime_ms = (time.perf_counter() - start) * 1000.0
     return ScenarioReport(
         scenario=config.scenario,
         inputs=_inputs_echo(config),
-        hv_values=hv,
-        qm_values=qm,
-        max_abs_error=err,
-        witnesses=witnesses,
-        passed=passed,
-        notes=notes,
-        details=details,
+        hv_values=result.hv,
+        qm_values=result.qm,
+        max_abs_error=result.error,
+        witnesses=result.witnesses,
+        passed=result.passed,
+        notes=result.notes,
+        details=result.details,
         runtime_ms=runtime_ms,
     )
 
 
 def scenario_traces(config: ScenarioConfig) -> dict[str, StepFunction]:
     """The omega-trace functions a scenario produces (may be empty)."""
-    return _execute(config)[6]
+    return _execute(config).traces
 
 
 # ---------------------------------------------------------------------------
@@ -614,8 +619,10 @@ def run_sweep(seed: int, trials: int, tolerance: float = DEFAULT_TOLERANCE) -> d
         route_trials += 1
         psi = PureState(s)
         want = 0.5 * (1.0 + cosine_between(n, m))
-        a = route_state_update(n, m).integral()
-        b = route_operator_product(psi, n, m).integral()
+        via_state = route_state_update(n, m)
+        via_product = route_operator_product(psi, n, m)
+        a = via_state.integral()
+        b = via_product.integral()
         err = max(abs(a - want), abs(b - want))
         if err > max_route_error:
             max_route_error = err
@@ -624,7 +631,7 @@ def run_sweep(seed: int, trials: int, tolerance: float = DEFAULT_TOLERANCE) -> d
         if (
             abs(cosine_between(n, m)) < 1.0 - 1e-6
             and abs(cosine_between(n, s)) < 1.0 - 1e-6
-            and nonuniqueness_witness(psi, n, m).measure > 0.0
+            and disagreement_witness(via_state.values, via_product.values).measure > 0.0
         ):
             disagreeing += 1
 

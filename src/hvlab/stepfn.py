@@ -27,7 +27,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence, TextIO, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -43,13 +43,8 @@ __all__ = [
     "ProductFunction",
     "constant",
     "indicator_from_sign",
-    "integrate",
-    "pointwise",
     "complement",
-    "minimum",
-    "product_integrate",
     "mc_integrate",
-    "write_segments_csv",
 ]
 
 
@@ -137,20 +132,12 @@ class StepFunction:
             left = b
         yield (left, OMEGA_MAX, self._values[-1])
 
-    def is_indicator(self) -> bool:
-        return all(v in (0.0, 1.0) for v in self._values)
-
     def _combine(self, other: "StepFunction", op: Callable[[float, float], float]) -> "StepFunction":
-        bps = sorted({*self._breakpoints, *other._breakpoints})
-        lefts = [OMEGA_MIN, *bps]
-        vals = [
-            op(
-                self._values[bisect_right(self._breakpoints, left)],
-                other._values[bisect_right(other._breakpoints, left)],
-            )
-            for left in lefts
-        ]
-        return StepFunction(bps, vals)
+        segments = _common_segments(self, other)
+        return StepFunction(
+            [right for _, right, _, _ in segments[:-1]],
+            [op(a, b) for _, _, a, b in segments],
+        )
 
     def _map(self, op: Callable[[float], float]) -> "StepFunction":
         return StepFunction(self._breakpoints, tuple(op(v) for v in self._values))
@@ -200,6 +187,24 @@ class StepFunction:
         return f"StepFunction(breakpoints={self._breakpoints!r}, values={self._values!r})"
 
 
+def _common_segments(f: StepFunction, g: StepFunction) -> list[tuple[float, float, float, float]]:
+    """(omega_left, omega_right, f value, g value) on each cell of the common partition.
+
+    The partition's breakpoints are the union of both functions'; each cell
+    carries the (constant) value of either function on it.
+    """
+    bps = sorted({*f._breakpoints, *g._breakpoints})
+    return [
+        (
+            left,
+            right,
+            f._values[bisect_right(f._breakpoints, left)],
+            g._values[bisect_right(g._breakpoints, left)],
+        )
+        for left, right in zip([OMEGA_MIN, *bps], [*bps, OMEGA_MAX])
+    ]
+
+
 def constant(value: float) -> StepFunction:
     """The constant function on [-1/2, 1/2]."""
     return StepFunction((), (value,))
@@ -226,50 +231,9 @@ def indicator_from_sign(threshold: float, polarity: int) -> StepFunction:
     return StepFunction((0.0 if threshold == 0.0 else -threshold,), (low, high))
 
 
-def integrate(f: StepFunction) -> float:
-    """Exact integral of ``f`` over [-1/2, 1/2] under the uniform measure."""
-    return f.integrate()
-
-
 def complement(f: StepFunction) -> StepFunction:
     """Pointwise 1 - f; set complement for 0/1 indicators."""
     return 1.0 - f
-
-
-def minimum(f: StepFunction, g: StepFunction) -> StepFunction:
-    """Pointwise minimum of two step functions."""
-    return f._combine(g, min)
-
-
-def pointwise(op: str, f: StepFunction, g: Union[StepFunction, float, None] = None) -> StepFunction:
-    """Named pointwise operation on step functions.
-
-    ``op`` is one of ``add``, ``multiply``, ``scale``, ``complement``,
-    ``min``.  ``scale`` takes a scalar second operand, ``complement`` takes
-    none, the rest take a second step function (``add`` and ``multiply`` also
-    accept a scalar).  Results are canonicalized on the breakpoint union; for
-    0/1 indicators ``multiply`` is set intersection and ``complement`` is set
-    complement.
-    """
-    if op == "complement":
-        if g is not None:
-            raise ValidationError("complement takes a single operand")
-        return complement(f)
-    if g is None:
-        raise ValidationError(f"operation {op!r} needs a second operand")
-    if op == "add":
-        return f + g
-    if op == "multiply":
-        return f * g
-    if op == "scale":
-        if isinstance(g, StepFunction):
-            raise ValidationError("scale takes a scalar second operand")
-        return f * float(g)
-    if op == "min":
-        if not isinstance(g, StepFunction):
-            raise ValidationError("min takes a step-function second operand")
-        return minimum(f, g)
-    raise ValidationError(f"unknown pointwise operation {op!r}")
 
 
 @dataclass(frozen=True)
@@ -325,11 +289,6 @@ class ProductFunction:
         return self.factors[0] * self.prefactor
 
 
-def product_integrate(p: ProductFunction) -> float:
-    """prefactor * product of per-level integrals (order-independent)."""
-    return p.integrate()
-
-
 def mc_integrate(
     fn: Union[StepFunction, ProductFunction],
     n_samples: int,
@@ -352,9 +311,3 @@ def mc_integrate(
     stderr = float(np.std(samples, ddof=1) / math.sqrt(n_samples))
     return estimate, stderr
 
-
-def write_segments_csv(f: StepFunction, stream: TextIO) -> None:
-    """Debug dump: one ``omega_left,omega_right,value`` row per segment."""
-    stream.write("omega_left,omega_right,value\n")
-    for left, right, value in f.segments():
-        stream.write(f"{left:.17g},{right:.17g},{value:.17g}\n")

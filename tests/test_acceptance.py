@@ -18,7 +18,6 @@ from hvlab import (
     complement,
     conditional_expectation,
     constant,
-    integrate,
     integrate_in_order,
     joint_function,
     mc_integrate,
@@ -160,7 +159,7 @@ def test_criterion_6_sum_decomposition_conflict():
         map_n = bell_value(psi, X).values
         map_m = bell_value(psi, Y).values
         both_zero = complement(map_n) * complement(map_m)
-        if integrate(both_zero) <= 0.0:
+        if both_zero.integrate() <= 0.0:
             continue
         lhs = bell_value_operator(psi, mixture).values
         rhs = lam * map_n + (1.0 - lam) * map_m
@@ -171,8 +170,8 @@ def test_criterion_6_sum_decomposition_conflict():
         value_on_region = {
             lhs(left) for left in (-0.5, *union) if both_zero(left) == 1.0
         }
-        covered = integrate(both_zero * complement(witness.omega_region)) == 0.0
-        worst_average = abs(integrate(lhs) - integrate(rhs))
+        covered = (both_zero * complement(witness.omega_region)).integrate() == 0.0
+        worst_average = abs(lhs.integrate() - rhs.integrate())
         found = (
             witness.measure > 0.0
             and covered
@@ -252,7 +251,7 @@ def test_criterion_10_monte_carlo_cross_check():
     for _ in range(100):
         s, m = random_unit(rng), random_unit(rng)
         fn = bell_value(PureState(s), m).values
-        ok = ok and within_four_se(fn, integrate(fn))
+        ok = ok and within_four_se(fn, fn.integrate())
 
     count = 0
     while count < 100:
@@ -263,8 +262,8 @@ def test_criterion_10_monte_carlo_cross_check():
         psi = PureState(s)
         via_state = route_state_update(n, m).values
         via_product = route_operator_product(psi, n, m).values
-        ok = ok and within_four_se(via_state, integrate(via_state))
-        ok = ok and within_four_se(via_product, integrate(via_product))
+        ok = ok and within_four_se(via_state, via_state.integrate())
+        ok = ok and within_four_se(via_product, via_product.integrate())
 
     count = 0
     while count < 100:

@@ -16,7 +16,6 @@ from hvlab import (
     complement,
     conditional_expectation,
     expectation,
-    integrate,
     nonuniqueness_witness,
     projector,
     route_operator_product,
@@ -131,7 +130,7 @@ def test_bell_value_completeness_in_measure_on_degenerate_locus():
     plus = bell_value(psi, X).values
     minus = bell_value(psi, -X).values
     assert plus == minus
-    assert integrate(plus) + integrate(minus) == 1.0
+    assert plus.integrate() + minus.integrate() == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +313,7 @@ def test_witness_measure_consistency(rng):
     for _ in range(50):
         s, n, m = random_unit(rng), random_unit(rng), random_unit(rng)
         witness = nonuniqueness_witness(PureState(s), n, m)
-        assert witness.measure == integrate(witness.omega_region)
+        assert witness.measure == witness.omega_region.integrate()
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +360,7 @@ def test_classical_conditional_agrees_with_interval_oracle(rng):
         s, n, m = random_unit(rng), random_unit(rng), random_unit(rng)
         psi = PureState(s)
         fb = bell_value(psi, n).values
-        if integrate(fb) <= 1e-12:
+        if fb.integrate() <= 1e-12:
             continue
         fa = bell_value(psi, m).values
         meet = intersect_intervals(support_intervals(fa), support_intervals(fb))
@@ -395,11 +394,11 @@ def test_sum_conflict_witness_perpendicular_axes():
 
     both_zero = complement(map_n) * complement(map_m)
     both_one = map_n * map_m
-    assert integrate(both_zero) > 0.0
-    assert integrate(both_one) > 0.0
+    assert both_zero.integrate() > 0.0
+    assert both_one.integrate() > 0.0
     # every omega with both projector maps 0 (or both 1) must be in the witness
-    assert integrate(both_zero * complement(witness.omega_region)) == 0.0
-    assert integrate(both_one * complement(witness.omega_region)) == 0.0
+    assert (both_zero * complement(witness.omega_region)).integrate() == 0.0
+    assert (both_one * complement(witness.omega_region)).integrate() == 0.0
     # on the both-zero region the mixture map sits at its lower eigenvalue > 0;
     # evaluate at segment left edges of the union partition (right-continuity)
     low = 0.5 * (1.0 - 1.0 / np.sqrt(2.0))
@@ -414,8 +413,8 @@ def test_sum_conflict_witness_perpendicular_axes():
     assert values_on_ones
     assert all(value != 1.0 for value in values_on_ones)
     # averages still agree
-    assert abs(integrate(lhs) - integrate(rhs)) <= 1e-12
-    assert abs(integrate(lhs) - expectation(psi, mixture)) <= 1e-12
+    assert abs(lhs.integrate() - rhs.integrate()) <= 1e-12
+    assert abs(lhs.integrate() - expectation(psi, mixture)) <= 1e-12
 
 
 def test_sum_conflict_witness_pointwise_grid_oracle(rng):

@@ -21,7 +21,6 @@ from hvlab import (
     integrate_in_order,
     joint_function,
     outcome_probabilities,
-    product_integrate,
     projector,
     repeated_measurement_check,
     route_operator_product,
@@ -96,7 +95,7 @@ def test_joint_single_level():
     joint = joint_function(history)
     assert joint.prefactor == 1.0
     assert joint.factors[0].breakpoints == (0.0,)
-    assert product_integrate(joint) == 0.5
+    assert joint.integrate() == 0.5
 
 
 def test_joint_perpendicular_preparation_prefactor_two():
@@ -119,7 +118,7 @@ def test_joint_normalize_all_levels_total_is_one(rng):
         s = random_unit(rng)
         axes = [random_unit(rng) for _ in range(3)]
         history = chain_selected(PureState(s), axes)
-        total = product_integrate(joint_function(history, normalize_all_levels=True))
+        total = joint_function(history, normalize_all_levels=True).integrate()
         assert abs(total - 1.0) <= 1e-12
 
 
@@ -210,7 +209,7 @@ def test_reduction_equivalence_with_quantum_chain(rng):
             s = random_unit(rng)
             axes = [random_unit(rng) for _ in range(depth)]
             history = chain_selected(PureState(s), axes)
-            got = product_integrate(joint_function(history))
+            got = joint_function(history).integrate()
             sequence = [projector(a) for a in axes]
             want = chain_probability(PureState(s), sequence) / chain_probability(
                 PureState(s), sequence[:-1]
@@ -295,6 +294,16 @@ def test_outcome_tree_sums_to_one(rng):
             table = outcome_probabilities(PureState(s), axes)
             assert len(table) == 2**depth
             assert abs(sum(table.values()) - 1.0) <= 1e-12
+
+
+def test_outcome_probabilities_match_matrix_oracle(rng):
+    # complement steps are the chain rule on the opposite axis
+    for _ in range(20):
+        s = random_unit(rng)
+        axes = [random_unit(rng) for _ in range(3)]
+        for pattern, got in outcome_probabilities(PureState(s), axes).items():
+            signed = [a if outcome == SELECTED else -a for a, outcome in zip(axes, pattern)]
+            assert abs(oracle.chain_probability_matrix(s, signed) - got) <= 1e-14
 
 
 def test_measurement_step_validation():

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -13,12 +12,7 @@ from hvlab import (
     complement,
     constant,
     indicator_from_sign,
-    integrate,
     mc_integrate,
-    minimum,
-    pointwise,
-    product_integrate,
-    write_segments_csv,
 )
 
 # midpoints of 10^4 uniform cells: Riemann oracle with error <= (#breaks)/10^4
@@ -89,7 +83,7 @@ def test_array_evaluation_matches_scalar():
 def test_indicator_threshold_half_is_constant_one():
     f = indicator_from_sign(0.5, +1)
     assert f == constant(1.0)
-    assert integrate(f) == 1.0
+    assert f.integrate() == 1.0
 
 
 def test_indicator_threshold_zero_is_pure_sign_step():
@@ -104,7 +98,7 @@ def test_indicator_quarter_negative_polarity_grid_oracle():
     assert f.values == (1.0, 0.0)
     assert f.breakpoints == (-0.25,)
     # frozen from the grid oracle below: measure 1/4
-    assert integrate(f) == 0.25
+    assert f.integrate() == 0.25
     assert abs(grid_measure(f) - 0.25) <= 2e-4
     np.testing.assert_array_equal(f(GRID), closed_form_indicator(GRID, 0.25, -1))
 
@@ -134,11 +128,11 @@ def test_indicator_matches_closed_form_everywhere(threshold, polarity):
 
 
 def test_integrate_examples():
-    assert integrate(constant(1.0)) == 1.0
-    assert integrate(StepFunction((0.0,), (0.0, 1.0))) == 0.5
+    assert constant(1.0).integrate() == 1.0
+    assert StepFunction((0.0,), (0.0, 1.0)).integrate() == 0.5
     # indicator induced by a dot product of 0.6: threshold 0.3, measure (1+0.6)/2
     f = indicator_from_sign(0.3, +1)
-    assert abs(integrate(f) - 0.8) <= 1e-15
+    assert abs(f.integrate() - 0.8) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +147,9 @@ def test_complement_of_constant_one_is_zero():
 def test_multiply_is_intersection_for_indicators():
     right_half = indicator_from_sign(0.0, +1)  # 1 on (0, 1/2)
     wide = indicator_from_sign(0.25, +1)  # 1 on (-1/4, 1/2)
-    meet = pointwise("multiply", right_half, wide)
+    meet = right_half * wide
     assert meet == right_half
-    assert integrate(meet) == 0.5
+    assert meet.integrate() == 0.5
 
 
 def test_weighted_add_three_valued_grid_oracle():
@@ -171,25 +165,11 @@ def test_weighted_add_three_valued_grid_oracle():
 def test_minimum_and_scalar_operations():
     f = StepFunction((0.0,), (1.0, 3.0))
     g = StepFunction((-0.25,), (2.0, 0.5))
-    assert minimum(f, g) == StepFunction((-0.25, 0.0), (1.0, 0.5, 0.5))
+    assert f._combine(g, min) == StepFunction((-0.25, 0.0), (1.0, 0.5, 0.5))
     assert (f - 1.0) == StepFunction((0.0,), (0.0, 2.0))
     assert (1.0 - f) == StepFunction((0.0,), (0.0, -2.0))
     assert (-f) == StepFunction((0.0,), (-1.0, -3.0))
-    assert pointwise("scale", f, 2.0) == StepFunction((0.0,), (2.0, 6.0))
-
-
-def test_pointwise_dispatcher_validation():
-    f = constant(1.0)
-    with pytest.raises(ValidationError):
-        pointwise("divide", f, f)
-    with pytest.raises(ValidationError):
-        pointwise("scale", f, f)
-    with pytest.raises(ValidationError):
-        pointwise("complement", f, f)
-    with pytest.raises(ValidationError):
-        pointwise("add", f)
-    with pytest.raises(ValidationError):
-        pointwise("min", f, 2.0)
+    assert f * 2.0 == StepFunction((0.0,), (2.0, 6.0))
 
 
 # ---------------------------------------------------------------------------
@@ -217,17 +197,17 @@ def indicators(draw):
 
 @given(f=indicators())
 def test_complement_integral(f):
-    assert abs(integrate(complement(f)) - (1.0 - integrate(f))) <= 1e-12
+    assert abs(complement(f).integrate() - (1.0 - f.integrate())) <= 1e-12
 
 
 @given(f=step_functions(), g=step_functions())
 def test_integrate_linearity(f, g):
-    assert abs(integrate(f + g) - (integrate(f) + integrate(g))) <= 1e-12
+    assert abs((f + g).integrate() - (f.integrate() + g.integrate())) <= 1e-12
 
 
 @given(f=indicators(), g=indicators())
 def test_intersection_bounded_by_min_measure(f, g):
-    assert integrate(f * g) <= min(integrate(f), integrate(g)) + 1e-12
+    assert (f * g).integrate() <= min(f.integrate(), g.integrate()) + 1e-12
 
 
 @given(f=step_functions(), g=step_functions())
@@ -236,7 +216,7 @@ def test_combine_matches_pointwise_grid(f, g):
     probe = np.linspace(-0.5, 0.5, 101)
     np.testing.assert_array_equal((f + g)(probe), f(probe) + g(probe))
     np.testing.assert_array_equal((f * g)(probe), f(probe) * g(probe))
-    np.testing.assert_array_equal(minimum(f, g)(probe), np.minimum(f(probe), g(probe)))
+    np.testing.assert_array_equal(f._combine(g, min)(probe), np.minimum(f(probe), g(probe)))
 
 
 @given(f=step_functions())
@@ -251,15 +231,15 @@ def test_canonical_has_no_adjacent_equal_values(f):
 
 
 def test_product_examples():
-    assert product_integrate(ProductFunction((constant(1.0),), 1.0)) == 1.0
+    assert ProductFunction((constant(1.0),), 1.0).integrate() == 1.0
     half = indicator_from_sign(0.0, +1)
     p8 = indicator_from_sign(0.3, +1)  # measure 0.8
     p = ProductFunction((half, p8), 2.0)
-    assert abs(product_integrate(p) - 0.8) <= 1e-15
+    assert abs(p.integrate() - 0.8) <= 1e-15
     # two-level product with a perpendicular preparation and a repeated axis:
     # prefactor 2 restores the unit conditional probability
     unit = ProductFunction((half, constant(1.0)), 2.0)
-    assert product_integrate(unit) == 1.0
+    assert unit.integrate() == 1.0
 
 
 def test_product_evaluation_and_levels():
@@ -279,7 +259,7 @@ def test_integrate_level_any_order():
         for _ in range(3)
     )
     p = ProductFunction(factors, 1.7)
-    full = product_integrate(p)
+    full = p.integrate()
     for order in ((0, 0, 0), (2, 1, 0), (1, 1, 0)):  # indices into the shrinking tuple
         current = p
         for index in order:
@@ -310,7 +290,7 @@ def test_monte_carlo_agrees_within_four_standard_errors():
         bps = np.sort(rng.uniform(-0.499, 0.499, n_segments - 1)) if n_segments > 1 else []
         f = StepFunction(bps, rng.uniform(-3.0, 3.0, n_segments))
         estimate, stderr = mc_integrate(f, 1_000_000, rng)
-        assert abs(estimate - integrate(f)) <= 4.0 * stderr + 1e-13
+        assert abs(estimate - f.integrate()) <= 4.0 * stderr + 1e-13
 
 
 def test_mc_integrate_validation():
@@ -326,9 +306,3 @@ def test_mc_integrate_validation():
 def test_segment_dump_round_trips():
     f = StepFunction((-0.125, 0.25), (1.0, 0.5, 2.0))
     assert list(f.segments()) == [(-0.5, -0.125, 1.0), (-0.125, 0.25, 0.5), (0.25, 0.5, 2.0)]
-    buffer = io.StringIO()
-    write_segments_csv(f, buffer)
-    lines = buffer.getvalue().strip().splitlines()
-    assert lines[0] == "omega_left,omega_right,value"
-    parsed = [tuple(float(part) for part in line.split(",")) for line in lines[1:]]
-    assert parsed == list(f.segments())
