@@ -215,15 +215,13 @@ def conditional_expectation(psi: PureState, observed: HermitianOp, condition: He
     """Tr[rho B A B] / Tr[rho B] for projectors A (observed) and B (condition).
 
     For rank-1 projectors this equals (1 + n.m)/2, independent of the state.
+    It is evaluated as the expectation of A in the reduced state
+    B rho B / Tr[rho B] (see :func:`reduce_state`), which stays exact to
+    rounding as Tr[rho B] shrinks; dividing Tr[rho B A B] by Tr[rho B] would
+    amplify the numerator's rounding error by 1 / Tr[rho B].
     """
     _require_projector(observed, "observed operator")
-    _require_projector(condition, "condition")
-    weight = expectation(psi, condition)
-    if weight <= ORTHOGONALITY_CUTOFF:
-        raise ReductionUndefinedError(
-            f"conditioning probability {weight!r} at or below cutoff {ORTHOGONALITY_CUTOFF}"
-        )
-    return expectation(psi, sandwich(condition, observed)) / weight
+    return expectation(reduce_state(psi, condition), observed)
 
 
 def chain_probability(psi: PureState, sequence: Sequence[HermitianOp] | Iterable[HermitianOp]) -> float:

@@ -190,6 +190,23 @@ def test_idempotence_scenario():
     assert report.hv_values["levels_3_4_max_deviation"] == 0.0
 
 
+@pytest.mark.parametrize("scenario", ["route_agreement", "nonuniqueness", "classical_rule"])
+def test_conditional_oracle_near_orthogonality(tmp_path, scenario):
+    # 1 + s.n = 8.04e-5: dividing Tr[rho B A B] by Tr[rho B] was off by 1.7e-12
+    text = (
+        f"scenario = {scenario}\n"
+        "state = 0 0 1\n"
+        "n = 0.012680439102806177 0.0 -0.9999196\n"
+        "m = 0.6 0.8 0\n"
+    )
+    config = load_config(write_config(tmp_path, text))
+    report = run_scenario(config)
+    assert report.passed
+    assert report.max_abs_error <= 1e-15
+    want = 0.5 * (1.0 + float(config.axis("n") @ config.axis("m")))
+    assert abs(report.qm_values["conditional_expectation"] - want) <= 1e-15
+
+
 def test_scenario_error_carries_context():
     with pytest.raises(ScenarioError, match="idempotence"):
         run_scenario(ScenarioConfig("idempotence", state=Z, axes={"n": -Z}))
