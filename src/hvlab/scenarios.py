@@ -93,8 +93,10 @@ class ScenarioConfig:
         object.__setattr__(self, "axes", dict(self.axes))
         if self.grid_points < 2:
             raise ConfigError("grid_points must be at least 2")
-        if self.tolerance <= 0:
-            raise ConfigError("tolerance must be positive")
+        if not (self.tolerance > 0 and math.isfinite(self.tolerance)):
+            raise ConfigError(f"tolerance must be positive and finite, got {self.tolerance!r}")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed!r}")
         missing = [
             key
             for key in _scenario(self.scenario).required
@@ -158,6 +160,8 @@ def load_config(path) -> ScenarioConfig:
             raw = np.array([float(p) for p in parts])
         except ValueError as exc:
             raise ConfigError(f"{path}: vector {key!r} has a non-numeric component") from exc
+        if not np.all(np.isfinite(raw)):
+            raise ConfigError(f"{path}: vector {key!r} has a non-finite component")
         return _normalize_config_vector(key, raw)
 
     state = parse_vector("state") if "state" in entries else None

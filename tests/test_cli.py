@@ -75,6 +75,28 @@ def test_run_missing_file_exits_two(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.cfg")]) == 2
 
 
+def test_negative_seed_exits_two(tmp_path, capsys):
+    config = write(tmp_path, "sweep.cfg", "scenario = sweep\nseed = -1\ntrials = 10\n")
+    assert main(["run", str(config)]) == 2
+    assert main(["sweep", "--seed", "-1", "--trials", "10"]) == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+
+
+def test_nan_tolerance_exits_two(tmp_path, capsys):
+    config = write(tmp_path, "route.cfg", ROUTE_CFG)
+    for value in ("nan", "inf"):
+        assert main(["run", str(config), "--tolerance", value]) == 2
+        assert "tolerance must be positive and finite" in capsys.readouterr().err
+
+
+def test_non_finite_vector_component_exits_two_with_path(tmp_path, capsys):
+    for value in ("nan", "inf"):
+        config = write(tmp_path, "route.cfg", ROUTE_CFG.replace("n = 1 0 0", f"n = 1 0 {value}"))
+        assert main(["run", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert str(config) in err and "non-finite" in err
+
+
 def test_sweep_command(capsys):
     assert main(["sweep", "--seed", "5", "--trials", "100"]) == 0
     report = json.loads(capsys.readouterr().out)

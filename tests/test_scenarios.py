@@ -37,6 +37,29 @@ def write_config(tmp_path, text, name="scenario.cfg"):
 
 
 # ---------------------------------------------------------------------------
+# public surface
+# ---------------------------------------------------------------------------
+
+
+def test_public_names_resolve_and_are_unique():
+    import hvlab
+
+    assert len(hvlab.__all__) == len(set(hvlab.__all__))
+    for name in hvlab.__all__:
+        assert getattr(hvlab, name) is not None, name
+
+
+def test_scenario_registry_matches_names_and_demo_configs():
+    from hvlab import SCENARIO_NAMES
+    from hvlab.scenarios import _SCENARIOS
+
+    assert tuple(scenario.name for scenario in _SCENARIOS) == SCENARIO_NAMES
+    assert sorted(path.stem for path in DEMO_CONFIGS) == sorted(SCENARIO_NAMES)
+    for path in DEMO_CONFIGS:
+        assert load_config(path).scenario == path.stem
+
+
+# ---------------------------------------------------------------------------
 # config parsing
 # ---------------------------------------------------------------------------
 
