@@ -167,7 +167,7 @@ def route_operator_product(psi: PureState, condition_axis, observed_axis) -> Val
     n = unit_vector(condition_axis, "condition axis")
     m = unit_vector(observed_axis, "observed axis")
     denom = 1.0 + cosine_between(n, psi.bloch)
-    if denom <= ORTHOGONALITY_CUTOFF:
+    if 0.5 * denom <= ORTHOGONALITY_CUTOFF:
         raise ReductionUndefinedError(
             f"state is orthogonal to the conditioning projector (1 + n.s = {denom!r})"
         )
@@ -226,12 +226,20 @@ def classical_conditional(psi: PureState, observed_axis, condition_axis) -> floa
     """
     observed = bell_value(psi, observed_axis).values
     condition = bell_value(psi, condition_axis).values
+    return _classical_intersection(observed, condition)[1]
+
+
+def _classical_intersection(
+    observed: StepFunction, condition: StepFunction
+) -> tuple[StepFunction, float]:
+    """The intersection of two indicator maps and mu[intersection] / mu[condition]."""
     weight = condition.integrate()
     if weight <= ORTHOGONALITY_CUTOFF:
         raise UndefinedConditionalError(
             f"conditioning set has measure {weight!r}, at or below cutoff"
         )
-    return (observed * condition).integrate() / weight
+    intersection = observed * condition
+    return intersection, intersection.integrate() / weight
 
 
 def _sum_conflict_maps(psi: PureState, n_axis, m_axis, weight: float):

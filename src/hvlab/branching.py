@@ -196,7 +196,7 @@ def integrate_in_order(
 
 def _require_reducible(psi: PureState, u: np.ndarray) -> None:
     # the selected outcome of measuring u must have positive probability in psi
-    if 1.0 + cosine_between(psi.bloch, u) <= ORTHOGONALITY_CUTOFF:
+    if 0.5 * (1.0 + cosine_between(psi.bloch, u)) <= ORTHOGONALITY_CUTOFF:
         raise ReductionUndefinedError("state is orthogonal to the measured projector")
 
 

@@ -8,9 +8,10 @@ Subcommands
                        aggregate report
 ``trace <config>``     write omega,value CSV traces for a scenario
 
-The exit code is 0 iff every requested scenario passed; config and usage
-errors exit with 2.  ``--out`` (or the ``HVLAB_OUT`` environment variable)
-selects where reports and traces are written.
+Each subcommand accepts only the flags that change its output.  The exit code
+is 0 iff every requested scenario passed; config and usage errors exit with
+2.  ``--out`` (or the ``HVLAB_OUT`` environment variable) selects where
+reports and traces are written.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from argparse import SUPPRESS
 from dataclasses import replace
 from pathlib import Path
 
@@ -27,12 +29,17 @@ from .scenarios import (
     DEFAULT_GRID_POINTS,
     DEFAULT_SWEEP_TRIALS,
     ScenarioConfig,
+    ScenarioReport,
     emit_trace,
     load_config,
     run_scenario,
 )
 
 OUT_ENV_VAR = "HVLAB_OUT"
+
+# config fields a flag may override; a flag that was not given leaves no
+# attribute (SUPPRESS), so the config keeps its own value
+_OVERRIDES = ("tolerance", "grid_points", "normalize_all_levels")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -41,51 +48,44 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Verification scenarios for dispersion-free qubit hidden-variable models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    p_run = sub.add_parser("run", help="run one scenario config")
+    p_run.set_defaults(handler=_cmd_run)
+    p_run.add_argument("config", type=Path)
+    p_sweep = sub.add_parser("sweep", help="seeded randomized invariant sweep")
+    p_sweep.set_defaults(handler=_cmd_sweep)
+    p_sweep.add_argument("--seed", type=int, default=0)
+    p_sweep.add_argument("--trials", type=int, default=DEFAULT_SWEEP_TRIALS)
+    p_manifest = sub.add_parser("manifest", help="run every *.cfg in a directory")
+    p_manifest.set_defaults(handler=_cmd_manifest)
+    p_manifest.add_argument("directory", type=Path)
+    p_trace = sub.add_parser("trace", help="write omega,value CSV traces for a scenario")
+    p_trace.set_defaults(handler=_cmd_trace)
+    p_trace.add_argument("config", type=Path)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--tolerance", type=float, default=None, help="override the pass tolerance")
+    for p in (p_run, p_sweep, p_manifest):
         p.add_argument(
-            "--grid-points",
-            type=int,
-            default=None,
-            help=f"omega grid size for traces (default {DEFAULT_GRID_POINTS})",
+            "--tolerance", type=float, default=SUPPRESS, help="override the pass tolerance"
         )
+    for p in (p_run, p_manifest):
         p.add_argument(
             "--normalize-all-levels",
             action="store_true",
+            default=SUPPRESS,
             help="divide branching joints by every level's normalizer, including the last",
         )
+    p_trace.add_argument(
+        "--grid-points",
+        type=int,
+        default=SUPPRESS,
+        help=f"omega grid size for traces (default {DEFAULT_GRID_POINTS})",
+    )
+    for p in (p_run, p_sweep, p_manifest, p_trace):
         p.add_argument("--out", type=Path, default=None, help=f"output directory (default ${OUT_ENV_VAR})")
-
-    p_run = sub.add_parser("run", help="run one scenario config")
-    p_run.add_argument("config", type=Path)
-    add_common(p_run)
-
-    p_sweep = sub.add_parser("sweep", help="seeded randomized invariant sweep")
-    p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--trials", type=int, default=DEFAULT_SWEEP_TRIALS)
-    add_common(p_sweep)
-
-    p_manifest = sub.add_parser("manifest", help="run every *.cfg in a directory")
-    p_manifest.add_argument("directory", type=Path)
-    add_common(p_manifest)
-
-    p_trace = sub.add_parser("trace", help="write omega,value CSV traces for a scenario")
-    p_trace.add_argument("config", type=Path)
-    add_common(p_trace)
-
     return parser
 
 
 def _apply_overrides(config: ScenarioConfig, args: argparse.Namespace) -> ScenarioConfig:
-    updates = {}
-    if args.tolerance is not None:
-        updates["tolerance"] = args.tolerance
-    if args.grid_points is not None:
-        updates["grid_points"] = args.grid_points
-    if args.normalize_all_levels:
-        updates["normalize_all_levels"] = True
-    return replace(config, **updates) if updates else config
+    return replace(config, **{key: getattr(args, key) for key in _OVERRIDES if hasattr(args, key)})
 
 
 def _out_dir(args: argparse.Namespace) -> Path | None:
@@ -95,53 +95,57 @@ def _out_dir(args: argparse.Namespace) -> Path | None:
     return Path(env) if env else None
 
 
-def _write_report(report, out: Path | None) -> None:
-    if out is None:
-        return
-    out.mkdir(parents=True, exist_ok=True)
-    (out / f"{report.scenario}__report.json").write_text(report.to_json(), encoding="utf-8")
+def _write(out: Path | None, name: str, text: str) -> None:
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / name).write_text(text, encoding="utf-8")
+
+
+def _report(config: ScenarioConfig, args: argparse.Namespace) -> ScenarioReport:
+    """Apply the flags to ``config``, run it, and write its report under ``--out``."""
+    report = run_scenario(_apply_overrides(config, args))
+    _write(_out_dir(args), f"{report.scenario}__report.json", report.to_json())
+    return report
+
+
+def _print_report(config: ScenarioConfig, args: argparse.Namespace) -> int:
+    report = _report(config, args)
+    sys.stdout.write(report.to_json())
+    return 0 if report.passed else 1
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _apply_overrides(load_config(args.config), args)
-    report = run_scenario(config)
-    sys.stdout.write(report.to_json())
-    _write_report(report, _out_dir(args))
-    return 0 if report.passed else 1
+    return _print_report(load_config(args.config), args)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = ScenarioConfig(scenario="sweep", seed=args.seed, trials=args.trials)
-    config = _apply_overrides(config, args)
-    report = run_scenario(config)
-    sys.stdout.write(report.to_json())
-    _write_report(report, _out_dir(args))
-    return 0 if report.passed else 1
+    return _print_report(ScenarioConfig(scenario="sweep", seed=args.seed, trials=args.trials), args)
+
+
+def _error(exc: Exception) -> int:
+    sys.stderr.write(f"error: {exc}\n")
+    return 2
 
 
 def _cmd_manifest(args: argparse.Namespace) -> int:
-    directory = args.directory
-    configs = sorted(directory.glob("*.cfg"))
+    configs = sorted(args.directory.glob("*.cfg"))
     if not configs:
-        sys.stderr.write(f"no *.cfg files found in {directory}\n")
+        sys.stderr.write(f"no *.cfg files found in {args.directory}\n")
         return 2
-    out = _out_dir(args)
     reports = []
     for path in configs:
-        config = _apply_overrides(load_config(path), args)
-        report = run_scenario(config)
-        _write_report(report, out)
-        reports.append({"config": path.name, **report.to_dict()})
-    aggregate = {
-        "reports": reports,
-        "pass": all(r["pass"] for r in reports),
-    }
-    sys.stdout.write(json.dumps(aggregate, indent=2) + "\n")
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "manifest__report.json").write_text(
-            json.dumps(aggregate, indent=2) + "\n", encoding="utf-8"
-        )
+        try:
+            entry = _report(load_config(path), args).to_dict()
+        except (HvlabError, OSError) as exc:
+            _error(exc)
+            entry = {"error": str(exc), "pass": False}
+        reports.append({"config": path.name, **entry})
+    aggregate = {"reports": reports, "pass": all(r["pass"] for r in reports)}
+    text = json.dumps(aggregate, indent=2) + "\n"
+    sys.stdout.write(text)
+    _write(_out_dir(args), "manifest__report.json", text)
+    if any("error" in r for r in reports):
+        return 2
     return 0 if aggregate["pass"] else 1
 
 
@@ -152,36 +156,21 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         sys.stderr.write(f"trace needs --out or ${OUT_ENV_VAR}\n")
         return 2
     written = emit_trace(config, out)
-    if not written:
-        sys.stdout.write(
-            json.dumps({"scenario": config.scenario, "notice": "scenario produces no omega traces"})
-            + "\n"
-        )
-        return 0
-    listing = {"scenario": config.scenario, "files": [p.name for p in written]}
-    sys.stdout.write(json.dumps(listing, indent=2) + "\n")
+    if written:
+        listing = {"scenario": config.scenario, "files": [p.name for p in written]}
+        sys.stdout.write(json.dumps(listing, indent=2) + "\n")
+    else:
+        notice = {"scenario": config.scenario, "notice": "scenario produces no omega traces"}
+        sys.stdout.write(json.dumps(notice) + "\n")
     return 0
 
 
-_COMMANDS = {
-    "run": _cmd_run,
-    "sweep": _cmd_sweep,
-    "manifest": _cmd_manifest,
-    "trace": _cmd_trace,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except HvlabError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+        return args.handler(args)
+    except (HvlabError, OSError) as exc:
+        return _error(exc)
 
 
 if __name__ == "__main__":

@@ -101,7 +101,11 @@ class HermitianOp:
 
     @property
     def is_projector(self) -> bool:
-        return abs(self.a - 0.5) <= PROJECTOR_TOLERANCE and abs(self.b_norm - 0.5) <= PROJECTOR_TOLERANCE
+        # |2b| is the norm of the axis, held to the unit-vector test PureState applies to it
+        return (
+            abs(self.a - 0.5) <= PROJECTOR_TOLERANCE
+            and abs(2.0 * self.b_norm - 1.0) <= UNIT_TOLERANCE
+        )
 
     @property
     def axis(self) -> np.ndarray:

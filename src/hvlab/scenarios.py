@@ -28,10 +28,10 @@ import numpy as np
 from . import branching
 from .bell import (
     ConflictWitness,
+    _classical_intersection,
     _collinear,
     _sum_conflict_maps,
     bell_value,
-    classical_conditional,
     disagreement_witness,
     route_operator_product,
     route_state_update,
@@ -39,6 +39,7 @@ from .bell import (
 from .branching import BranchHistory, branch, integrate_in_order, joint_function
 from .errors import ConfigError, HvlabError, ScenarioError, ValidationError
 from .qubit import (
+    UNIT_TOLERANCE,
     PureState,
     chain_probability,
     conditional_expectation,
@@ -52,8 +53,10 @@ from .stepfn import OMEGA_MAX, OMEGA_MIN, StepFunction, complement, constant
 DEFAULT_TOLERANCE = 1e-12
 DEFAULT_GRID_POINTS = 2001
 DEFAULT_SWEEP_TRIALS = 1000
-NORMALIZE_WARN_ABOVE = 1e-9
 NORMALIZE_LIMIT = 1e-6
+# run_sweep skips or leaves uncounted draws this close to a degenerate case:
+# a near-zero normal vector, orthogonal conditioning or (anti-)collinear axes
+DEGENERACY_MARGIN = 1e-6
 
 _SCALAR_KEYS = ("lambda", "seed", "trials", "grid_points")
 _VECTOR_KEYS = ("state", "n", "m", "c")
@@ -120,7 +123,7 @@ def _normalize_config_vector(key: str, raw: np.ndarray) -> np.ndarray:
         raise ConfigError(
             f"vector {key!r} has norm {norm!r}; beyond the auto-normalization limit {NORMALIZE_LIMIT}"
         )
-    if deviation > NORMALIZE_WARN_ABOVE:
+    if deviation > UNIT_TOLERANCE:
         warnings.warn(
             f"vector {key!r} has norm {norm!r}; normalizing", stacklevel=3
         )
@@ -353,17 +356,17 @@ def _run_classical_rule(config: ScenarioConfig) -> ScenarioResult:
     psi = PureState(config.state)
     n = config.axes["n"]
     m = config.axes["m"]
-    classical = classical_conditional(psi, m, n)
+    observed = bell_value(psi, m).values
+    condition = bell_value(psi, n).values
+    intersection, classical = _classical_intersection(observed, condition)
     qm_value = conditional_expectation(psi, projector(m), projector(n))
     violation = abs(classical - qm_value)
     hv = {"classical_conditional": classical, "violation": violation}
     qm = {"conditional_expectation": qm_value}
-    observed = bell_value(psi, m).values
-    condition = bell_value(psi, n).values
     traces = {
         "indicator_observed": observed,
         "indicator_condition": condition,
-        "intersection": observed * condition,
+        "intersection": intersection,
     }
     if _collinear(n, m):
         notes = ["commuting axes: classical conditioning must match the quantum value"]
@@ -581,7 +584,7 @@ def _random_unit(rng: np.random.Generator) -> np.ndarray:
     while True:
         v = rng.normal(size=3)
         norm = math.sqrt(float(v @ v))
-        if norm > 1e-6:
+        if norm > DEGENERACY_MARGIN:
             u = v / norm
             u.flags.writeable = False
             return u
@@ -618,7 +621,7 @@ def run_sweep(seed: int, trials: int, tolerance: float = DEFAULT_TOLERANCE) -> d
     route_trials = 0
     while route_trials < trials:
         s, n, m = _random_unit(rng), _random_unit(rng), _random_unit(rng)
-        if 1.0 + float(np.dot(n, s)) <= 1e-6:
+        if 1.0 + float(np.dot(n, s)) <= DEGENERACY_MARGIN:
             continue
         route_trials += 1
         psi = PureState(s)
@@ -633,8 +636,8 @@ def run_sweep(seed: int, trials: int, tolerance: float = DEFAULT_TOLERANCE) -> d
         if err > tolerance:
             failures.append(f"route_agreement s={s.tolist()} n={n.tolist()} m={m.tolist()} error={err!r}")
         if (
-            abs(cosine_between(n, m)) < 1.0 - 1e-6
-            and abs(cosine_between(n, s)) < 1.0 - 1e-6
+            abs(cosine_between(n, m)) < 1.0 - DEGENERACY_MARGIN
+            and abs(cosine_between(n, s)) < 1.0 - DEGENERACY_MARGIN
             and disagreement_witness(via_state.values, via_product.values).measure > 0.0
         ):
             disagreeing += 1
@@ -671,7 +674,7 @@ def run_sweep(seed: int, trials: int, tolerance: float = DEFAULT_TOLERANCE) -> d
     idempotence_failures = 0
     for _ in range(order_trials):
         s, axis = _random_unit(rng), _random_unit(rng)
-        if 1.0 + float(np.dot(s, axis)) <= 1e-6:
+        if 1.0 + float(np.dot(s, axis)) <= DEGENERACY_MARGIN:
             continue
         assignment = branching.repeated_measurement_check(PureState(s), axis)
         if assignment.values != constant(1.0):

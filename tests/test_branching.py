@@ -11,17 +11,20 @@ from hvlab import (
     MeasurementStep,
     PureState,
     ReductionUndefinedError,
+    UndefinedConditionalError,
     ValidationError,
     ZeroProbabilityError,
     bell_value,
     branch,
     branch_records,
     chain_probability,
+    classical_conditional,
     constant,
     integrate_in_order,
     joint_function,
     outcome_probabilities,
     projector,
+    reduce_state,
     repeated_measurement_check,
     route_operator_product,
     route_state_update,
@@ -257,6 +260,26 @@ def test_third_and_fourth_repetitions_stay_constant(rng):
 def test_repeated_measurement_orthogonal_raises():
     with pytest.raises(ReductionUndefinedError):
         repeated_measurement_check(PureState(Z), -Z)
+
+
+def test_every_site_cuts_off_the_same_outcome_probability():
+    # 1 + s.n = 1.5e-12 lies above the 1e-12 cutoff, the outcome probability
+    # (1 + s.n)/2 below it: every site must call this conditioning impossible
+    c = -1.0 + 1.5e-12
+    psi = PureState([np.sqrt(1.0 - c * c), 0.0, c])
+    assert 1.0 + float(np.dot(psi.bloch, Z)) > 1e-12
+    selected, _ = branch(BranchHistory(psi), Z)
+    assert selected.zero_probability
+    with pytest.raises(ReductionUndefinedError):
+        reduce_state(psi, projector(Z))
+    with pytest.raises(ReductionUndefinedError):
+        chain_probability(psi, [projector(Z)])
+    with pytest.raises(ReductionUndefinedError):
+        route_operator_product(psi, Z, X)
+    with pytest.raises(ReductionUndefinedError):
+        repeated_measurement_check(psi, Z)
+    with pytest.raises(UndefinedConditionalError):
+        classical_conditional(psi, X, Z)
 
 
 # ---------------------------------------------------------------------------

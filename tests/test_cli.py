@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from hvlab.cli import main
 
 ROUTE_CFG = """\
@@ -127,6 +129,43 @@ def test_manifest_exit_code_reflects_failures(tmp_path, capsys):
 
 def test_manifest_empty_directory_exits_two(tmp_path, capsys):
     assert main(["manifest", str(tmp_path)]) == 2
+
+
+def test_manifest_records_a_bad_config_and_runs_the_rest(tmp_path, capsys):
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    write(configs, "a_bad.cfg", "scenario = not_a_thing\n")
+    write(configs, "b_route.cfg", ROUTE_CFG)
+    out = tmp_path / "out"
+    assert main(["manifest", str(configs), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "not_a_thing" in captured.err
+    aggregate = json.loads(captured.out)
+    bad, good = aggregate["reports"]
+    assert bad == {"config": "a_bad.cfg", "error": captured.err[len("error: "):-1], "pass": False}
+    assert good["config"] == "b_route.cfg" and good["pass"] is True
+    assert aggregate["pass"] is False
+    assert (out / "manifest__report.json").read_text() == captured.out
+    assert (out / "route_agreement__report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("run", ["--grid-points", "21"]),
+        ("sweep", ["--grid-points", "21"]),
+        ("sweep", ["--normalize-all-levels"]),
+        ("manifest", ["--grid-points", "21"]),
+        ("trace", ["--tolerance", "1e-9"]),
+        ("trace", ["--normalize-all-levels"]),
+    ],
+)
+def test_flag_that_would_not_change_the_output_is_a_usage_error(tmp_path, capsys, command, flag):
+    positional = [] if command == "sweep" else [str(tmp_path)]
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, *positional, *flag])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_trace_writes_files(tmp_path, capsys):

@@ -244,6 +244,22 @@ def test_chain_probability_idempotent_step(rng):
         assert repeated == single
 
 
+def test_near_projector_rejected_by_every_entry_point():
+    # |2b| - 1 = 1.6e-9 is outside the unit-vector tolerance PureState holds the axis to
+    near = HermitianOp(0.5, [0.5 + 0.8e-9, 0.0, 0.0])
+    assert not near.is_projector
+    psi = PureState(X)
+    calls = [
+        lambda: conditional_expectation(psi, projector(Y), near),
+        lambda: conditional_expectation(psi, near, projector(Y)),
+        lambda: reduce_state(psi, near),
+        lambda: chain_probability(psi, [near]),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="must be a projector"):
+            call()
+
+
 def test_chain_probability_orthogonal_reports_index():
     psi = PureState(Z)
     with pytest.raises(ReductionUndefinedError) as err:
