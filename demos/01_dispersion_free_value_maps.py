@@ -27,9 +27,9 @@ for label, axis in [
 ]:
     assignment = bell_value(psi, axis)
     quantum = expectation(psi, projector(axis))
-    print(f"axis {label} -> map {assignment.values}")
+    print(f"axis {label} -> map {assignment}")
     print(
-        f"     integral {assignment.values.integrate():.6f}"
+        f"     integral {assignment.integrate():.6f}"
         f"  vs quantum probability {quantum:.6f}"
     )
 print()
@@ -46,6 +46,6 @@ for _ in range(100_000):
     m = rng.normal(size=3)
     m /= np.sqrt(m @ m)
     state = PureState(s)
-    worst = max(worst, abs(bell_value(state, m).integral() - expectation(state, projector(m))))
+    worst = max(worst, abs(bell_value(state, m).integrate() - expectation(state, projector(m))))
 print(f"measure reproduction over 10^5 random (state, axis) pairs: worst error {worst:.3e}")
 print("(exact interval arithmetic; no quadrature involved)")

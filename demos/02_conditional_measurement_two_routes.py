@@ -27,9 +27,9 @@ psi = PureState(z)
 print("state z, condition on x, then measure x again (a repeated measurement):")
 via_state = route_state_update(x, x)
 via_product = route_operator_product(psi, x, x)
-print("  route via state update     :", via_state.values)
-print("  route via operator product :", via_product.values)
-print(f"  integrals: {via_state.integral():.6f} and {via_product.integral():.6f}")
+print("  route via state update     :", via_state)
+print("  route via operator product :", via_product)
+print(f"  integrals: {via_state.integrate():.6f} and {via_product.integrate():.6f}")
 print()
 print("Route one says: after the first measurement the answer is certainly 1,")
 print("everywhere.  Route two still remembers the original state's hidden-")

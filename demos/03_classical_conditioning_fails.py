@@ -26,8 +26,8 @@ y = np.array([0.0, 1.0, 0.0])
 
 psi = PureState(z)
 
-map_x = bell_value(psi, x).values
-map_y = bell_value(psi, y).values
+map_x = bell_value(psi, x)
+map_y = bell_value(psi, y)
 print("state z; the maps for axes x and y are both:", map_x)
 print("their intersection has measure", (map_x * map_y).integrate())
 print()

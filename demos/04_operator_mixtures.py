@@ -33,9 +33,9 @@ low, high = mixture.eigenvalues
 print(f"E = {w} P_x + {1 - w} P_y, eigenvalues {low:.6f} and {high:.6f}")
 print()
 
-direct = bell_value_operator(psi, mixture).values
-map_x = bell_value(psi, x).values
-map_y = bell_value(psi, y).values
+direct = bell_value_operator(psi, mixture)
+map_x = bell_value(psi, x)
+map_y = bell_value(psi, y)
 mixed = w * map_x + (1.0 - w) * map_y
 print("map of E directly  :", direct)
 print("mixture of the maps:", mixed)

@@ -52,7 +52,7 @@ print(f"  both orders finish at {integrate_in_order(history, (1, 2)):.6f}"
 print()
 
 repeated = repeated_measurement_check(psi, x)
-print("repeat the same measurement instead:", repeated.values)
+print("repeat the same measurement instead:", repeated)
 print("a second (third, fourth, ...) level is identically 1: once projected,")
 print("nothing changes - idempotence holds level by level.")
 print()

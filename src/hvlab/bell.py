@@ -13,11 +13,12 @@ classical intersection-based conditional they both disagree with, the value
 map for general observables a*1 + b.sigma, and explicit positive-measure
 witnesses for every pointwise conflict.
 
-sign(0) = +1 throughout (inherited from the step-function layer), which makes
-all degenerate dot products deterministic.  One consequence worth knowing: on
-the measure-zero locus where s.m is exactly 0.0, the maps for m and -m are
-the same indicator rather than complementary, so pointwise (not integral)
-completeness holds only for s.m != 0.
+Every map is returned as a plain :class:`StepFunction`; the observable it
+stands for is the caller's input.  When s.m is exactly 0.0 the factor
+sign(s.m) is replaced by p(s) p(m), where p(v) is the sign of v's first
+non-zero component: the maps for m and -m then complement each other
+pointwise everywhere, and the state-update route stays symmetric under
+swapping its two axes.
 """
 
 from __future__ import annotations
@@ -38,16 +39,14 @@ from .qubit import (
     PureState,
     cosine_between,
     projector,
-    sandwich,
     unit_vector,
 )
-from .stepfn import StepFunction, _common_segments, constant, indicator_from_sign
+from .stepfn import OMEGA_MAX, OMEGA_MIN, StepFunction, _common_segments, constant, indicator_from_sign
 
 NONCOLLINEARITY_TOLERANCE = 1e-9
 
 __all__ = [
     "NONCOLLINEARITY_TOLERANCE",
-    "ValueAssignment",
     "WitnessSample",
     "ConflictWitness",
     "bell_value",
@@ -59,22 +58,6 @@ __all__ = [
     "sum_conflict_witness",
     "disagreement_witness",
 ]
-
-
-@dataclass(frozen=True)
-class ValueAssignment:
-    """A dispersion-free representation: state, observable, and omega map.
-
-    The map takes only eigenvalues of the observable, and its exact integral
-    equals the quantum expectation value in the state.
-    """
-
-    state: PureState
-    observable: HermitianOp
-    values: StepFunction
-
-    def integral(self) -> float:
-        return self.values.integrate()
 
 
 @dataclass(frozen=True)
@@ -106,49 +89,56 @@ class ConflictWitness:
         return self.measure > 0.0
 
 
-def _sign_factor(c: float) -> int:
-    # sign(0) = +1 convention; -0.0 >= 0 is True, so both zeros map to +1
-    return 1 if c >= 0.0 else -1
+def _polarity(v: np.ndarray) -> int:
+    # sign of the first non-zero component; a unit vector always has one
+    first = next(x for x in v if x != 0.0)
+    return 1 if first > 0.0 else -1
 
 
-def bell_value(psi: PureState, m) -> ValueAssignment:
+def _sign_factor(c: float, s: np.ndarray, m: np.ndarray) -> int:
+    """sign(s.m), with the exact tie c == 0.0 (either zero) broken by p(s) p(m)."""
+    if c == 0.0:
+        return _polarity(s) * _polarity(m)
+    return 1 if c > 0.0 else -1
+
+
+def bell_value(psi: PureState, m) -> StepFunction:
     """Dispersion-free 0/1 value map of the projector on axis ``m`` in state ``psi``.
 
     The indicator has a single breakpoint at -|s.m|/2 and integrates to
-    exactly (1 + s.m)/2 under the uniform measure.
+    exactly (1 + s.m)/2 under the uniform measure.  An exact tie s.m == 0.0
+    takes the polarity p(s) p(m), so the maps for m and -m are complementary.
     """
     axis = unit_vector(m, "measurement axis")
     c = cosine_between(psi.bloch, axis)
-    step = indicator_from_sign(0.5 * abs(c), _sign_factor(c))
-    return ValueAssignment(psi, projector(axis), step)
+    return indicator_from_sign(0.5 * abs(c), _sign_factor(c, psi.bloch, axis))
 
 
-def bell_value_operator(psi: PureState, op: HermitianOp) -> ValueAssignment:
+def bell_value_operator(psi: PureState, op: HermitianOp) -> StepFunction:
     """Dispersion-free value map of a general observable ``a*1 + b.sigma``.
 
     For b != 0 the map is ``a + |b| sign(omega + |s.bhat|/2) sign(s.bhat)``:
     it takes only the eigenvalues a -+ |b|, reduces to :func:`bell_value` on
-    projectors, and integrates to the expectation a + b.s.  For b = 0 it is
-    the constant a.
+    projectors (the tie s.bhat == 0.0 is broken the same way), and integrates
+    to the expectation a + b.s.  For b = 0 it is the constant a.
     """
     if not isinstance(op, HermitianOp):
         raise ValidationError("observable must be a HermitianOp")
     radius = op.b_norm
     if radius == 0.0:
-        return ValueAssignment(psi, op, constant(op.a))
+        return constant(op.a)
     bhat = op.b / radius
     c = cosine_between(psi.bloch, bhat)
-    ind = indicator_from_sign(0.5 * abs(c), _sign_factor(c))
+    ind = indicator_from_sign(0.5 * abs(c), _sign_factor(c, psi.bloch, bhat))
     low, high = op.eigenvalues
-    values = StepFunction(ind.breakpoints, tuple(high if v == 1.0 else low for v in ind.values))
-    return ValueAssignment(psi, op, values)
+    return StepFunction(ind.breakpoints, tuple(high if v == 1.0 else low for v in ind.values))
 
 
-def route_state_update(condition_axis, observed_axis) -> ValueAssignment:
+def route_state_update(condition_axis, observed_axis) -> StepFunction:
     """Conditional measurement via state update: the value map of A in the reduced state.
 
     Measuring B (axis n) prepares the state with Bloch vector n; the returned
-    assignment is the plain value map of A (axis m) in that state,
+    map is the plain value map of A (axis m) in that state,
     ``(1/2)[1 + sign(omega + |n.m|/2) sign(n.m)]``.  It does not depend on the
     original state and is symmetric under swapping the two axes.
     """
@@ -156,7 +146,7 @@ def route_state_update(condition_axis, observed_axis) -> ValueAssignment:
     return bell_value(PureState(n), observed_axis)
 
 
-def route_operator_product(psi: PureState, condition_axis, observed_axis) -> ValueAssignment:
+def route_operator_product(psi: PureState, condition_axis, observed_axis) -> StepFunction:
     """Conditional measurement via the operator product B A B in the original state.
 
     Returns ``((1 + n.m)/(1 + n.s)) * bell_value(psi, n)``, the value map of
@@ -172,9 +162,7 @@ def route_operator_product(psi: PureState, condition_axis, observed_axis) -> Val
             f"state is orthogonal to the conditioning projector (1 + n.s = {denom!r})"
         )
     ratio = (1.0 + cosine_between(n, m)) / denom
-    base = bell_value(psi, n)
-    observable = sandwich(projector(n), projector(m)) * (2.0 / denom)
-    return ValueAssignment(psi, observable, base.values * ratio)
+    return bell_value(psi, n) * ratio
 
 
 def disagreement_witness(lhs: StepFunction, rhs: StepFunction) -> ConflictWitness:
@@ -185,14 +173,12 @@ def disagreement_witness(lhs: StepFunction, rhs: StepFunction) -> ConflictWitnes
     segment of the common breakpoint partition on which the sides disagree,
     so both reported values are constant over the sampled interval.
     """
-    segments = _common_segments(lhs, rhs)
-    region = StepFunction(
-        [right for _, right, _, _ in segments[:-1]],
-        [1.0 if a != b else 0.0 for _, _, a, b in segments],
-    )
+    breakpoints, pairs = _common_segments(lhs, rhs)
+    region = StepFunction(breakpoints, [1.0 if a != b else 0.0 for a, b in pairs])
+    edges = zip([OMEGA_MIN, *breakpoints], [*breakpoints, OMEGA_MAX])
     samples = tuple(
         WitnessSample(left, right, 0.5 * (left + right), a, b)
-        for left, right, a, b in segments
+        for (left, right), (a, b) in zip(edges, pairs)
         if a != b
     )
     return ConflictWitness(region, region.integrate(), samples)
@@ -207,7 +193,7 @@ def nonuniqueness_witness(psi: PureState, condition_axis, observed_axis) -> Conf
     """
     via_state = route_state_update(condition_axis, observed_axis)
     via_product = route_operator_product(psi, condition_axis, observed_axis)
-    return disagreement_witness(via_state.values, via_product.values)
+    return disagreement_witness(via_state, via_product)
 
 
 def _collinear(n: np.ndarray, m: np.ndarray) -> bool:
@@ -224,8 +210,8 @@ def classical_conditional(psi: PureState, observed_axis, condition_axis) -> floa
     not reproduce the quantum conditional value (1 + n.m)/2; that failure is
     the point of comparing it.
     """
-    observed = bell_value(psi, observed_axis).values
-    condition = bell_value(psi, condition_axis).values
+    observed = bell_value(psi, observed_axis)
+    condition = bell_value(psi, condition_axis)
     return _classical_intersection(observed, condition)[1]
 
 
@@ -257,9 +243,9 @@ def _sum_conflict_maps(psi: PureState, n_axis, m_axis, weight: float):
     if _collinear(n, m):
         raise WitnessUndefinedError("collinear axes degenerate the mixture conflict")
     mixture = weight * projector(n) + (1.0 - weight) * projector(m)
-    lhs = bell_value_operator(psi, mixture).values
-    map_n = bell_value(psi, n).values
-    map_m = bell_value(psi, m).values
+    lhs = bell_value_operator(psi, mixture)
+    map_n = bell_value(psi, n)
+    map_m = bell_value(psi, m)
     rhs = weight * map_n + (1.0 - weight) * map_m
     return mixture, lhs, rhs, map_n, map_m
 

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bell import ValueAssignment, bell_value
+from .bell import bell_value
 from .errors import ReductionUndefinedError, ValidationError, ZeroProbabilityError
 from .qubit import (
     ORTHOGONALITY_CUTOFF,
@@ -127,7 +127,7 @@ def branch(history: BranchHistory, axis) -> tuple[BranchHistory, BranchHistory]:
     """
     u = unit_vector(axis, "measurement axis")
     current = history.current_state
-    selected_fn = bell_value(current, u).values
+    selected_fn = bell_value(current, u)
     complement_fn = complement(selected_fn)
     level = history.depth + 1
     branches = []
@@ -200,8 +200,8 @@ def _require_reducible(psi: PureState, u: np.ndarray) -> None:
         raise ReductionUndefinedError("state is orthogonal to the measured projector")
 
 
-def repeated_measurement_check(psi: PureState, axis) -> ValueAssignment:
-    """Measure the same projector twice; return the second level's assignment.
+def repeated_measurement_check(psi: PureState, axis) -> StepFunction:
+    """Measure the same projector twice; return the second level's value map.
 
     After the first selected branch prepares the state on ``axis``, the
     second measurement of the same axis has the constant-1 level function:
@@ -211,7 +211,7 @@ def repeated_measurement_check(psi: PureState, axis) -> ValueAssignment:
     _require_reducible(psi, u)
     first, _ = branch(BranchHistory(psi), u)
     second, _ = branch(first, u)
-    return ValueAssignment(first.current_state, projector(u), second.nodes[1].level_function)
+    return second.nodes[1].level_function
 
 
 def sequence_probability(initial: PureState, steps: Iterable[MeasurementStep]) -> float:

@@ -281,16 +281,17 @@ class ScenarioResult:
 
 def _run_measure_reproduction(config: ScenarioConfig) -> ScenarioResult:
     psi = PureState(config.state)
-    assignment = bell_value(psi, config.axes["m"])
-    hv = {"measure": assignment.integral()}
-    qm = {"expectation": expectation(psi, assignment.observable)}
+    m = config.axes["m"]
+    value_map = bell_value(psi, m)
+    hv = {"measure": value_map.integrate()}
+    qm = {"expectation": expectation(psi, projector(m))}
     err = abs(hv["measure"] - qm["expectation"])
     return ScenarioResult(
         hv=hv,
         qm=qm,
         error=err,
         passed=err <= config.tolerance,
-        traces={"value_map": assignment.values},
+        traces={"value_map": value_map},
     )
 
 
@@ -318,14 +319,14 @@ def _run_route_agreement(config: ScenarioConfig) -> ScenarioResult:
     via_product = route_operator_product(psi, n, m)
     qm_value = conditional_expectation(psi, projector(m), projector(n))
     hv = {
-        "route_state_update": via_state.integral(),
-        "route_operator_product": via_product.integral(),
+        "route_state_update": via_state.integrate(),
+        "route_operator_product": via_product.integrate(),
     }
     err = max(abs(v - qm_value) for v in hv.values())
     traces = {
-        "route_a": via_state.values,
-        "route_b": via_product.values,
-        "difference": via_state.values - via_product.values,
+        "route_a": via_state,
+        "route_b": via_product,
+        "difference": via_state - via_product,
     }
     return ScenarioResult(
         hv=hv,
@@ -356,8 +357,8 @@ def _run_classical_rule(config: ScenarioConfig) -> ScenarioResult:
     psi = PureState(config.state)
     n = config.axes["n"]
     m = config.axes["m"]
-    observed = bell_value(psi, m).values
-    condition = bell_value(psi, n).values
+    observed = bell_value(psi, m)
+    condition = bell_value(psi, n)
     intersection, classical = _classical_intersection(observed, condition)
     qm_value = conditional_expectation(psi, projector(m), projector(n))
     violation = abs(classical - qm_value)
@@ -370,12 +371,6 @@ def _run_classical_rule(config: ScenarioConfig) -> ScenarioResult:
     }
     if _collinear(n, m):
         notes = ["commuting axes: classical conditioning must match the quantum value"]
-        if violation > config.tolerance and cosine_between(n, psi.bloch) == 0.0:
-            notes.append(
-                "state is exactly orthogonal to the axes: under the sign(0) = +1 "
-                "convention the opposite-axis maps coincide instead of complementing, "
-                "so the identity fails on this measure-zero input locus"
-            )
         err = violation
         passed = violation <= config.tolerance
     else:
@@ -608,7 +603,7 @@ def run_sweep(seed: int, trials: int, tolerance: float = DEFAULT_TOLERANCE) -> d
     for _ in range(trials):
         s, m = _random_unit(rng), _random_unit(rng)
         psi = PureState(s)
-        got = bell_value(psi, m).integral()
+        got = bell_value(psi, m).integrate()
         want = expectation(psi, projector(m))
         err = abs(got - want)
         if err > max_measure_error:
@@ -628,8 +623,8 @@ def run_sweep(seed: int, trials: int, tolerance: float = DEFAULT_TOLERANCE) -> d
         want = 0.5 * (1.0 + cosine_between(n, m))
         via_state = route_state_update(n, m)
         via_product = route_operator_product(psi, n, m)
-        a = via_state.integral()
-        b = via_product.integral()
+        a = via_state.integrate()
+        b = via_product.integrate()
         err = max(abs(a - want), abs(b - want))
         if err > max_route_error:
             max_route_error = err
@@ -638,7 +633,7 @@ def run_sweep(seed: int, trials: int, tolerance: float = DEFAULT_TOLERANCE) -> d
         if (
             abs(cosine_between(n, m)) < 1.0 - DEGENERACY_MARGIN
             and abs(cosine_between(n, s)) < 1.0 - DEGENERACY_MARGIN
-            and disagreement_witness(via_state.values, via_product.values).measure > 0.0
+            and disagreement_witness(via_state, via_product).measure > 0.0
         ):
             disagreeing += 1
 
@@ -676,8 +671,7 @@ def run_sweep(seed: int, trials: int, tolerance: float = DEFAULT_TOLERANCE) -> d
         s, axis = _random_unit(rng), _random_unit(rng)
         if 1.0 + float(np.dot(s, axis)) <= DEGENERACY_MARGIN:
             continue
-        assignment = branching.repeated_measurement_check(PureState(s), axis)
-        if assignment.values != constant(1.0):
+        if branching.repeated_measurement_check(PureState(s), axis) != constant(1.0):
             idempotence_failures += 1
             failures.append(f"idempotence s={s.tolist()} axis={axis.tolist()}")
 

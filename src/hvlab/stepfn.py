@@ -133,11 +133,8 @@ class StepFunction:
         yield (left, OMEGA_MAX, self._values[-1])
 
     def _combine(self, other: "StepFunction", op: Callable[[float, float], float]) -> "StepFunction":
-        segments = _common_segments(self, other)
-        return StepFunction(
-            [right for _, right, _, _ in segments[:-1]],
-            [op(a, b) for _, _, a, b in segments],
-        )
+        breakpoints, pairs = _common_segments(self, other)
+        return StepFunction(breakpoints, [op(a, b) for a, b in pairs])
 
     def _map(self, op: Callable[[float], float]) -> "StepFunction":
         return StepFunction(self._breakpoints, tuple(op(v) for v in self._values))
@@ -187,22 +184,20 @@ class StepFunction:
         return f"StepFunction(breakpoints={self._breakpoints!r}, values={self._values!r})"
 
 
-def _common_segments(f: StepFunction, g: StepFunction) -> list[tuple[float, float, float, float]]:
-    """(omega_left, omega_right, f value, g value) on each cell of the common partition.
+def _common_segments(
+    f: StepFunction, g: StepFunction
+) -> tuple[list[float], list[tuple[float, float]]]:
+    """Breakpoints of the common partition and the (f value, g value) pair on each cell.
 
     The partition's breakpoints are the union of both functions'; each cell
     carries the (constant) value of either function on it.
     """
     bps = sorted({*f._breakpoints, *g._breakpoints})
-    return [
-        (
-            left,
-            right,
-            f._values[bisect_right(f._breakpoints, left)],
-            g._values[bisect_right(g._breakpoints, left)],
-        )
-        for left, right in zip([OMEGA_MIN, *bps], [*bps, OMEGA_MAX])
+    pairs = [
+        (f._values[bisect_right(f._breakpoints, left)], g._values[bisect_right(g._breakpoints, left)])
+        for left in [OMEGA_MIN, *bps]
     ]
+    return bps, pairs
 
 
 def constant(value: float) -> StepFunction:

@@ -47,7 +47,7 @@ def test_criterion_1_measure_reproduction():
     worst = 0.0
     for s, m in pairs:
         psi = PureState(s)
-        got = bell_value(psi, m).integral()
+        got = bell_value(psi, m).integrate()
         want = 0.5 * (1.0 + float(np.dot(s, m)))
         worst = max(worst, abs(got - want))
     elapsed = time.perf_counter() - start
@@ -85,8 +85,8 @@ def test_criterion_3_route_agreement_on_averages():
         psi = PureState(s)
         want = 0.5 * (1.0 + float(np.dot(n, m)))
         err = max(
-            abs(route_state_update(n, m).integral() - want),
-            abs(route_operator_product(psi, n, m).integral() - want),
+            abs(route_state_update(n, m).integrate() - want),
+            abs(route_operator_product(psi, n, m).integrate() - want),
         )
         worst = max(worst, err)
     report(3, f"route agreement on averages over 10^4 triples (worst {worst:.2e})", worst <= TOL)
@@ -98,8 +98,8 @@ def test_criterion_4_pointwise_nonuniqueness():
     via_product = route_operator_product(psi, X, X)
     witness = nonuniqueness_witness(psi, X, X)
     aligned_instance = (
-        via_state.values == constant(1.0)
-        and via_product.values.values == (0.0, 2.0)
+        via_state == constant(1.0)
+        and via_product.values == (0.0, 2.0)
         and witness.measure == 1.0
     )
 
@@ -156,12 +156,12 @@ def test_criterion_6_sum_decomposition_conflict():
     for _ in range(1000):
         s = random_unit(rng)
         psi = PureState(s)
-        map_n = bell_value(psi, X).values
-        map_m = bell_value(psi, Y).values
+        map_n = bell_value(psi, X)
+        map_m = bell_value(psi, Y)
         both_zero = complement(map_n) * complement(map_m)
         if both_zero.integrate() <= 0.0:
             continue
-        lhs = bell_value_operator(psi, mixture).values
+        lhs = bell_value_operator(psi, mixture)
         rhs = lam * map_n + (1.0 - lam) * map_m
         witness = sum_conflict_witness(psi, X, Y, lam)
         # segment-exact values of the mixture map on the both-zero region:
@@ -250,7 +250,7 @@ def test_criterion_10_monte_carlo_cross_check():
 
     for _ in range(100):
         s, m = random_unit(rng), random_unit(rng)
-        fn = bell_value(PureState(s), m).values
+        fn = bell_value(PureState(s), m)
         ok = ok and within_four_se(fn, fn.integrate())
 
     count = 0
@@ -260,8 +260,8 @@ def test_criterion_10_monte_carlo_cross_check():
             continue
         count += 1
         psi = PureState(s)
-        via_state = route_state_update(n, m).values
-        via_product = route_operator_product(psi, n, m).values
+        via_state = route_state_update(n, m)
+        via_product = route_operator_product(psi, n, m)
         ok = ok and within_four_se(via_state, via_state.integrate())
         ok = ok and within_four_se(via_product, via_product.integrate())
 

@@ -1,3 +1,5 @@
+from itertools import permutations, product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hvlab import (
     HermitianOp,
     PureState,
     ReductionUndefinedError,
+    ScenarioConfig,
     UndefinedConditionalError,
     ValidationError,
     WitnessUndefinedError,
@@ -15,11 +18,14 @@ from hvlab import (
     classical_conditional,
     complement,
     conditional_expectation,
+    constant,
     expectation,
     nonuniqueness_witness,
     projector,
     route_operator_product,
     route_state_update,
+    run_scenario,
+    sandwich,
     sum_conflict_witness,
 )
 
@@ -30,10 +36,17 @@ GRID = np.linspace(-0.5, 0.5, 10_001)
 
 
 def closed_form_value(omega, s, m):
-    """Direct evaluation of the dispersion-free map, sign(0) = +1."""
+    """Direct evaluation of the dispersion-free map.
+
+    sign(0) = +1 inside; the outer tie s.m == 0.0 takes the product of the
+    signs of the first non-zero components of s and m.
+    """
     c = float(np.dot(s, m))
     inner = np.where(np.asarray(omega) + 0.5 * abs(c) >= 0.0, 1.0, -1.0)
-    outer = 1.0 if c >= 0.0 else -1.0
+    if c == 0.0:
+        outer = np.sign(s[np.flatnonzero(s)[0]]) * np.sign(m[np.flatnonzero(m)[0]])
+    else:
+        outer = np.sign(c)
     return 0.5 * (1.0 + inner * outer)
 
 
@@ -62,26 +75,30 @@ def support_intervals(step):
 
 
 def test_bell_value_eigenstate_is_constant_one():
-    assert bell_value(PureState(Z), Z).values.values == (1.0,)
+    assert bell_value(PureState(Z), Z).values == (1.0,)
 
 
 def test_bell_value_measure_reproduction_dot_06():
     psi = PureState(Z)
     m = np.array([0.8, 0.0, 0.6])  # s.m = 0.6
     assignment = bell_value(psi, m)
-    assert assignment.values.breakpoints == (-0.3,)
-    assert assignment.values.values == (0.0, 1.0)
-    assert abs(assignment.integral() - 0.8) <= 1e-15
-    assert abs(assignment.integral() - expectation(psi, projector(m))) <= 1e-15
+    assert assignment.breakpoints == (-0.3,)
+    assert assignment.values == (0.0, 1.0)
+    assert abs(assignment.integrate() - 0.8) <= 1e-15
+    assert abs(assignment.integrate() - expectation(psi, projector(m))) <= 1e-15
 
 
 def test_bell_value_orthogonal_uses_sign_zero_convention():
     # frozen from the closed-form grid evaluation below: indicator of (0, 1/2)
     assignment = bell_value(PureState(Z), X)
-    assert assignment.values.breakpoints == (0.0,)
-    assert assignment.values.values == (0.0, 1.0)
-    assert assignment.integral() == 0.5
-    np.testing.assert_array_equal(assignment.values(GRID), closed_form_value(GRID, Z, X))
+    assert assignment.breakpoints == (0.0,)
+    assert assignment.values == (0.0, 1.0)
+    assert assignment.integrate() == 0.5
+    np.testing.assert_array_equal(assignment(GRID), closed_form_value(GRID, Z, X))
+    # the opposite axis takes the opposite polarity: indicator of [-1/2, 0)
+    opposite = bell_value(PureState(Z), -X)
+    assert opposite.values == (1.0, 0.0)
+    np.testing.assert_array_equal(opposite(GRID), closed_form_value(GRID, Z, -X))
 
 
 def test_bell_value_rejects_non_unit_inputs():
@@ -97,7 +114,7 @@ def test_bell_value_matches_closed_form_pointwise(data):
     s, m = random_unit(rng), random_unit(rng)
     assignment = bell_value(PureState(s), m)
     probe = np.linspace(-0.5, 0.5, 257)
-    np.testing.assert_array_equal(assignment.values(probe), closed_form_value(probe, s, m))
+    np.testing.assert_array_equal(assignment(probe), closed_form_value(probe, s, m))
 
 
 def test_bell_value_spectrum_and_measure_sweep(rng):
@@ -105,9 +122,9 @@ def test_bell_value_spectrum_and_measure_sweep(rng):
         s, m = random_unit(rng), random_unit(rng)
         psi = PureState(s)
         assignment = bell_value(psi, m)
-        assert set(assignment.values.values) <= {0.0, 1.0}
+        assert set(assignment.values) <= {0.0, 1.0}
         want = expectation(psi, projector(m))
-        assert abs(assignment.integral() - want) <= 1e-12
+        assert abs(assignment.integrate() - want) <= 1e-12
 
 
 def test_bell_value_completeness_pointwise(rng):
@@ -116,21 +133,62 @@ def test_bell_value_completeness_pointwise(rng):
     for _ in range(200):
         s, m = random_unit(rng), random_unit(rng)
         psi = PureState(s)
-        total = bell_value(psi, m).values + bell_value(psi, -m).values
+        total = bell_value(psi, m) + bell_value(psi, -m)
         np.testing.assert_array_equal(total(probe), np.ones_like(probe))
     # exact eigenstate case
-    total = bell_value(PureState(Z), Z).values + bell_value(PureState(Z), -Z).values
+    total = bell_value(PureState(Z), Z) + bell_value(PureState(Z), -Z)
     assert total.values == (1.0,)
 
 
 def test_bell_value_completeness_in_measure_on_degenerate_locus():
-    # s.m == 0.0 exactly: the two indicators coincide instead of complementing,
-    # so completeness survives only after integration (sign(0) = +1 convention)
+    # s.m == 0.0 exactly: the tie is broken by p(s) p(m), the signs of the first
+    # non-zero components, so the maps for m and -m still complement pointwise
     psi = PureState(Z)
-    plus = bell_value(psi, X).values
-    minus = bell_value(psi, -X).values
-    assert plus == minus
+    plus = bell_value(psi, X)
+    minus = bell_value(psi, -X)
+    assert plus + minus == constant(1.0)
     assert plus.integrate() + minus.integrate() == 1.0
+
+
+def _rational_axes():
+    # signed permutations of (1, 0, 0), (3, 4, 0)/5 and (2, 3, 6)/7, as (numerators, denominator)
+    axes = set()
+    for triple, denominator in (((1, 0, 0), 1), ((3, 4, 0), 5), ((2, 3, 6), 7)):
+        for perm in permutations(triple):
+            for signs in product((1, -1), repeat=3):
+                axes.add((tuple(sign * k for sign, k in zip(signs, perm)), denominator))
+    return sorted(axes)
+
+
+# pairs orthogonal in exact integer arithmetic; in floats s.m is 0.0 or a rounding error
+ORTHOGONAL_PAIRS = [
+    (np.array(a) / da, np.array(b) / db)
+    for (a, da), (b, db) in product(_rational_axes(), repeat=2)
+    if sum(x * y for x, y in zip(a, b)) == 0
+]
+
+
+def test_orthogonal_pairs_include_the_exact_tie():
+    ties = [(s, m) for s, m in ORTHOGONAL_PAIRS if float(np.dot(s, m)) == 0.0]
+    assert 0 < len(ties) < len(ORTHOGONAL_PAIRS)
+
+
+@settings(max_examples=300)
+@given(pair=st.sampled_from(ORTHOGONAL_PAIRS), flip=st.sampled_from((1.0, -1.0)))
+def test_sign_tie_on_exactly_orthogonal_geometries(pair, flip):
+    s, n = pair
+    psi = PureState(s)
+    assert bell_value(psi, n) + bell_value(psi, -n) == constant(1.0)
+    # the operator maps of P_n and P_-n take opposite eigenvalues at every omega
+    plus = bell_value_operator(psi, projector(n))
+    minus = bell_value_operator(psi, projector(-n))
+    assert plus.breakpoints == minus.breakpoints
+    assert plus.values == minus.values[::-1]
+    m = flip * n
+    assert route_state_update(s, m) == route_state_update(m, s)
+    report = run_scenario(ScenarioConfig("classical_rule", state=s, axes={"n": n, "m": m}))
+    assert report.passed
+    assert report.hv_values["classical_conditional"] == (1.0 if flip > 0.0 else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -140,14 +198,14 @@ def test_bell_value_completeness_in_measure_on_degenerate_locus():
 
 def test_operator_map_reduces_to_projector_map():
     psi = PureState(Z)
-    assert bell_value_operator(psi, projector(X)).values == bell_value(psi, X).values
+    assert bell_value_operator(psi, projector(X)) == bell_value(psi, X)
     tilted = np.array([0.8, 0.0, 0.6])
-    assert bell_value_operator(psi, projector(tilted)).values == bell_value(psi, tilted).values
+    assert bell_value_operator(psi, projector(tilted)) == bell_value(psi, tilted)
 
 
 def test_operator_map_of_identity_is_constant_one():
     assignment = bell_value_operator(PureState(Z), HermitianOp.identity())
-    assert assignment.values.values == (1.0,)
+    assert assignment.values == (1.0,)
 
 
 def test_operator_map_mixture_against_eigendecomposition_oracle(rng):
@@ -160,15 +218,15 @@ def test_operator_map_mixture_against_eigendecomposition_oracle(rng):
         want_eigs = oracle.eigenvalues_matrix(
             0.5 * oracle.projector_matrix(X) + 0.5 * oracle.projector_matrix(Y)
         )
-        np.testing.assert_allclose(sorted(set(assignment.values.values)), want_eigs, atol=1e-12)
+        np.testing.assert_allclose(sorted(set(assignment.values)), want_eigs, atol=1e-12)
         np.testing.assert_allclose(
-            sorted(assignment.observable.eigenvalues),
+            sorted(mixture.eigenvalues),
             [0.5 * (1 - 1 / np.sqrt(2)), 0.5 * (1 + 1 / np.sqrt(2))],
             atol=1e-12,
         )
         v = (X + Y) / 2.0
         want_integral = 0.5 + 0.5 * float(np.dot(v, s))
-        assert abs(assignment.integral() - want_integral) <= 1e-12
+        assert abs(assignment.integrate() - want_integral) <= 1e-12
 
 
 def test_operator_map_spectrum_and_average_random_operators(rng):
@@ -178,8 +236,8 @@ def test_operator_map_spectrum_and_average_random_operators(rng):
         op = HermitianOp(rng.normal(), rng.normal(size=3))
         assignment = bell_value_operator(psi, op)
         low, high = op.eigenvalues
-        assert set(assignment.values.values) <= {low, high}
-        assert abs(assignment.integral() - expectation(psi, op)) <= 1e-12
+        assert set(assignment.values) <= {low, high}
+        assert abs(assignment.integrate() - expectation(psi, op)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -188,25 +246,25 @@ def test_operator_map_spectrum_and_average_random_operators(rng):
 
 
 def test_route_state_update_examples():
-    assert route_state_update(X, X).values.values == (1.0,)
+    assert route_state_update(X, X).values == (1.0,)
     tilted = np.array([0.8, 0.0, 0.6])
     assignment = route_state_update(Z, tilted)  # n.m = 0.6
-    assert set(assignment.values.values) == {0.0, 1.0}
-    assert abs(assignment.integral() - 0.8) <= 1e-15
+    assert set(assignment.values) == {0.0, 1.0}
+    assert abs(assignment.integrate() - 0.8) <= 1e-15
 
 
 def test_route_state_update_symmetric_under_axis_swap(rng):
     for _ in range(100):
         n, m = random_unit(rng), random_unit(rng)
-        assert route_state_update(n, m).values == route_state_update(m, n).values
+        assert route_state_update(n, m) == route_state_update(m, n)
 
 
 def test_route_operator_product_zx_frozen_values():
     psi = PureState(Z)
     assignment = route_operator_product(psi, X, X)
-    assert assignment.values.breakpoints == (0.0,)
-    assert assignment.values.values == (0.0, 2.0)
-    assert assignment.integral() == 1.0
+    assert assignment.breakpoints == (0.0,)
+    assert assignment.values == (0.0, 2.0)
+    assert assignment.integrate() == 1.0
 
 
 def test_route_operator_product_average(rng):
@@ -216,7 +274,7 @@ def test_route_operator_product_average(rng):
             continue
         psi = PureState(s)
         want = 0.5 * (1.0 + float(np.dot(n, m)))
-        assert abs(route_operator_product(psi, n, m).integral() - want) <= 1e-12
+        assert abs(route_operator_product(psi, n, m).integrate() - want) <= 1e-12
 
 
 def test_route_operator_product_orthogonal_preparation_raises():
@@ -231,8 +289,8 @@ def test_routes_agree_on_averages_with_oracle(rng):
             continue
         psi = PureState(s)
         want = oracle.conditional_matrix(s, m, n)
-        assert abs(route_state_update(n, m).integral() - want) <= 1e-12
-        assert abs(route_operator_product(psi, n, m).integral() - want) <= 1e-12
+        assert abs(route_state_update(n, m).integrate() - want) <= 1e-12
+        assert abs(route_operator_product(psi, n, m).integrate() - want) <= 1e-12
 
 
 def test_route_spectra_match_their_observables(rng):
@@ -241,17 +299,20 @@ def test_route_spectra_match_their_observables(rng):
         s, n, m = random_unit(rng), random_unit(rng), random_unit(rng)
         if 1.0 + float(np.dot(n, s)) <= 1e-6:
             continue
-        for assignment in (
-            route_state_update(n, m),
-            route_operator_product(PureState(s), n, m),
+        psi = PureState(s)
+        # P_m in the state prepared on n, and B A B / Tr[rho B] in the original state
+        product = sandwich(projector(n), projector(m)) * (1.0 / expectation(psi, projector(n)))
+        for assignment, observable, state in (
+            (route_state_update(n, m), projector(m), PureState(n)),
+            (route_operator_product(psi, n, m), product, psi),
         ):
-            low, high = assignment.observable.eigenvalues
-            points = set(assignment.values(probe)) | set(assignment.values.values)
+            low, high = observable.eigenvalues
+            points = set(assignment(probe)) | set(assignment.values)
             for value in points:
                 assert min(abs(value - low), abs(value - high)) <= 1e-12
-            # the assignment's integral is its observable's expectation value
-            want = expectation(assignment.state, assignment.observable)
-            assert abs(assignment.integral() - want) <= 1e-12
+            # the map's integral is its observable's expectation value
+            want = expectation(state, observable)
+            assert abs(assignment.integrate() - want) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +343,11 @@ def test_repeated_measurement_routes_disagree(rng):
         if abs(float(np.dot(s, m))) >= 1.0 - 1e-6:
             continue
         psi = PureState(s)
-        assert route_state_update(m, m).values.values == (1.0,)
+        assert route_state_update(m, m).values == (1.0,)
         via_product = route_operator_product(psi, m, m)
         base = bell_value(psi, m)
-        scaled = base.values * (1.0 / base.integral())
-        assert via_product.values == scaled
+        scaled = base * (1.0 / base.integrate())
+        assert via_product == scaled
         assert nonuniqueness_witness(psi, m, m).measure > 0.0
 
 
@@ -301,7 +362,7 @@ def test_nonuniqueness_generic_disagreement_fraction(rng):
         witness = nonuniqueness_witness(PureState(s), n, m)
         via_state = route_state_update(n, m)
         via_product = route_operator_product(PureState(s), n, m)
-        if via_state.values == via_product.values:
+        if via_state == via_product:
             assert witness.measure == 0.0
         else:
             assert witness.measure > 0.0
@@ -333,8 +394,8 @@ def test_classical_conditional_violates_quantum_value():
     # z state, condition on x, observe y: both indicators are (0, 1/2), so the
     # intersection rule yields 1 while the quantum conditional value is 1/2
     psi = PureState(Z)
-    fa = bell_value(psi, Y).values
-    fb = bell_value(psi, X).values
+    fa = bell_value(psi, Y)
+    fb = bell_value(psi, X)
     meet = intersect_intervals(support_intervals(fa), support_intervals(fb))
     assert interval_measure(meet) == 0.5
     assert interval_measure(support_intervals(fb)) == 0.5
@@ -359,10 +420,10 @@ def test_classical_conditional_agrees_with_interval_oracle(rng):
     for _ in range(100):
         s, n, m = random_unit(rng), random_unit(rng), random_unit(rng)
         psi = PureState(s)
-        fb = bell_value(psi, n).values
+        fb = bell_value(psi, n)
         if fb.integrate() <= 1e-12:
             continue
-        fa = bell_value(psi, m).values
+        fa = bell_value(psi, m)
         meet = intersect_intervals(support_intervals(fa), support_intervals(fb))
         want = interval_measure(meet) / interval_measure(support_intervals(fb))
         assert abs(classical_conditional(psi, m, n) - want) <= 1e-12
@@ -387,9 +448,9 @@ def test_sum_conflict_witness_perpendicular_axes():
     assert witness.measure > 0.0
 
     mixture = 0.5 * projector(X) + 0.5 * projector(Y)
-    lhs = bell_value_operator(psi, mixture).values
-    map_n = bell_value(psi, X).values
-    map_m = bell_value(psi, Y).values
+    lhs = bell_value_operator(psi, mixture)
+    map_n = bell_value(psi, X)
+    map_m = bell_value(psi, Y)
     rhs = 0.5 * map_n + 0.5 * map_m
 
     both_zero = complement(map_n) * complement(map_m)
@@ -428,8 +489,8 @@ def test_sum_conflict_witness_pointwise_grid_oracle(rng):
         psi = PureState(s)
         witness = sum_conflict_witness(psi, n, m, lam)
         mixture = lam * projector(n) + (1.0 - lam) * projector(m)
-        lhs = bell_value_operator(psi, mixture).values
-        rhs = lam * bell_value(psi, n).values + (1.0 - lam) * bell_value(psi, m).values
+        lhs = bell_value_operator(psi, mixture)
+        rhs = lam * bell_value(psi, n) + (1.0 - lam) * bell_value(psi, m)
         np.testing.assert_array_equal(
             witness.omega_region(probe), (lhs(probe) != rhs(probe)).astype(float)
         )

@@ -74,9 +74,9 @@ def test_branch_two_step_joint_shape(rng):
     history = chain_selected(psi, [n, m])
     joint = joint_function(history)
     assert joint.levels == 2
-    assert joint.factors[0] == bell_value(psi, n).values
-    assert joint.factors[1] == bell_value(PureState(n), m).values
-    first_norm = bell_value(psi, n).integral()
+    assert joint.factors[0] == bell_value(psi, n)
+    assert joint.factors[1] == bell_value(PureState(n), m)
+    first_norm = bell_value(psi, n).integrate()
     assert abs(joint.prefactor - 1.0 / first_norm) <= 1e-15
 
 
@@ -177,12 +177,12 @@ def test_intermediate_marginals_reproduce_both_routes(rng):
         joint = joint_function(chain_selected(psi, [n, m]))
 
         omega_first = joint.integrate_level(0).as_step_function()
-        via_state = route_state_update(n, m).values
+        via_state = route_state_update(n, m)
         probe = np.linspace(-0.5, 0.5, 101)
         np.testing.assert_allclose(omega_first(probe), via_state(probe), rtol=0, atol=1e-12)
 
         omega_prime_first = joint.integrate_level(1).as_step_function()
-        via_product = route_operator_product(psi, n, m).values
+        via_product = route_operator_product(psi, n, m)
         np.testing.assert_allclose(
             omega_prime_first(probe), via_product(probe), rtol=0, atol=1e-12
         )
@@ -235,9 +235,8 @@ def test_all_permutations_agree_for_depth_three(rng):
 
 
 def test_repeated_measurement_level_two_is_constant_one():
-    assignment = repeated_measurement_check(PureState(Z), X)
-    assert assignment.values == constant(1.0)
-    assert assignment.state == PureState(X)
+    assert repeated_measurement_check(PureState(Z), X) == constant(1.0)
+    assert branch(BranchHistory(PureState(Z)), X)[0].current_state == PureState(X)
 
 
 def test_repeated_measurement_eigenstate_both_levels_constant():

@@ -148,11 +148,12 @@ def test_classical_rule_scenario_commuting_axes_must_agree():
 
 
 def test_classical_rule_scenario_orthogonal_state_degenerate_locus():
-    # s exactly orthogonal to collinear axes: the sign(0) = +1 convention makes
-    # the opposite-axis maps coincide, the identity fails, and the report says so
+    # s exactly orthogonal to collinear axes: the maps for n and -n complement
+    # each other there too, so classical conditioning matches the quantum value
     report = run_scenario(ScenarioConfig("classical_rule", state=Z, axes={"n": X, "m": -X}))
-    assert not report.passed
-    assert any("sign(0)" in note for note in report.notes)
+    assert report.passed
+    assert report.max_abs_error == 0.0
+    assert report.hv_values["classical_conditional"] == 0.0
 
 
 def test_nonuniqueness_scenario_degenerate_note():
