@@ -42,23 +42,58 @@ __all__ = [
 ]
 
 
+class _UnitVector(np.ndarray):
+    """Read-only unit 3-vector that :func:`unit_vector` checked.
+
+    Only an instance that ``unit_vector`` marked as checked is trusted and
+    passed through again in O(1).  Ufunc results and indexing give plain
+    arrays, and copies or views of an instance carry no mark, so each of
+    these is checked again like any other input.
+    """
+
+    _checked = False
+
+    def __array_wrap__(self, array, context=None, return_scalar=False):
+        if return_scalar:
+            return array[()]
+        return array if type(array) is np.ndarray else array.view(np.ndarray)
+
+    def __getitem__(self, key):
+        return self.view(np.ndarray)[key]
+
+
 def _vector3(v, name: str) -> np.ndarray:
-    arr = np.array(v, dtype=float)
+    try:
+        arr = np.array(v)
+        if arr.dtype.kind == "c":
+            # casting to float would drop the imaginary part with only a warning
+            raise TypeError("got complex components")
+        arr = arr.astype(float, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be a real 3-vector: {exc}") from exc
     if arr.shape != (3,):
         raise ValidationError(f"{name} must be a real 3-vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not all(map(math.isfinite, arr.tolist())):
         raise ValidationError(f"{name} has non-finite components")
     arr.flags.writeable = False
     return arr
 
 
 def unit_vector(v, name: str = "vector") -> np.ndarray:
-    """Validate a unit 3-vector (|v| = 1 within 1e-9); returns it read-only."""
+    """Validate a unit 3-vector (|v| = 1 within 1e-9); returns it read-only.
+
+    A vector this function returned is passed through as is, so each axis is
+    checked once however many layers it crosses.
+    """
+    if type(v) is _UnitVector and v._checked:
+        return v
     arr = _vector3(v, name)
     norm = math.sqrt(float(arr @ arr))
     if abs(norm - 1.0) > UNIT_TOLERANCE:
         raise ValidationError(f"{name} must be a unit vector, got norm {norm!r}")
-    return arr
+    unit = arr.view(_UnitVector)
+    unit._checked = True
+    return unit
 
 
 def cosine_between(u: np.ndarray, v: np.ndarray) -> float:
@@ -70,9 +105,10 @@ def cosine_between(u: np.ndarray, v: np.ndarray) -> float:
     (idempotence, zero-probability complements) must hold exactly.  Exact
     comparison only; nothing is snapped within a tolerance.
     """
-    if np.array_equal(u, v):
+    a, b = u.tolist(), v.tolist()
+    if a == b:
         return 1.0
-    if np.array_equal(u, np.negative(v)):
+    if a == [-x for x in b]:
         return -1.0
     return min(1.0, max(-1.0, float(np.dot(u, v))))
 
@@ -85,7 +121,12 @@ class HermitianOp:
     b: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "a", float(self.a))
+        try:
+            if isinstance(self.a, (complex, np.complexfloating)):
+                raise TypeError(f"got complex value {self.a!r}")
+            object.__setattr__(self, "a", float(self.a))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"operator scalar part must be a real number: {exc}") from exc
         object.__setattr__(self, "b", _vector3(self.b, "operator vector part"))
         if not math.isfinite(self.a):
             raise ValidationError("operator scalar part must be finite")
@@ -112,9 +153,7 @@ class HermitianOp:
         """Unit Bloch axis of a projector (b scaled back to the sphere)."""
         if not self.is_projector:
             raise ValidationError("axis is only defined for projectors")
-        axis = np.multiply(self.b, 2.0)
-        axis.flags.writeable = False
-        return axis
+        return unit_vector(np.multiply(self.b, 2.0), "projector axis")
 
     @classmethod
     def identity(cls) -> "HermitianOp":
@@ -240,7 +279,8 @@ def chain_probability(psi: PureState, sequence: Sequence[HermitianOp] | Iterable
     total = 1.0
     for k, op in enumerate(sequence):
         _require_projector(op, f"sequence[{k}]")
-        axis = op.axis
+        # the projector test already held |2b| to the unit-vector tolerance
+        axis = np.multiply(op.b, 2.0)
         step = 0.5 * (1.0 + cosine_between(current, axis))
         if step <= ORTHOGONALITY_CUTOFF:
             raise ReductionUndefinedError(

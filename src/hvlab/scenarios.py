@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -47,6 +48,7 @@ from .qubit import (
     expectation,
     projector,
     sandwich,
+    unit_vector,
 )
 from .stepfn import OMEGA_MAX, OMEGA_MIN, StepFunction, complement, constant
 
@@ -128,9 +130,7 @@ def _normalize_config_vector(key: str, raw: np.ndarray) -> np.ndarray:
             f"vector {key!r} has norm {norm!r}; normalizing", stacklevel=3
         )
         raw = raw / norm
-    raw = np.asarray(raw, dtype=float)
-    raw.flags.writeable = False
-    return raw
+    return unit_vector(raw, f"vector {key!r}")
 
 
 def load_config(path) -> ScenarioConfig:
@@ -580,9 +580,7 @@ def _random_unit(rng: np.random.Generator) -> np.ndarray:
         v = rng.normal(size=3)
         norm = math.sqrt(float(v @ v))
         if norm > DEGENERACY_MARGIN:
-            u = v / norm
-            u.flags.writeable = False
-            return u
+            return unit_vector(v / norm, "random axis")
 
 
 def run_sweep(seed: int, trials: int, tolerance: float = DEFAULT_TOLERANCE) -> dict:
@@ -594,8 +592,10 @@ def run_sweep(seed: int, trials: int, tolerance: float = DEFAULT_TOLERANCE) -> d
     completeness and outcome-tree conservation, and reports counts, worst-case
     errors, and any failing inputs verbatim.
     """
-    if trials < 1:
-        raise ValidationError("trials must be at least 1")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
+        raise ValidationError(f"trials must be an integer of at least 1, got {trials!r}")
     rng = np.random.default_rng(seed)
     failures: list[str] = []
 

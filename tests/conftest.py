@@ -1,3 +1,5 @@
+from itertools import permutations, product
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,16 @@ def random_unit(rng: np.random.Generator) -> np.ndarray:
         norm = np.sqrt(v @ v)
         if norm > 1e-6:
             return v / norm
+
+
+def rational_axes() -> list[tuple[tuple[int, int, int], int]]:
+    """Signed permutations of (1, 0, 0), (3, 4, 0)/5 and (2, 3, 6)/7, as (numerators, denominator)."""
+    axes = set()
+    for triple, denominator in (((1, 0, 0), 1), ((3, 4, 0), 5), ((2, 3, 6), 7)):
+        for perm in permutations(triple):
+            for signs in product((1, -1), repeat=3):
+                axes.add((tuple(sign * k for sign, k in zip(signs, perm)), denominator))
+    return sorted(axes)
 
 
 @pytest.fixture

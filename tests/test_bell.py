@@ -1,4 +1,4 @@
-from itertools import permutations, product
+from itertools import product
 
 import numpy as np
 import pytest
@@ -30,7 +30,7 @@ from hvlab import (
 )
 
 import matrix_oracle as oracle
-from conftest import X, Y, Z, random_unit
+from conftest import X, Y, Z, random_unit, rational_axes
 
 GRID = np.linspace(-0.5, 0.5, 10_001)
 
@@ -150,20 +150,10 @@ def test_bell_value_completeness_in_measure_on_degenerate_locus():
     assert plus.integrate() + minus.integrate() == 1.0
 
 
-def _rational_axes():
-    # signed permutations of (1, 0, 0), (3, 4, 0)/5 and (2, 3, 6)/7, as (numerators, denominator)
-    axes = set()
-    for triple, denominator in (((1, 0, 0), 1), ((3, 4, 0), 5), ((2, 3, 6), 7)):
-        for perm in permutations(triple):
-            for signs in product((1, -1), repeat=3):
-                axes.add((tuple(sign * k for sign, k in zip(signs, perm)), denominator))
-    return sorted(axes)
-
-
 # pairs orthogonal in exact integer arithmetic; in floats s.m is 0.0 or a rounding error
 ORTHOGONAL_PAIRS = [
     (np.array(a) / da, np.array(b) / db)
-    for (a, da), (b, db) in product(_rational_axes(), repeat=2)
+    for (a, da), (b, db) in product(rational_axes(), repeat=2)
     if sum(x * y for x, y in zip(a, b)) == 0
 ]
 

@@ -1,8 +1,13 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hvlab import (
     HermitianOp,
+    MeasurementStep,
     PureState,
     ReductionUndefinedError,
     ValidationError,
@@ -17,7 +22,7 @@ from hvlab import (
 )
 
 import matrix_oracle as oracle
-from conftest import X, Y, Z, random_unit
+from conftest import X, Y, Z, random_unit, rational_axes
 
 
 def ops_close(op: HermitianOp, other: HermitianOp, tol: float) -> bool:
@@ -38,6 +43,127 @@ def test_unit_vector_validation():
         unit_vector([1.0, 0.0])
     with pytest.raises(ValidationError):
         unit_vector([np.inf, 0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: unit_vector("abc"), "vector"),
+        (lambda: unit_vector([1, 0, "x"], "axis m"), "axis m"),
+        (lambda: unit_vector([1j, 0, 0], "axis n"), "axis n"),
+        (lambda: unit_vector(object(), "state"), "state"),
+        # numpy would cast these to float, dropping the imaginary part
+        (lambda: unit_vector(np.array([0.6 + 1j, 0.8, 0.0]), "axis c"), "axis c"),
+        (lambda: PureState([np.complex128(1 + 1j), 0.0, 0.0]), "state Bloch vector"),
+        (lambda: HermitianOp("x", [0, 0, 0]), "operator scalar part"),
+        (lambda: HermitianOp(np.complex128(0.5 + 1j), [0, 0, 0]), "operator scalar part"),
+        (lambda: HermitianOp(0.5, [0, 0, "y"]), "operator vector part"),
+    ],
+    ids=[
+        "string",
+        "string-component",
+        "complex",
+        "object",
+        "complex-array",
+        "complex-scalar",
+        "operator-scalar",
+        "operator-complex-scalar",
+        "operator-vector",
+    ],
+)
+def test_non_numeric_vectors_raise_validation_error(build, name):
+    with pytest.raises(ValidationError, match=name):
+        build()
+
+
+def test_unit_vector_passes_its_own_output_through():
+    u = unit_vector([0.6, 0.8, 0.0])
+    assert unit_vector(u) is u
+    assert unit_vector(u, "another name") is u
+    # every producer of an axis hands on a vector unit_vector passes through
+    bloch = PureState([0.0, 0.6, 0.8]).bloch
+    assert unit_vector(bloch) is bloch
+    assert PureState(u).bloch is u
+    axis = projector([0.8, 0.0, 0.6]).axis
+    assert unit_vector(axis) is axis
+    step_axis = MeasurementStep([0.0, 0.0, 1.0], "selected").axis
+    assert unit_vector(step_axis) is step_axis
+    assert MeasurementStep(u, "complement").axis is u
+
+
+def test_derived_arrays_of_a_checked_vector_are_checked_again():
+    u = unit_vector([0.6, 0.8, 0.0])
+    for derived in (0.5 * u, u + u, np.negative(u), -u, u[:2], np.multiply(u, 2.0)):
+        assert type(derived) is np.ndarray
+    assert type(u[0]) is np.float64
+    for bad in (2 * u, u + u, u[:2], u.imag):
+        with pytest.raises(ValidationError):
+            unit_vector(bad)
+    # a copy is writeable, so it is no longer the vector that was checked
+    copy = u.copy()
+    assert unit_vector(copy) is not copy
+    copy[0] = 2.0
+    with pytest.raises(ValidationError):
+        unit_vector(copy)
+    negated = unit_vector(np.negative(u))
+    assert unit_vector(negated) is negated
+
+
+def test_checked_vector_stays_read_only():
+    u = unit_vector([0.6, 0.8, 0.0])
+    assert not u.flags.writeable
+    with pytest.raises(ValueError):
+        u[0] = 0.0
+    with pytest.raises(ValueError):
+        u.flags.writeable = True
+    assert u.tolist() == [0.6, 0.8, 0.0]
+    source = np.array([0.0, 1.0, 0.0])
+    v = unit_vector(source)
+    source[1] = 5.0
+    assert v.tolist() == [0.0, 1.0, 0.0]
+
+
+def _array_comparison_cosine(u, v):
+    # the array-comparison form cosine_between replaced, kept as the oracle
+    if np.array_equal(u, v):
+        return 1.0
+    if np.array_equal(u, np.negative(v)):
+        return -1.0
+    return min(1.0, max(-1.0, float(np.dot(u, v))))
+
+
+_RATIONAL_FLOAT_AXES = [np.array(nums) / den for nums, den in rational_axes()]
+
+
+def _flip_zero_signs(v, flips):
+    # rewrite each 0.0 or -0.0 component as +0.0 or -0.0
+    return np.array([(-0.0 if flip else 0.0) if x == 0.0 else x for x, flip in zip(v.tolist(), flips)])
+
+
+@settings(max_examples=400)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    rational=st.sampled_from(_RATIONAL_FLOAT_AXES),
+    use_rational=st.booleans(),
+    relation=st.sampled_from(("same", "equal", "opposite", "other")),
+    flips=st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans(), st.booleans(), st.booleans()),
+    checked=st.booleans(),
+)
+def test_cosine_between_matches_array_comparison_oracle(seed, rational, use_rational, relation, flips, checked):
+    rng = np.random.default_rng(seed)
+    u = rational if use_rational else random_unit(rng)
+    v = {
+        "same": u,
+        "equal": u.copy(),
+        "opposite": np.negative(u),
+        "other": random_unit(rng),
+    }[relation]
+    u, v = _flip_zero_signs(u, flips[:3]), _flip_zero_signs(v, flips[3:])
+    if checked:
+        u, v = unit_vector(u), unit_vector(v)
+    got = cosine_between(u, v)
+    want = _array_comparison_cosine(u, v)
+    assert struct.pack("<d", got) == struct.pack("<d", want)
 
 
 def test_cosine_short_circuits_on_identical_arrays(rng):

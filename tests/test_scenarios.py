@@ -8,10 +8,12 @@ from hvlab import (
     ConfigError,
     ScenarioConfig,
     ScenarioError,
+    ValidationError,
     emit_trace,
     load_config,
     run_scenario,
     run_sweep,
+    unit_vector,
 )
 
 from conftest import X, Y, Z
@@ -72,6 +74,9 @@ def test_load_config_round_trip(tmp_path):
     np.testing.assert_array_equal(config.axis("m"), Y)
     assert config.seed == 7
     assert config.trials is None
+    # config vectors leave the parser validated: unit_vector passes them through
+    for vector in (config.state, *config.axes.values()):
+        assert unit_vector(vector) is vector
     assert config.grid_points == 2001
 
 
@@ -101,6 +106,7 @@ def test_load_config_normalizes_with_warning(tmp_path):
     with pytest.warns(UserWarning, match="normalizing"):
         config = load_config(write_config(tmp_path, text))
     assert abs(float(np.linalg.norm(config.axis("n"))) - 1.0) <= 1e-12
+    assert unit_vector(config.axis("n")) is config.axis("n")
 
 
 def test_load_config_accepts_tiny_deviation_silently(tmp_path, recwarn):
@@ -246,6 +252,24 @@ def test_sweep_scenario_and_run_sweep():
     report = run_scenario(ScenarioConfig("sweep", seed=11, trials=200))
     assert report.passed
     assert report.hv_values["nonuniqueness_fraction"] == summary["nonuniqueness_fraction"]
+
+
+@pytest.mark.parametrize(
+    "seed, trials, bad",
+    [
+        (-1, 5, "seed"),
+        (1.5, 5, "seed"),
+        (True, 5, "seed"),
+        ("3", 5, "seed"),
+        (0, 2.5, "trials"),
+        (0, True, "trials"),
+        (0, "5", "trials"),
+        (0, 0, "trials"),
+    ],
+)
+def test_run_sweep_rejects_bad_seed_and_trials(seed, trials, bad):
+    with pytest.raises(ValidationError, match=bad):
+        run_sweep(seed, trials)
 
 
 # ---------------------------------------------------------------------------
