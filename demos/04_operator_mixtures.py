@@ -14,7 +14,6 @@ from hvlab import (
     PureState,
     bell_value,
     bell_value_operator,
-    complement,
     expectation,
     projector,
     sum_conflict_witness,
@@ -43,7 +42,7 @@ print(f"integrals: {direct.integrate():.6f} vs {mixed.integrate():.6f}"
       f" (quantum expectation {expectation(psi, mixture):.6f})")
 print()
 
-both_zero = complement(map_x) * complement(map_y)
+both_zero = (1.0 - map_x) * (1.0 - map_y)
 region = [(left, right) for left, right, value in both_zero.segments() if value == 1.0]
 print(f"both projector maps vanish on {region} (measure {both_zero.integrate():.6f});")
 print(f"there the mixed map is 0 but the direct map is {low:.6f} > 0:")

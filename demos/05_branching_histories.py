@@ -44,8 +44,9 @@ print()
 
 joint = joint_function(history)
 print(f"joint function: {joint.levels} levels, prefactor {joint.prefactor}")
-print("  integrate level 1 first ->", joint.integrate_level(0).as_step_function())
-print("  integrate level 2 first ->", joint.integrate_level(1).as_step_function())
+for index in (0, 1):
+    rest = joint.integrate_level(index)  # one level left: its factor times the prefactor
+    print(f"  integrate level {index + 1} first ->", rest.factors[0] * rest.prefactor)
 print("  (the two intermediate functions are the two single-interval routes)")
 print(f"  both orders finish at {integrate_in_order(history, (1, 2)):.6f}"
       f" and {integrate_in_order(history, (2, 1)):.6f}")

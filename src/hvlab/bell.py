@@ -47,7 +47,6 @@ NONCOLLINEARITY_TOLERANCE = 1e-9
 
 __all__ = [
     "NONCOLLINEARITY_TOLERANCE",
-    "WitnessSample",
     "ConflictWitness",
     "bell_value",
     "bell_value_operator",
@@ -61,12 +60,11 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class WitnessSample:
-    """One disagreement segment, sampled at its midpoint."""
+class _WitnessSample:
+    """One disagreement segment and the two sides' constant values on it."""
 
     omega_left: float
     omega_right: float
-    omega: float
     lhs_value: float
     rhs_value: float
 
@@ -77,13 +75,14 @@ class ConflictWitness:
 
     ``omega_region`` is the 0/1 indicator of the disagreement set and
     ``measure`` its exact size; a zero-measure witness means the two step
-    functions coincide identically.  ``samples`` holds one midpoint evaluation
-    per maximal disagreement segment.
+    functions coincide identically.  ``samples`` holds one record per cell of
+    the common breakpoint partition on which the two sides differ: the cell's
+    edges and each side's constant value there.
     """
 
     omega_region: StepFunction
     measure: float
-    samples: tuple[WitnessSample, ...]
+    samples: tuple[_WitnessSample, ...]
 
     def __bool__(self) -> bool:
         return self.measure > 0.0
@@ -166,7 +165,7 @@ def route_operator_product(psi: PureState, condition_axis, observed_axis) -> Ste
 
 
 def disagreement_witness(lhs: StepFunction, rhs: StepFunction) -> ConflictWitness:
-    """Indicator, measure, and midpoint samples of {omega : lhs != rhs}.
+    """Indicator, measure, and per-segment samples of {omega : lhs != rhs}.
 
     Comparison is exact (tolerance zero): both operands are built from closed
     forms, so equal segments are bit-equal.  One sample is reported per
@@ -177,7 +176,7 @@ def disagreement_witness(lhs: StepFunction, rhs: StepFunction) -> ConflictWitnes
     region = StepFunction(breakpoints, [1.0 if a != b else 0.0 for a, b in pairs])
     edges = zip([OMEGA_MIN, *breakpoints], [*breakpoints, OMEGA_MAX])
     samples = tuple(
-        WitnessSample(left, right, 0.5 * (left + right), a, b)
+        _WitnessSample(left, right, a, b)
         for (left, right), (a, b) in zip(edges, pairs)
         if a != b
     )

@@ -18,7 +18,7 @@ switches to dividing by every level (total integral 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product as _outcome_product
 from math import prod
 from typing import Iterable, Sequence
@@ -35,15 +35,13 @@ from .qubit import (
     projector,
     unit_vector,
 )
-from .stepfn import ProductFunction, StepFunction, complement
+from .stepfn import ProductFunction, StepFunction
 
-SELECTED = "selected"
-COMPLEMENT = "complement"
-_OUTCOMES = (SELECTED, COMPLEMENT)
+_SELECTED = "selected"
+_COMPLEMENT = "complement"
+_OUTCOMES = (_SELECTED, _COMPLEMENT)
 
 __all__ = [
-    "SELECTED",
-    "COMPLEMENT",
     "MeasurementStep",
     "BranchNode",
     "BranchHistory",
@@ -59,7 +57,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MeasurementStep:
-    """A projector axis plus which branch (B or its complement) is followed."""
+    """A projector axis plus which branch is followed: ``"selected"`` (B) or ``"complement"``."""
 
     axis: np.ndarray
     outcome: str
@@ -77,16 +75,19 @@ class BranchNode:
     ``level_function`` is the 0/1 indicator on this level's copy of the
     interval, ``normalizer`` its exact measure, and ``prepared_state`` the
     state the branch hands to the next measurement (+axis for the selected
-    branch, -axis for the complement).  Zero-probability branches are flagged
-    rather than raised so that outcome trees stay complete.
+    branch, -axis for the complement).  A node's level is its 1-based
+    position in :attr:`BranchHistory.nodes`.  Zero-probability branches are
+    flagged rather than raised so that outcome trees stay complete.
     """
 
-    level: int
     step: MeasurementStep
     level_function: StepFunction
     normalizer: float
     prepared_state: PureState
-    zero_probability: bool
+
+    @property
+    def zero_probability(self) -> bool:
+        return self.normalizer <= ORTHOGONALITY_CUTOFF
 
 
 @dataclass(frozen=True)
@@ -126,26 +127,13 @@ def branch(history: BranchHistory, axis) -> tuple[BranchHistory, BranchHistory]:
     not raised, because sibling branches must still sum to probability 1.
     """
     u = unit_vector(axis, "measurement axis")
-    current = history.current_state
-    selected_fn = bell_value(current, u)
-    complement_fn = complement(selected_fn)
-    level = history.depth + 1
-    branches = []
-    for outcome, fn, bloch in (
-        (SELECTED, selected_fn, u),
-        (COMPLEMENT, complement_fn, np.negative(u)),
-    ):
-        normalizer = fn.integrate()
-        node = BranchNode(
-            level=level,
-            step=MeasurementStep(u, outcome),
-            level_function=fn,
-            normalizer=normalizer,
-            prepared_state=PureState(bloch),
-            zero_probability=normalizer <= ORTHOGONALITY_CUTOFF,
-        )
-        branches.append(replace(history, nodes=history.nodes + (node,)))
-    return branches[0], branches[1]
+    selected = bell_value(history.current_state, u)
+
+    def extend(outcome: str, fn: StepFunction, bloch: np.ndarray) -> BranchHistory:
+        node = BranchNode(MeasurementStep(u, outcome), fn, fn.integrate(), PureState(bloch))
+        return BranchHistory(history.initial_state, history.nodes + (node,))
+
+    return extend(_SELECTED, selected, u), extend(_COMPLEMENT, 1.0 - selected, np.negative(u))
 
 
 def joint_function(history: BranchHistory, normalize_all_levels: bool = False) -> ProductFunction:
@@ -160,10 +148,10 @@ def joint_function(history: BranchHistory, normalize_all_levels: bool = False) -
         raise ValidationError("empty history has no joint function")
     normalized = history.nodes if normalize_all_levels else history.nodes[:-1]
     prefactor = 1.0
-    for node in normalized:
-        if node.normalizer <= ORTHOGONALITY_CUTOFF:
+    for level, node in enumerate(normalized, start=1):
+        if node.zero_probability:
             raise ZeroProbabilityError(
-                f"level {node.level} has normalizer {node.normalizer!r}; "
+                f"level {level} has normalizer {node.normalizer!r}; "
                 "cannot divide by a zero-probability branch"
             )
         prefactor /= node.normalizer
@@ -177,21 +165,21 @@ def integrate_in_order(
 ) -> float:
     """Iteratively integrate the joint function, one level at a time.
 
-    ``order`` is a permutation of the 1-based levels.  The running product
-    stays factored, so every order yields the same number; the intermediate
+    ``order`` is a permutation of the 1-based levels.  Integrating out a
+    level multiplies the running prefactor by that level's exact integral,
+    as :meth:`ProductFunction.integrate_level` does; the joint function stays
+    factored, so every order yields the same number, and the intermediate
     single-level marginals are the two conditional-measurement routes (up to
     the normalization prefactors).
     """
     k = history.depth
     if sorted(order) != list(range(1, k + 1)):
         raise ValidationError(f"order {order!r} is not a permutation of 1..{k}")
-    current = joint_function(history, normalize_all_levels=normalize_all_levels)
-    remaining = list(range(1, k + 1))
+    joint = joint_function(history, normalize_all_levels=normalize_all_levels)
+    total = joint.prefactor
     for level in order:
-        index = remaining.index(level)
-        current = current.integrate_level(index)
-        remaining.pop(index)
-    return current.prefactor
+        total *= joint.factors[level - 1].integrate()
+    return total
 
 
 def _require_reducible(psi: PureState, u: np.ndarray) -> None:
@@ -223,7 +211,7 @@ def sequence_probability(initial: PureState, steps: Iterable[MeasurementStep]) -
     step gives 0.0 rather than raising.
     """
     sequence = [
-        projector(step.axis if step.outcome == SELECTED else np.negative(step.axis))
+        projector(step.axis if step.outcome == _SELECTED else np.negative(step.axis))
         for step in steps
     ]
     try:
@@ -248,7 +236,7 @@ def branch_records(history: BranchHistory) -> list[dict]:
     """JSON-shaped dump of a history, one record per level."""
     return [
         {
-            "level": node.level,
+            "level": level,
             "axis": node.step.axis.tolist(),
             "outcome": node.step.outcome,
             "normalizer": node.normalizer,
@@ -257,5 +245,5 @@ def branch_records(history: BranchHistory) -> list[dict]:
             "prepared_bloch": node.prepared_state.bloch.tolist(),
             "zero_probability": node.zero_probability,
         }
-        for node in history.nodes
+        for level, node in enumerate(history.nodes, start=1)
     ]

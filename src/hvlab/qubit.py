@@ -22,12 +22,10 @@ import numpy as np
 from .errors import ReductionUndefinedError, ValidationError
 
 UNIT_TOLERANCE = 1e-9
-PROJECTOR_TOLERANCE = 1e-9
 ORTHOGONALITY_CUTOFF = 1e-12
 
 __all__ = [
     "UNIT_TOLERANCE",
-    "PROJECTOR_TOLERANCE",
     "ORTHOGONALITY_CUTOFF",
     "unit_vector",
     "cosine_between",
@@ -142,9 +140,10 @@ class HermitianOp:
 
     @property
     def is_projector(self) -> bool:
-        # |2b| is the norm of the axis, held to the unit-vector test PureState applies to it
+        # |2b| is the norm of the axis, held to the unit-vector test PureState applies to it;
+        # a is held to the same 1e-9
         return (
-            abs(self.a - 0.5) <= PROJECTOR_TOLERANCE
+            abs(self.a - 0.5) <= UNIT_TOLERANCE
             and abs(2.0 * self.b_norm - 1.0) <= UNIT_TOLERANCE
         )
 
@@ -155,18 +154,9 @@ class HermitianOp:
             raise ValidationError("axis is only defined for projectors")
         return unit_vector(np.multiply(self.b, 2.0), "projector axis")
 
-    @classmethod
-    def identity(cls) -> "HermitianOp":
-        return cls(1.0, np.zeros(3))
-
     def __add__(self, other):
         if isinstance(other, HermitianOp):
             return HermitianOp(self.a + other.a, self.b + other.b)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, HermitianOp):
-            return HermitianOp(self.a - other.a, self.b - other.b)
         return NotImplemented
 
     def __mul__(self, scalar):

@@ -50,7 +50,7 @@ from .qubit import (
     sandwich,
     unit_vector,
 )
-from .stepfn import OMEGA_MAX, OMEGA_MIN, StepFunction, complement, constant
+from .stepfn import OMEGA_MAX, OMEGA_MIN, StepFunction, constant
 
 DEFAULT_TOLERANCE = 1e-12
 DEFAULT_GRID_POINTS = 2001
@@ -197,20 +197,27 @@ def load_config(path) -> ScenarioConfig:
     )
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ScenarioReport:
-    """Structured outcome of one scenario run."""
+    """Structured outcome of one scenario run.
 
-    scenario: str
-    inputs: dict
-    hv_values: dict
-    qm_values: dict
+    Each scenario executor fills in the findings; :func:`run_scenario` then
+    sets ``scenario``, ``inputs`` and ``runtime_ms``.  ``traces`` maps a role
+    name to a step function for CSV export; it is not part of the report's
+    JSON.
+    """
+
+    scenario: str = ""
+    inputs: dict = field(default_factory=dict)
+    hv_values: dict = field(default_factory=dict)
+    qm_values: dict = field(default_factory=dict)
     max_abs_error: float
-    witnesses: list[dict]
+    witnesses: list[dict] = field(default_factory=list)
     passed: bool
-    notes: list[str]
-    details: dict
-    runtime_ms: float
+    notes: list[str] = field(default_factory=list)
+    details: dict = field(default_factory=dict)
+    runtime_ms: float = 0.0
+    traces: dict[str, StepFunction] = field(default_factory=dict, repr=False)
 
     def to_dict(self) -> dict:
         # fixed field order; 'pass' is the documented JSON key
@@ -261,41 +268,23 @@ def _inputs_echo(config: ScenarioConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(kw_only=True)
-class ScenarioResult:
-    """What one scenario executor found; :func:`run_scenario` copies it into a report.
-
-    ``traces`` maps a role name to a step function for CSV export; it is not
-    part of the report.
-    """
-
-    hv: dict = field(default_factory=dict)
-    qm: dict = field(default_factory=dict)
-    error: float
-    passed: bool
-    witnesses: list[dict] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    traces: dict[str, StepFunction] = field(default_factory=dict)
-    details: dict = field(default_factory=dict)
-
-
-def _run_measure_reproduction(config: ScenarioConfig) -> ScenarioResult:
+def _run_measure_reproduction(config: ScenarioConfig) -> ScenarioReport:
     psi = PureState(config.state)
     m = config.axes["m"]
     value_map = bell_value(psi, m)
     hv = {"measure": value_map.integrate()}
     qm = {"expectation": expectation(psi, projector(m))}
     err = abs(hv["measure"] - qm["expectation"])
-    return ScenarioResult(
-        hv=hv,
-        qm=qm,
-        error=err,
+    return ScenarioReport(
+        hv_values=hv,
+        qm_values=qm,
+        max_abs_error=err,
         passed=err <= config.tolerance,
         traces={"value_map": value_map},
     )
 
 
-def _run_sandwich(config: ScenarioConfig) -> ScenarioResult:
+def _run_sandwich(config: ScenarioConfig) -> ScenarioReport:
     n = config.axes["n"]
     m = config.axes["m"]
     product = sandwich(projector(n), projector(m))
@@ -303,15 +292,15 @@ def _run_sandwich(config: ScenarioConfig) -> ScenarioResult:
     expected = 0.5 * (1.0 + cosine_between(n, m))
     axis_deviation = float(np.max(np.abs(product.b - coefficient * 0.5 * n)))
     err = max(abs(coefficient - expected), axis_deviation)
-    return ScenarioResult(
-        qm={"coefficient": coefficient, "expected_coefficient": expected},
-        error=err,
+    return ScenarioReport(
+        qm_values={"coefficient": coefficient, "expected_coefficient": expected},
+        max_abs_error=err,
         passed=err <= config.tolerance,
         notes=["quantum-side identity check; no hidden-variable map involved"],
     )
 
 
-def _run_route_agreement(config: ScenarioConfig) -> ScenarioResult:
+def _run_route_agreement(config: ScenarioConfig) -> ScenarioReport:
     psi = PureState(config.state)
     n = config.axes["n"]
     m = config.axes["m"]
@@ -328,32 +317,32 @@ def _run_route_agreement(config: ScenarioConfig) -> ScenarioResult:
         "route_b": via_product,
         "difference": via_state - via_product,
     }
-    return ScenarioResult(
-        hv=hv,
-        qm={"conditional_expectation": qm_value},
-        error=err,
+    return ScenarioReport(
+        hv_values=hv,
+        qm_values={"conditional_expectation": qm_value},
+        max_abs_error=err,
         passed=err <= config.tolerance,
         traces=traces,
     )
 
 
-def _run_nonuniqueness(config: ScenarioConfig) -> ScenarioResult:
+def _run_nonuniqueness(config: ScenarioConfig) -> ScenarioReport:
     # route agreement on averages, plus where the two routes differ pointwise
-    result = _run_route_agreement(config)
-    witness = disagreement_witness(result.traces["route_a"], result.traces["route_b"])
-    result.hv["disagreement_measure"] = witness.measure
-    result.witnesses = _witness_dicts(witness)
+    report = _run_route_agreement(config)
+    witness = disagreement_witness(report.traces["route_a"], report.traces["route_b"])
+    report.hv_values["disagreement_measure"] = witness.measure
+    report.witnesses = _witness_dicts(witness)
     if witness.measure == 0.0:
-        result.notes.append("degenerate agreement: the two routes coincide identically")
+        report.notes.append("degenerate agreement: the two routes coincide identically")
     else:
-        result.notes.append(
+        report.notes.append(
             "the two routes agree on averages but disagree pointwise on a set of "
             f"measure {witness.measure!r}"
         )
-    return result
+    return report
 
 
-def _run_classical_rule(config: ScenarioConfig) -> ScenarioResult:
+def _run_classical_rule(config: ScenarioConfig) -> ScenarioReport:
     psi = PureState(config.state)
     n = config.axes["n"]
     m = config.axes["m"]
@@ -384,10 +373,12 @@ def _run_classical_rule(config: ScenarioConfig) -> ScenarioResult:
             notes.append("no violation at this particular geometry")
         err = 0.0
         passed = True
-    return ScenarioResult(hv=hv, qm=qm, error=err, passed=passed, notes=notes, traces=traces)
+    return ScenarioReport(
+        hv_values=hv, qm_values=qm, max_abs_error=err, passed=passed, notes=notes, traces=traces
+    )
 
 
-def _run_sum_conflict(config: ScenarioConfig) -> ScenarioResult:
+def _run_sum_conflict(config: ScenarioConfig) -> ScenarioReport:
     psi = PureState(config.state)
     mixture, lhs, rhs, map_n, map_m = _sum_conflict_maps(
         psi, config.axes["n"], config.axes["m"], config.lam
@@ -403,10 +394,10 @@ def _run_sum_conflict(config: ScenarioConfig) -> ScenarioResult:
         abs(hv["mixture_map_integral"] - qm_value),
         abs(hv["mixture_of_maps_integral"] - qm_value),
     )
-    both_zero = complement(map_n) * complement(map_m)
+    both_zero = (1.0 - map_n) * (1.0 - map_m)
     both_one = map_n * map_m
-    missing_zero = (both_zero * complement(witness.omega_region)).integrate()
-    missing_one = (both_one * complement(witness.omega_region)).integrate()
+    missing_zero = (both_zero * (1.0 - witness.omega_region)).integrate()
+    missing_one = (both_one * (1.0 - witness.omega_region)).integrate()
     covered = missing_zero == 0.0 and missing_one == 0.0
     notes = [
         f"both-projectors-zero region has measure {both_zero.integrate()!r}",
@@ -414,10 +405,10 @@ def _run_sum_conflict(config: ScenarioConfig) -> ScenarioResult:
     ]
     if not covered:
         notes.append("witness fails to cover a region it must contain")
-    return ScenarioResult(
-        hv=hv,
-        qm={"mixture_expectation": qm_value},
-        error=err,
+    return ScenarioReport(
+        hv_values=hv,
+        qm_values={"mixture_expectation": qm_value},
+        max_abs_error=err,
         passed=err <= config.tolerance and covered,
         witnesses=_witness_dicts(witness),
         notes=notes,
@@ -425,7 +416,7 @@ def _run_sum_conflict(config: ScenarioConfig) -> ScenarioResult:
     )
 
 
-def _run_branching_chain(config: ScenarioConfig) -> ScenarioResult:
+def _run_branching_chain(config: ScenarioConfig) -> ScenarioReport:
     psi = PureState(config.state)
     axes = [config.axes["n"], config.axes["m"]]
     if "c" in config.axes:
@@ -453,18 +444,21 @@ def _run_branching_chain(config: ScenarioConfig) -> ScenarioResult:
         "order_spread": spread,
     }
     err = max(spread, max(abs(v - qm_value) for v in values), abs(joint_integral - qm_value))
-    return ScenarioResult(
-        hv=hv,
-        qm=qm,
-        error=err,
+    return ScenarioReport(
+        hv_values=hv,
+        qm_values=qm,
+        max_abs_error=err,
         passed=err <= config.tolerance,
         notes=[f"levels: {k}; integration orders checked: {len(order_values)}"],
-        traces={f"level_{node.level}": node.level_function for node in history.nodes},
+        traces={
+            f"level_{level}": node.level_function
+            for level, node in enumerate(history.nodes, start=1)
+        },
         details={"branch_tree": branching.branch_records(history)},
     )
 
 
-def _run_idempotence(config: ScenarioConfig) -> ScenarioResult:
+def _run_idempotence(config: ScenarioConfig) -> ScenarioReport:
     psi = PureState(config.state)
     axis = config.axes["n"]
     branching._require_reducible(psi, axis)
@@ -488,24 +482,24 @@ def _run_idempotence(config: ScenarioConfig) -> ScenarioResult:
         notes = ["levels 2..4 are identically the constant 1"]
     else:
         notes = ["a repeated level deviates from the constant 1"]
-    return ScenarioResult(
-        hv=hv,
-        qm={"repeated_outcome_probability": 1.0},
-        error=err,
+    return ScenarioReport(
+        hv_values=hv,
+        qm_values={"repeated_outcome_probability": 1.0},
+        max_abs_error=err,
         passed=exactly_one and err == 0.0,
         notes=notes,
         traces={f"level_{i + 1}": fn for i, fn in enumerate(functions)},
     )
 
 
-def _run_sweep_scenario(config: ScenarioConfig) -> ScenarioResult:
+def _run_sweep_scenario(config: ScenarioConfig) -> ScenarioReport:
     seed = config.seed if config.seed is not None else 0
     trials = config.trials if config.trials is not None else DEFAULT_SWEEP_TRIALS
     summary = run_sweep(seed, trials, tolerance=config.tolerance)
     skip = ("pass", "failures", "trials", "seed", "max_abs_error")
-    return ScenarioResult(
-        hv={key: summary[key] for key in summary if key not in skip},
-        error=summary["max_abs_error"],
+    return ScenarioReport(
+        hv_values={key: summary[key] for key in summary if key not in skip},
+        max_abs_error=summary["max_abs_error"],
         passed=summary["pass"],
         notes=[f"seed={seed} trials={trials}"] + summary["failures"],
     )
@@ -517,7 +511,7 @@ class Scenario:
 
     name: str
     required: tuple[str, ...]
-    run: Callable[[ScenarioConfig], ScenarioResult]
+    run: Callable[[ScenarioConfig], ScenarioReport]
 
 
 _SCENARIOS = (
@@ -539,7 +533,7 @@ def _scenario(name: str) -> Scenario:
     return _SCENARIOS[SCENARIO_NAMES.index(name)]
 
 
-def _execute(config: ScenarioConfig) -> ScenarioResult:
+def _execute(config: ScenarioConfig) -> ScenarioReport:
     try:
         return _scenario(config.scenario).run(config)
     except HvlabError as exc:
@@ -549,20 +543,11 @@ def _execute(config: ScenarioConfig) -> ScenarioResult:
 def run_scenario(config: ScenarioConfig) -> ScenarioReport:
     """Execute one named scenario and return its report."""
     start = time.perf_counter()
-    result = _execute(config)
-    runtime_ms = (time.perf_counter() - start) * 1000.0
-    return ScenarioReport(
-        scenario=config.scenario,
-        inputs=_inputs_echo(config),
-        hv_values=result.hv,
-        qm_values=result.qm,
-        max_abs_error=result.error,
-        witnesses=result.witnesses,
-        passed=result.passed,
-        notes=result.notes,
-        details=result.details,
-        runtime_ms=runtime_ms,
-    )
+    report = _execute(config)
+    report.runtime_ms = (time.perf_counter() - start) * 1000.0
+    report.scenario = config.scenario
+    report.inputs = _inputs_echo(config)
+    return report
 
 
 def scenario_traces(config: ScenarioConfig) -> dict[str, StepFunction]:

@@ -43,7 +43,6 @@ __all__ = [
     "ProductFunction",
     "constant",
     "indicator_from_sign",
-    "complement",
     "mc_integrate",
 ]
 
@@ -109,7 +108,8 @@ class StepFunction:
                 raise ValidationError(f"omega {x!r} outside [{OMEGA_MIN}, {OMEGA_MAX}]")
             return self._values[bisect_right(self._breakpoints, x)]
         arr = np.asarray(omega, dtype=float)
-        if arr.size and (arr.min() < OMEGA_MIN or arr.max() > OMEGA_MAX):
+        # written so that a NaN, which propagates through min and max, fails it
+        if arr.size and not (OMEGA_MIN <= arr.min() and arr.max() <= OMEGA_MAX):
             raise ValidationError("omega samples outside [-1/2, 1/2]")
         idx = np.searchsorted(self._breakpoint_array, arr, side="right")
         return self._value_array[idx]
@@ -226,11 +226,6 @@ def indicator_from_sign(threshold: float, polarity: int) -> StepFunction:
     return StepFunction((0.0 if threshold == 0.0 else -threshold,), (low, high))
 
 
-def complement(f: StepFunction) -> StepFunction:
-    """Pointwise 1 - f; set complement for 0/1 indicators."""
-    return 1.0 - f
-
-
 @dataclass(frozen=True)
 class ProductFunction:
     """Factored function on the product space Lambda^k.
@@ -276,12 +271,6 @@ class ProductFunction:
             raise ValidationError(f"level index {index} out of range for {len(self.factors)} factors")
         rest = self.factors[:index] + self.factors[index + 1 :]
         return ProductFunction(rest, self.prefactor * self.factors[index].integrate())
-
-    def as_step_function(self) -> StepFunction:
-        """Collapse a single-level product to a plain step function."""
-        if len(self.factors) != 1:
-            raise ValidationError("as_step_function requires exactly one remaining level")
-        return self.factors[0] * self.prefactor
 
 
 def mc_integrate(

@@ -15,7 +15,6 @@ from hvlab import (
     bell_value_operator,
     branch,
     classical_conditional,
-    complement,
     conditional_expectation,
     constant,
     integrate_in_order,
@@ -158,7 +157,7 @@ def test_criterion_6_sum_decomposition_conflict():
         psi = PureState(s)
         map_n = bell_value(psi, X)
         map_m = bell_value(psi, Y)
-        both_zero = complement(map_n) * complement(map_m)
+        both_zero = (1.0 - map_n) * (1.0 - map_m)
         if both_zero.integrate() <= 0.0:
             continue
         lhs = bell_value_operator(psi, mixture)
@@ -170,7 +169,7 @@ def test_criterion_6_sum_decomposition_conflict():
         value_on_region = {
             lhs(left) for left in (-0.5, *union) if both_zero(left) == 1.0
         }
-        covered = (both_zero * complement(witness.omega_region)).integrate() == 0.0
+        covered = (both_zero * (1.0 - witness.omega_region)).integrate() == 0.0
         worst_average = abs(lhs.integrate() - rhs.integrate())
         found = (
             witness.measure > 0.0

@@ -16,7 +16,6 @@ from hvlab import (
     bell_value,
     bell_value_operator,
     classical_conditional,
-    complement,
     conditional_expectation,
     constant,
     expectation,
@@ -194,7 +193,7 @@ def test_operator_map_reduces_to_projector_map():
 
 
 def test_operator_map_of_identity_is_constant_one():
-    assignment = bell_value_operator(PureState(Z), HermitianOp.identity())
+    assignment = bell_value_operator(PureState(Z), HermitianOp(1.0, np.zeros(3)))
     assert assignment.values == (1.0,)
 
 
@@ -443,13 +442,13 @@ def test_sum_conflict_witness_perpendicular_axes():
     map_m = bell_value(psi, Y)
     rhs = 0.5 * map_n + 0.5 * map_m
 
-    both_zero = complement(map_n) * complement(map_m)
+    both_zero = (1.0 - map_n) * (1.0 - map_m)
     both_one = map_n * map_m
     assert both_zero.integrate() > 0.0
     assert both_one.integrate() > 0.0
     # every omega with both projector maps 0 (or both 1) must be in the witness
-    assert (both_zero * complement(witness.omega_region)).integrate() == 0.0
-    assert (both_one * complement(witness.omega_region)).integrate() == 0.0
+    assert (both_zero * (1.0 - witness.omega_region)).integrate() == 0.0
+    assert (both_one * (1.0 - witness.omega_region)).integrate() == 0.0
     # on the both-zero region the mixture map sits at its lower eigenvalue > 0;
     # evaluate at segment left edges of the union partition (right-continuity)
     low = 0.5 * (1.0 - 1.0 / np.sqrt(2.0))

@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from hvlab import (
-    COMPLEMENT,
-    SELECTED,
     BranchHistory,
     MeasurementStep,
     PureState,
@@ -40,6 +38,13 @@ def chain_selected(psi, axes):
     for axis in axes:
         history, _ = branch(history, axis)
     return history
+
+
+def marginal(joint, index):
+    # integrate one level out of a two-level joint; the level left, times the prefactor
+    rest = joint.integrate_level(index)
+    (factor,) = rest.factors
+    return factor * rest.prefactor
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +181,12 @@ def test_intermediate_marginals_reproduce_both_routes(rng):
         psi = PureState(s)
         joint = joint_function(chain_selected(psi, [n, m]))
 
-        omega_first = joint.integrate_level(0).as_step_function()
+        omega_first = marginal(joint, 0)
         via_state = route_state_update(n, m)
         probe = np.linspace(-0.5, 0.5, 101)
         np.testing.assert_allclose(omega_first(probe), via_state(probe), rtol=0, atol=1e-12)
 
-        omega_prime_first = joint.integrate_level(1).as_step_function()
+        omega_prime_first = marginal(joint, 1)
         via_product = route_operator_product(psi, n, m)
         np.testing.assert_allclose(
             omega_prime_first(probe), via_product(probe), rtol=0, atol=1e-12
@@ -194,8 +199,8 @@ def test_intermediate_marginals_differ_pointwise_but_agree_as_numbers():
     # functions (constant 1 versus the {0, 2} step) differ everywhere
     psi = PureState(Z)
     joint = joint_function(chain_selected(psi, [X, X]))
-    omega_first = joint.integrate_level(0).as_step_function()
-    omega_prime_first = joint.integrate_level(1).as_step_function()
+    omega_first = marginal(joint, 0)
+    omega_prime_first = marginal(joint, 1)
     assert omega_first == constant(1.0)
     assert omega_prime_first.values == (0.0, 2.0)
     assert omega_first.integrate() == 1.0
@@ -287,14 +292,14 @@ def test_every_site_cuts_off_the_same_outcome_probability():
 
 
 def test_sequence_probability_frozen_quarter():
-    steps = [MeasurementStep(X, SELECTED), MeasurementStep(Z, SELECTED)]
+    steps = [MeasurementStep(X, "selected"), MeasurementStep(Z, "selected")]
     got = sequence_probability(PureState(Z), steps)
     assert got == 0.25
     assert abs(oracle.chain_probability_matrix(Z, [X, Z]) - got) <= 1e-15
 
 
 def test_sequence_probability_zero_step():
-    steps = [MeasurementStep(Z, COMPLEMENT)]
+    steps = [MeasurementStep(Z, "complement")]
     assert sequence_probability(PureState(Z), steps) == 0.0
 
 
@@ -302,7 +307,7 @@ def test_sequence_probability_matches_chain_for_all_selected(rng):
     for _ in range(50):
         s = random_unit(rng)
         axes = [random_unit(rng) for _ in range(3)]
-        steps = [MeasurementStep(a, SELECTED) for a in axes]
+        steps = [MeasurementStep(a, "selected") for a in axes]
         got = sequence_probability(PureState(s), steps)
         want = chain_probability(PureState(s), [projector(a) for a in axes])
         assert got == want
@@ -324,7 +329,7 @@ def test_outcome_probabilities_match_matrix_oracle(rng):
         s = random_unit(rng)
         axes = [random_unit(rng) for _ in range(3)]
         for pattern, got in outcome_probabilities(PureState(s), axes).items():
-            signed = [a if outcome == SELECTED else -a for a, outcome in zip(axes, pattern)]
+            signed = [a if outcome == "selected" else -a for a, outcome in zip(axes, pattern)]
             assert abs(oracle.chain_probability_matrix(s, signed) - got) <= 1e-14
 
 
@@ -332,7 +337,7 @@ def test_measurement_step_validation():
     with pytest.raises(ValidationError):
         MeasurementStep(X, "maybe")
     with pytest.raises(ValidationError):
-        MeasurementStep([1.0, 1.0, 0.0], SELECTED)
+        MeasurementStep([1.0, 1.0, 0.0], "selected")
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +349,7 @@ def test_branch_records_are_json_shaped():
     history = chain_selected(PureState(Z), [X, Y])
     records = branch_records(history)
     assert [r["level"] for r in records] == [1, 2]
-    assert records[0]["outcome"] == SELECTED
+    assert records[0]["outcome"] == "selected"
     assert records[0]["axis"] == [1.0, 0.0, 0.0]
     assert records[0]["normalizer"] == 0.5
     assert records[0]["prepared_bloch"] == [1.0, 0.0, 0.0]

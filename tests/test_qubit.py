@@ -190,13 +190,13 @@ def test_hermitian_op_basics():
     assert not op.is_projector
     with pytest.raises(ValidationError):
         op.axis
-    ident = HermitianOp.identity()
+    ident = HermitianOp(1.0, np.zeros(3))
     assert ident.a == 1.0 and ident.b_norm == 0.0
     scaled = 2.0 * op
     assert scaled.a == 0.6
     total = op + op
     np.testing.assert_array_equal(total.b, 2 * op.b)
-    assert (op - op).b_norm == 0.0
+    assert (op + -1.0 * op).b_norm == 0.0
     assert op == HermitianOp(0.3, [0.1, 0.2, 0.2])
     assert ops_close(op, HermitianOp(0.3 + 1e-14, [0.1, 0.2, 0.2]), tol=1e-12)
 

@@ -296,6 +296,15 @@ def test_demo_config_report_bytes_are_pinned(path):
     assert json.dumps(report, indent=2) + "\n" == pinned
 
 
+def test_report_carries_its_traces_outside_the_json(tmp_path):
+    config = load_config(write_config(tmp_path, ROUTE_CFG))
+    report = run_scenario(config)
+    assert set(report.traces) == {"route_a", "route_b", "difference"}
+    assert report.traces["route_a"].integrate() == report.hv_values["route_state_update"]
+    assert "traces" not in report.to_dict()
+    assert "traces" not in repr(report)
+
+
 def test_report_json_shape(tmp_path):
     config = load_config(write_config(tmp_path, ROUTE_CFG))
     report = run_scenario(config)

@@ -9,7 +9,6 @@ from hvlab import (
     ProductFunction,
     StepFunction,
     ValidationError,
-    complement,
     constant,
     indicator_from_sign,
     mc_integrate,
@@ -73,6 +72,19 @@ def test_array_evaluation_matches_scalar():
     f = StepFunction((-0.2, 0.3), (1.0, -1.0, 4.0))
     xs = np.array([-0.5, -0.2, 0.0, 0.3, 0.5])
     assert list(f(xs)) == [f(float(x)) for x in xs]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("position", [0, 1, 2])
+def test_non_finite_omega_is_rejected_in_arrays_and_scalars(bad, position):
+    # a NaN sample fails no ordered comparison, so it must not slip through the range check
+    f = StepFunction((0.1,), (0.0, 1.0))
+    xs = np.array([0.0, -0.2, 0.4])
+    xs[position] = bad
+    with pytest.raises(ValidationError):
+        f(xs)
+    with pytest.raises(ValidationError):
+        f(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +153,7 @@ def test_integrate_examples():
 
 
 def test_complement_of_constant_one_is_zero():
-    assert complement(constant(1.0)) == constant(0.0)
+    assert 1.0 - constant(1.0) == constant(0.0)
 
 
 def test_multiply_is_intersection_for_indicators():
@@ -197,7 +209,7 @@ def indicators(draw):
 
 @given(f=indicators())
 def test_complement_integral(f):
-    assert abs(complement(f).integrate() - (1.0 - f.integrate())) <= 1e-12
+    assert abs((1.0 - f).integrate() - (1.0 - f.integrate())) <= 1e-12
 
 
 @given(f=step_functions(), g=step_functions())
@@ -273,9 +285,8 @@ def test_integrate_level_validation_and_collapse():
     p = ProductFunction((half,), 2.0)
     with pytest.raises(ValidationError):
         p.integrate_level(1)
-    assert p.as_step_function() == StepFunction((0.0,), (0.0, 2.0))
-    with pytest.raises(ValidationError):
-        ProductFunction((half, half)).as_step_function()
+    assert p.integrate_level(0) == ProductFunction((), 1.0)
+    assert ProductFunction((half, half)).integrate_level(1) == ProductFunction((half,), 0.5)
 
 
 # ---------------------------------------------------------------------------
