@@ -1,4 +1,6 @@
+import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -380,6 +382,30 @@ def test_emit_trace_no_functions(tmp_path):
     config = ScenarioConfig("sandwich", axes={"n": X, "m": Y})
     assert emit_trace(config, tmp_path / "nothing") == []
     assert not (tmp_path / "nothing").exists()
+
+
+TRACE_PIN_GRIDS = (2, 2001, 20001)
+
+
+def trace_digest(written) -> str:
+    # each CSV's file name and then its bytes, in the order emit_trace returns them
+    sha = hashlib.sha256()
+    for path in written:
+        sha.update(path.name.encode() + b"\n")
+        sha.update(path.read_bytes())
+    return sha.hexdigest()
+
+
+@pytest.mark.parametrize("grid_points", TRACE_PIN_GRIDS)
+@pytest.mark.parametrize(
+    "path", [p for p in DEMO_CONFIGS if p.stem != "sweep"], ids=lambda p: p.stem
+)
+def test_demo_config_trace_bytes_are_pinned(path, grid_points, tmp_path):
+    # tests/reports/trace_digests.json holds the sha256 of each demo config's
+    # CSVs at three grid sizes; rewrites of the write path must reproduce them
+    config = replace(load_config(path), grid_points=grid_points)
+    pinned = json.loads((PINNED_REPORTS / "trace_digests.json").read_text(encoding="utf-8"))
+    assert trace_digest(emit_trace(config, tmp_path)) == pinned[path.stem][str(grid_points)]
 
 
 def test_reintegration_across_all_trace_scenarios(tmp_path):
