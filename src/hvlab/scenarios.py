@@ -102,6 +102,8 @@ class ScenarioConfig:
             raise ConfigError(f"tolerance must be positive and finite, got {self.tolerance!r}")
         if self.seed is not None and self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed!r}")
+        if self.trials is not None and self.trials < 1:
+            raise ConfigError(f"trials must be at least 1, got {self.trials!r}")
         missing = [
             key
             for key in _scenario(self.scenario).required
@@ -507,23 +509,24 @@ def _run_sweep_scenario(config: ScenarioConfig) -> ScenarioReport:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A named scenario: the config keys it requires and its executor."""
+    """A named scenario: the config keys it requires, its executor and whether it has traces."""
 
     name: str
     required: tuple[str, ...]
     run: Callable[[ScenarioConfig], ScenarioReport]
+    traced: bool = True
 
 
 _SCENARIOS = (
     Scenario("measure_reproduction", ("state", "m"), _run_measure_reproduction),
-    Scenario("sandwich", ("n", "m"), _run_sandwich),
+    Scenario("sandwich", ("n", "m"), _run_sandwich, traced=False),
     Scenario("route_agreement", ("state", "n", "m"), _run_route_agreement),
     Scenario("nonuniqueness", ("state", "n", "m"), _run_nonuniqueness),
     Scenario("classical_rule", ("state", "n", "m"), _run_classical_rule),
     Scenario("sum_conflict", ("state", "n", "m", "lambda"), _run_sum_conflict),
     Scenario("branching_chain", ("state", "n", "m"), _run_branching_chain),
     Scenario("idempotence", ("state", "n"), _run_idempotence),
-    Scenario("sweep", (), _run_sweep_scenario),
+    Scenario("sweep", (), _run_sweep_scenario, traced=False),
 )
 
 SCENARIO_NAMES = tuple(scenario.name for scenario in _SCENARIOS)
@@ -703,28 +706,82 @@ def run_sweep(seed: int, trials: int, tolerance: float = DEFAULT_TOLERANCE) -> d
 # ---------------------------------------------------------------------------
 
 
+# rows formatted into the grid text, or written by one ``write`` call, at a time
+_TRACE_BLOCK_ROWS = 4096
+
+
+class _GridRows:
+    """A grid's ``%.17g`` omega strings as one ASCII blob, built once per trace call.
+
+    Row ``i`` of the grid is ``text[offsets[i]:offsets[i + 1]]`` and ends in
+    ``b"\\n"``.  The text is built a block at a time, so the grid's strings
+    are never all alive at once.
+    """
+
+    def __init__(self, grid: np.ndarray):
+        blocks = []
+        for start in range(0, len(grid), _TRACE_BLOCK_ROWS):
+            chunk = tuple(grid[start : start + _TRACE_BLOCK_ROWS].tolist())
+            blocks.append(("%.17g\n" * len(chunk) % chunk).encode("ascii"))
+        self.grid = grid
+        self.text = b"".join(blocks)
+        newlines = np.flatnonzero(np.frombuffer(self.text, dtype=np.uint8) == ord("\n"))
+        self.offsets = np.concatenate(([0], newlines + 1))
+
+    def write(self, stream, omegas: np.ndarray, values: np.ndarray) -> None:
+        """Write one ``omega,value`` row per sample, byte for byte as ``%.17g,%.17g``.
+
+        A sample reuses its grid string only where its float has the grid
+        float's bits, so ``-0.0`` and ``0.0`` stay apart.  Rows are written
+        in runs of consecutive grid rows with one value (compared by bits):
+        each run is a slice of the grid text with ``,<value>`` put before
+        every newline.  A row off the grid is formatted on its own.
+        """
+        index = np.minimum(np.searchsorted(self.grid, omegas), len(self.grid) - 1)
+        on_grid = self.grid[index].view(np.int64) == omegas.view(np.int64)
+        bits = values.view(np.int64)
+        starts = np.ones(len(omegas), dtype=bool)
+        # every grid value is a sample, so adjacent samples on the grid are
+        # adjacent grid rows
+        starts[1:] = (bits[1:] != bits[:-1]) | ~on_grid[1:] | ~on_grid[:-1]
+        starts = np.flatnonzero(starts).tolist()
+        for begin, end in zip(starts, starts[1:] + [len(omegas)]):
+            tail = b",%.17g\n" % values[begin]
+            if not on_grid[begin]:
+                stream.write(b"%.17g" % omegas[begin] + tail)
+                continue
+            first = int(index[begin]) - begin
+            for lo in range(begin, end, _TRACE_BLOCK_ROWS):
+                hi = min(lo + _TRACE_BLOCK_ROWS, end)
+                rows = self.text[self.offsets[first + lo] : self.offsets[first + hi]]
+                stream.write(rows.replace(b"\n", tail))
+
+
 def emit_trace(config: ScenarioConfig, out_dir) -> list[Path]:
     """Write one ``omega,value`` CSV per step function the scenario produces.
 
     Sampling points are a uniform grid of ``grid_points`` plus every exact
     breakpoint, so no step edge is missed; values carry 17 significant digits
-    and re-integrate (breakpoint-aware) to the reported integrals.  Returns
-    the written paths; an empty list means the scenario has no traces.
+    and re-integrate (breakpoint-aware) to the reported integrals.  Rows end
+    in ``\\n`` on every platform.  The grid is formatted once per call and
+    shared by every role's file; nothing is kept between calls.  Returns the
+    written paths; a scenario without traces (``sandwich``, ``sweep``) returns
+    an empty list without being run.
     """
+    if not _scenario(config.scenario).traced:
+        return []
     traces = scenario_traces(config)
     out = Path(out_dir)
-    if not traces:
-        return []
     out.mkdir(parents=True, exist_ok=True)
     written = []
     grid = np.linspace(OMEGA_MIN, OMEGA_MAX, config.grid_points)
+    rows = _GridRows(grid)
     for role, fn in traces.items():
         omegas = np.union1d(grid, np.asarray(fn.breakpoints, dtype=float))
         values = fn(omegas)
         path = out / f"{config.scenario}__{role}.csv"
-        with path.open("w", encoding="utf-8") as stream:
-            stream.write("omega,value\n")
-            for omega, value in zip(omegas, values):
-                stream.write(f"{omega:.17g},{value:.17g}\n")
+        with path.open("wb") as stream:
+            stream.write(b"omega,value\n")
+            rows.write(stream, omegas, values)
         written.append(path)
     return written

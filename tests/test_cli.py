@@ -188,6 +188,13 @@ def test_trace_without_out_exits_two(tmp_path, capsys, monkeypatch):
     assert main(["trace", str(config)]) == 2
 
 
+def test_trace_zero_trials_exits_two(tmp_path, capsys):
+    config = write(tmp_path, "sweep.cfg", "scenario = sweep\ntrials = 0\n")
+    assert main(["trace", str(config), "--out", str(tmp_path / "traces")]) == 2
+    assert "trials must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "traces").exists()
+
+
 def test_trace_no_functions_notice(tmp_path, capsys):
     config = write(tmp_path, "sandwich.cfg", SANDWICH_CFG)
     assert main(["trace", str(config), "--out", str(tmp_path / "traces")]) == 0

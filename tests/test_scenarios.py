@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -10,11 +11,13 @@ from hvlab import (
     ConfigError,
     ScenarioConfig,
     ScenarioError,
+    StepFunction,
     ValidationError,
     emit_trace,
     load_config,
     run_scenario,
     run_sweep,
+    scenarios,
     unit_vector,
 )
 
@@ -124,6 +127,13 @@ def test_missing_required_keys_reported():
         ScenarioConfig("sum_conflict", state=Z, axes={"n": X, "m": Y})
     with pytest.raises(ConfigError):
         ScenarioConfig("unknown_name")
+
+
+def test_zero_trials_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="trials must be at least 1"):
+        load_config(write_config(tmp_path, "scenario = sweep\ntrials = 0\n"))
+    with pytest.raises(ConfigError, match="trials must be at least 1"):
+        ScenarioConfig("sweep", trials=-3)
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +392,72 @@ def test_emit_trace_no_functions(tmp_path):
     config = ScenarioConfig("sandwich", axes={"n": X, "m": Y})
     assert emit_trace(config, tmp_path / "nothing") == []
     assert not (tmp_path / "nothing").exists()
+
+
+def test_emit_trace_skips_scenarios_without_traces(tmp_path, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a scenario without traces was run")
+
+    monkeypatch.setattr(scenarios, "run_sweep", never)
+    monkeypatch.setattr(scenarios, "scenario_traces", never)
+    assert emit_trace(ScenarioConfig("sweep", seed=3, trials=50), tmp_path / "sweep") == []
+    assert emit_trace(ScenarioConfig("sandwich", axes={"n": X, "m": Y}), tmp_path / "sw") == []
+    assert not any(tmp_path.iterdir())
+
+
+def emit_hand_built_trace(monkeypatch, tmp_path, fn: StepFunction, grid_points: int) -> bytes:
+    # the scenario only supplies the config; its traces are replaced by fn
+    monkeypatch.setattr(scenarios, "scenario_traces", lambda config: {"f": fn})
+    config = ScenarioConfig("idempotence", state=Z, axes={"n": X}, grid_points=grid_points)
+    (path,) = emit_trace(config, tmp_path)
+    assert path.name == "idempotence__f.csv"
+    return path.read_bytes()
+
+
+def reference_trace_bytes(fn: StepFunction, grid_points: int) -> bytes:
+    # the row-by-row formatting the CSV format is defined by
+    grid = np.linspace(-0.5, 0.5, grid_points)
+    omegas = np.union1d(grid, np.asarray(fn.breakpoints, dtype=float))
+    rows = "".join(f"{omega:.17g},{value:.17g}\n" for omega, value in zip(omegas, fn(omegas)))
+    return ("omega,value\n" + rows).encode("ascii")
+
+
+@pytest.mark.parametrize(
+    "fn, expected",
+    [
+        (StepFunction((-0.0,), (-0.0, 1.0)), b"omega,value\n-0.5,-0\n0,1\n0.5,1\n"),
+        (
+            StepFunction((0.0, 0.25), (1.0, -0.0, 2.5)),
+            b"omega,value\n-0.5,1\n0,-0\n0.25,2.5\n0.5,2.5\n",
+        ),
+    ],
+)
+def test_emit_trace_keeps_signed_zeros_apart(monkeypatch, tmp_path, fn, expected):
+    assert emit_hand_built_trace(monkeypatch, tmp_path, fn, 3) == expected
+    assert reference_trace_bytes(fn, 3) == expected
+
+
+def test_emit_trace_across_write_blocks(monkeypatch, tmp_path):
+    grid_points = 2 * scenarios._TRACE_BLOCK_ROWS + 1001
+    grid = np.linspace(-0.5, 0.5, grid_points)
+    # breakpoints on the grid, between grid points and on a block edge, in the
+    # first and the last block
+    edge = float(grid[scenarios._TRACE_BLOCK_ROWS])
+    breakpoints = (float(grid[7]), 0.5 * float(grid[100] + grid[101]), edge, 0.49, float(grid[-3]))
+    fn = StepFunction(breakpoints, (0.25, -0.0, 1.0 / 3.0, 0.0, 2.0, -1.5))
+    assert emit_hand_built_trace(monkeypatch, tmp_path, fn, grid_points) == reference_trace_bytes(
+        fn, grid_points
+    )
+
+
+def test_trace_rows_reuse_grid_text_only_for_equal_bits():
+    grid = np.linspace(-0.5, 0.5, 5)
+    omegas = grid.copy()
+    omegas[2] = -0.0  # compares equal to the grid's 0.0 but formats as -0
+    values = np.array([1.0, 1.0, 1.0, -0.0, 0.0])
+    stream = io.BytesIO()
+    scenarios._GridRows(grid).write(stream, omegas, values)
+    assert stream.getvalue() == b"-0.5,1\n-0.25,1\n-0,1\n0.25,-0\n0.5,0\n"
 
 
 TRACE_PIN_GRIDS = (2, 2001, 20001)
