@@ -102,8 +102,12 @@ class ScenarioConfig:
             raise ConfigError(f"tolerance must be positive and finite, got {self.tolerance!r}")
         if self.seed is not None and self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed!r}")
-        if self.trials is not None and self.trials < 1:
-            raise ConfigError(f"trials must be at least 1, got {self.trials!r}")
+        if self.trials is not None and (
+            isinstance(self.trials, bool)
+            or not isinstance(self.trials, numbers.Integral)
+            or self.trials < 1
+        ):
+            raise ConfigError(f"trials must be an integer of at least 1, got {self.trials!r}")
         missing = [
             key
             for key in _scenario(self.scenario).required

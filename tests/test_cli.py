@@ -191,7 +191,7 @@ def test_trace_without_out_exits_two(tmp_path, capsys, monkeypatch):
 def test_trace_zero_trials_exits_two(tmp_path, capsys):
     config = write(tmp_path, "sweep.cfg", "scenario = sweep\ntrials = 0\n")
     assert main(["trace", str(config), "--out", str(tmp_path / "traces")]) == 2
-    assert "trials must be at least 1" in capsys.readouterr().err
+    assert "trials must be an integer of at least 1" in capsys.readouterr().err
     assert not (tmp_path / "traces").exists()
 
 

@@ -129,11 +129,12 @@ def test_missing_required_keys_reported():
         ScenarioConfig("unknown_name")
 
 
-def test_zero_trials_is_a_config_error(tmp_path):
-    with pytest.raises(ConfigError, match="trials must be at least 1"):
+def test_bad_trials_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="trials must be an integer of at least 1"):
         load_config(write_config(tmp_path, "scenario = sweep\ntrials = 0\n"))
-    with pytest.raises(ConfigError, match="trials must be at least 1"):
-        ScenarioConfig("sweep", trials=-3)
+    for trials in (-3, 2.5, "5", True):
+        with pytest.raises(ConfigError, match="trials must be an integer of at least 1"):
+            ScenarioConfig("sweep", trials=trials)
 
 
 # ---------------------------------------------------------------------------
