@@ -76,6 +76,10 @@ __all__ = [
 ]
 
 
+def _is_int_at_least(value, minimum: int) -> bool:
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= minimum
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Inputs of one named scenario (parsed from a config file or built in code)."""
@@ -102,11 +106,7 @@ class ScenarioConfig:
             raise ConfigError(f"tolerance must be positive and finite, got {self.tolerance!r}")
         if self.seed is not None and self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed!r}")
-        if self.trials is not None and (
-            isinstance(self.trials, bool)
-            or not isinstance(self.trials, numbers.Integral)
-            or self.trials < 1
-        ):
+        if self.trials is not None and not _is_int_at_least(self.trials, 1):
             raise ConfigError(f"trials must be an integer of at least 1, got {self.trials!r}")
         missing = [
             key
@@ -584,9 +584,9 @@ def run_sweep(seed: int, trials: int, tolerance: float = DEFAULT_TOLERANCE) -> d
     completeness and outcome-tree conservation, and reports counts, worst-case
     errors, and any failing inputs verbatim.
     """
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+    if not _is_int_at_least(seed, 0):
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
-    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral) or trials < 1:
+    if not _is_int_at_least(trials, 1):
         raise ValidationError(f"trials must be an integer of at least 1, got {trials!r}")
     rng = np.random.default_rng(seed)
     failures: list[str] = []
