@@ -2,13 +2,16 @@
 
 Each projective measurement opens a fresh copy of the interval: a history of
 k measurements lives on Lambda^k as a factored product of per-level 0/1 step
-functions.  Selecting an outcome prepares the state on the measured axis (the
-complement prepares the opposite axis), and dividing by the per-level
-normalization factors realizes state reduction inside the dispersion-free
-formalism.  Because the joint function stays factored, iterated integration
-is exact and independent of the order of levels; integrating the levels in
-different orders recovers the two single-level conditional-measurement
-representations as intermediate marginals.
+functions, one :class:`BranchNode` per level (the measured unit axis, the
+outcome followed, the level function and its normalizer).  Selecting an
+outcome prepares the state on the measured axis (the complement prepares the
+opposite axis), and dividing by the per-level normalization factors realizes
+state reduction inside the dispersion-free formalism.  The quantum side is
+the chain rule :func:`hvlab.qubit.chain_probability` over those signed axes.
+Because the joint function stays factored, iterated integration is exact and
+independent of the order of levels; integrating the levels in different
+orders recovers the two single-level conditional-measurement representations
+as intermediate marginals.
 
 Normalization convention: the joint function divides by every level's
 normalizer *except the last*, so its total integral is the conditional
@@ -21,20 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as _outcome_product
 from math import prod
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .bell import bell_value
 from .errors import ReductionUndefinedError, ValidationError, ZeroProbabilityError
-from .qubit import (
-    ORTHOGONALITY_CUTOFF,
-    PureState,
-    chain_probability,
-    cosine_between,
-    projector,
-    unit_vector,
-)
+from .qubit import ORTHOGONALITY_CUTOFF, PureState, chain_probability, unit_vector
 from .stepfn import ProductFunction, StepFunction
 
 _SELECTED = "selected"
@@ -42,7 +38,6 @@ _COMPLEMENT = "complement"
 _OUTCOMES = (_SELECTED, _COMPLEMENT)
 
 __all__ = [
-    "MeasurementStep",
     "BranchNode",
     "BranchHistory",
     "branch",
@@ -55,35 +50,36 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MeasurementStep:
-    """A projector axis plus which branch is followed: ``"selected"`` (B) or ``"complement"``."""
-
-    axis: np.ndarray
-    outcome: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "axis", unit_vector(self.axis, "measurement axis"))
-        if self.outcome not in _OUTCOMES:
-            raise ValidationError(f"outcome must be one of {_OUTCOMES}, got {self.outcome!r}")
+def _check_outcome(outcome: str) -> None:
+    if outcome not in _OUTCOMES:
+        raise ValidationError(f"outcome must be one of {_OUTCOMES}, got {outcome!r}")
 
 
 @dataclass(frozen=True)
 class BranchNode:
     """One level of a measurement history.
 
-    ``level_function`` is the 0/1 indicator on this level's copy of the
-    interval, ``normalizer`` its exact measure, and ``prepared_state`` the
-    state the branch hands to the next measurement (+axis for the selected
-    branch, -axis for the complement).  A node's level is its 1-based
-    position in :attr:`BranchHistory.nodes`.  Zero-probability branches are
-    flagged rather than raised so that outcome trees stay complete.
+    ``axis`` is the measured unit axis and ``outcome`` the branch followed:
+    ``"selected"`` (B) or ``"complement"``.  ``level_function`` is the 0/1
+    indicator on this level's copy of the interval and ``normalizer`` its
+    exact measure.  A node's level is its 1-based position in
+    :attr:`BranchHistory.nodes`.  Zero-probability branches are flagged
+    rather than raised so that outcome trees stay complete.
     """
 
-    step: MeasurementStep
+    axis: np.ndarray
+    outcome: str
     level_function: StepFunction
     normalizer: float
-    prepared_state: PureState
+
+    def __post_init__(self):
+        object.__setattr__(self, "axis", unit_vector(self.axis, "measurement axis"))
+        _check_outcome(self.outcome)
+
+    @property
+    def prepared_state(self) -> PureState:
+        """The state handed to the next measurement: +axis if selected, -axis if not."""
+        return PureState(self.axis if self.outcome == _SELECTED else np.negative(self.axis))
 
     @property
     def zero_probability(self) -> bool:
@@ -129,11 +125,11 @@ def branch(history: BranchHistory, axis) -> tuple[BranchHistory, BranchHistory]:
     u = unit_vector(axis, "measurement axis")
     selected = bell_value(history.current_state, u)
 
-    def extend(outcome: str, fn: StepFunction, bloch: np.ndarray) -> BranchHistory:
-        node = BranchNode(MeasurementStep(u, outcome), fn, fn.integrate(), PureState(bloch))
+    def extend(outcome: str, fn: StepFunction) -> BranchHistory:
+        node = BranchNode(u, outcome, fn, fn.integrate())
         return BranchHistory(history.initial_state, history.nodes + (node,))
 
-    return extend(_SELECTED, selected, u), extend(_COMPLEMENT, 1.0 - selected, np.negative(u))
+    return extend(_SELECTED, selected), extend(_COMPLEMENT, 1.0 - selected)
 
 
 def joint_function(history: BranchHistory, normalize_all_levels: bool = False) -> ProductFunction:
@@ -182,12 +178,6 @@ def integrate_in_order(
     return total
 
 
-def _require_reducible(psi: PureState, u: np.ndarray) -> None:
-    # the selected outcome of measuring u must have positive probability in psi
-    if 0.5 * (1.0 + cosine_between(psi.bloch, u)) <= ORTHOGONALITY_CUTOFF:
-        raise ReductionUndefinedError("state is orthogonal to the measured projector")
-
-
 def repeated_measurement_check(psi: PureState, axis) -> StepFunction:
     """Measure the same projector twice; return the second level's value map.
 
@@ -196,26 +186,30 @@ def repeated_measurement_check(psi: PureState, axis) -> StepFunction:
     repeating a measurement no longer changes anything.
     """
     u = unit_vector(axis, "measurement axis")
-    _require_reducible(psi, u)
+    # the first selected outcome must have positive probability to prepare +u
+    chain_probability(psi, [u])
     first, _ = branch(BranchHistory(psi), u)
     second, _ = branch(first, u)
     return second.nodes[1].level_function
 
 
-def sequence_probability(initial: PureState, steps: Iterable[MeasurementStep]) -> float:
+def sequence_probability(initial: PureState, axes: Sequence, pattern: Sequence[str]) -> float:
     """Probability of one full outcome pattern along a measurement sequence.
 
-    The quantum chain rule over the projectors on +axis (selected steps) or
-    -axis (complement steps), so the per-step weights are (1 + s.n)/2 and
-    (1 - s.n)/2 while the prepared state walks the axes.  A zero-probability
-    step gives 0.0 rather than raising.
+    The quantum chain rule over +axis for each ``"selected"`` outcome and
+    -axis for each ``"complement"`` outcome, so the per-step weights are
+    (1 + s.n)/2 and (1 - s.n)/2 while the prepared state walks the signed
+    axes.  A zero-probability step gives 0.0 rather than raising.
     """
-    sequence = [
-        projector(step.axis if step.outcome == _SELECTED else np.negative(step.axis))
-        for step in steps
-    ]
+    if len(axes) != len(pattern):
+        raise ValidationError(f"{len(axes)} axes but {len(pattern)} outcomes")
+    signed = []
+    for k, (axis, outcome) in enumerate(zip(axes, pattern)):
+        _check_outcome(outcome)
+        u = unit_vector(axis, f"axes[{k}]")
+        signed.append(u if outcome == _SELECTED else np.negative(u))
     try:
-        return chain_probability(initial, sequence)
+        return chain_probability(initial, signed)
     except ReductionUndefinedError:
         return 0.0
 
@@ -223,13 +217,10 @@ def sequence_probability(initial: PureState, steps: Iterable[MeasurementStep]) -
 def outcome_probabilities(initial: PureState, axes: Sequence) -> dict[tuple[str, ...], float]:
     """Probabilities of all 2^k outcome patterns for a fixed axis sequence."""
     units = [unit_vector(a, "measurement axis") for a in axes]
-    steps = {outcome: [MeasurementStep(u, outcome) for u in units] for outcome in _OUTCOMES}
-    table: dict[tuple[str, ...], float] = {}
-    for pattern in _outcome_product(_OUTCOMES, repeat=len(units)):
-        table[pattern] = sequence_probability(
-            initial, [steps[outcome][k] for k, outcome in enumerate(pattern)]
-        )
-    return table
+    return {
+        pattern: sequence_probability(initial, units, pattern)
+        for pattern in _outcome_product(_OUTCOMES, repeat=len(units))
+    }
 
 
 def branch_records(history: BranchHistory) -> list[dict]:
@@ -237,8 +228,8 @@ def branch_records(history: BranchHistory) -> list[dict]:
     return [
         {
             "level": level,
-            "axis": node.step.axis.tolist(),
-            "outcome": node.step.outcome,
+            "axis": node.axis.tolist(),
+            "outcome": node.outcome,
             "normalizer": node.normalizer,
             "breakpoints": list(node.level_function.breakpoints),
             "values": list(node.level_function.values),

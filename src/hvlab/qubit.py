@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -257,20 +257,20 @@ def conditional_expectation(psi: PureState, observed: HermitianOp, condition: He
     return expectation(reduce_state(psi, condition), observed)
 
 
-def chain_probability(psi: PureState, sequence: Sequence[HermitianOp] | Iterable[HermitianOp]) -> float:
-    """Probability of selecting every projector outcome in order.
+def chain_probability(psi: PureState, axes: Iterable) -> float:
+    """Probability of selecting, in order, the projector on each unit axis.
 
     Equals the product over steps of (1 + n_{k-1}.n_k)/2 with n_0 the initial
-    Bloch vector, i.e. the quantum chain rule for sequential projective
-    measurements.  Raises :class:`ReductionUndefinedError` (with the failing
-    index) if an intermediate conditioning probability hits the cutoff.
+    Bloch vector and n_k the k-th axis, i.e. the quantum chain rule for
+    sequential projective measurements.  Each axis goes through
+    :func:`unit_vector` (O(1) for one it already checked).  Raises
+    :class:`ReductionUndefinedError` (with the failing index) if an
+    intermediate conditioning probability hits the cutoff.
     """
     current = psi.bloch
     total = 1.0
-    for k, op in enumerate(sequence):
-        _require_projector(op, f"sequence[{k}]")
-        # the projector test already held |2b| to the unit-vector tolerance
-        axis = np.multiply(op.b, 2.0)
+    for k, a in enumerate(axes):
+        axis = unit_vector(a, f"axes[{k}]")
         step = 0.5 * (1.0 + cosine_between(current, axis))
         if step <= ORTHOGONALITY_CUTOFF:
             raise ReductionUndefinedError(

@@ -442,8 +442,7 @@ def _run_branching_chain(config: ScenarioConfig) -> ScenarioReport:
         qm_value = 1.0
         qm = {"normalized_total": qm_value}
     else:
-        sequence = [projector(a) for a in axes]
-        qm_value = chain_probability(psi, sequence) / chain_probability(psi, sequence[:-1])
+        qm_value = chain_probability(psi, axes) / chain_probability(psi, axes[:-1])
         qm = {"final_outcome_conditional": qm_value}
     hv = {
         "joint_integral": joint_integral,
@@ -467,7 +466,8 @@ def _run_branching_chain(config: ScenarioConfig) -> ScenarioReport:
 def _run_idempotence(config: ScenarioConfig) -> ScenarioReport:
     psi = PureState(config.state)
     axis = config.axes["n"]
-    branching._require_reducible(psi, axis)
+    # the first selected outcome must have positive probability to prepare +axis
+    chain_probability(psi, [axis])
     # first measurement, then three repetitions of the same axis
     history, _ = branch(BranchHistory(psi), axis)
     functions = [history.nodes[0].level_function]

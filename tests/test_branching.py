@@ -6,9 +6,11 @@ import pytest
 
 from hvlab import (
     BranchHistory,
-    MeasurementStep,
+    BranchNode,
     PureState,
     ReductionUndefinedError,
+    ScenarioConfig,
+    ScenarioError,
     UndefinedConditionalError,
     ValidationError,
     ZeroProbabilityError,
@@ -26,6 +28,7 @@ from hvlab import (
     repeated_measurement_check,
     route_operator_product,
     route_state_update,
+    run_scenario,
     sequence_probability,
 )
 
@@ -216,12 +219,9 @@ def test_reduction_equivalence_with_quantum_chain(rng):
         for _ in range(25):
             s = random_unit(rng)
             axes = [random_unit(rng) for _ in range(depth)]
-            history = chain_selected(PureState(s), axes)
-            got = joint_function(history).integrate()
-            sequence = [projector(a) for a in axes]
-            want = chain_probability(PureState(s), sequence) / chain_probability(
-                PureState(s), sequence[:-1]
-            )
+            psi = PureState(s)
+            got = joint_function(chain_selected(psi, axes)).integrate()
+            want = chain_probability(psi, axes) / chain_probability(psi, axes[:-1])
             assert abs(got - want) <= 1e-12
 
 
@@ -241,7 +241,9 @@ def test_all_permutations_agree_for_depth_three(rng):
 
 def test_repeated_measurement_level_two_is_constant_one():
     assert repeated_measurement_check(PureState(Z), X) == constant(1.0)
-    assert branch(BranchHistory(PureState(Z)), X)[0].current_state == PureState(X)
+    selected, complement = branch(BranchHistory(PureState(Z)), X)
+    assert selected.current_state == PureState(X)
+    assert complement.current_state == PureState(-X)
 
 
 def test_repeated_measurement_eigenstate_both_levels_constant():
@@ -277,13 +279,16 @@ def test_every_site_cuts_off_the_same_outcome_probability():
     with pytest.raises(ReductionUndefinedError):
         reduce_state(psi, projector(Z))
     with pytest.raises(ReductionUndefinedError):
-        chain_probability(psi, [projector(Z)])
+        chain_probability(psi, [Z])
+    assert sequence_probability(psi, [Z], ("selected",)) == 0.0
     with pytest.raises(ReductionUndefinedError):
         route_operator_product(psi, Z, X)
     with pytest.raises(ReductionUndefinedError):
         repeated_measurement_check(psi, Z)
     with pytest.raises(UndefinedConditionalError):
         classical_conditional(psi, X, Z)
+    with pytest.raises(ScenarioError):
+        run_scenario(ScenarioConfig("idempotence", state=psi.bloch, axes={"n": Z}))
 
 
 # ---------------------------------------------------------------------------
@@ -292,24 +297,21 @@ def test_every_site_cuts_off_the_same_outcome_probability():
 
 
 def test_sequence_probability_frozen_quarter():
-    steps = [MeasurementStep(X, "selected"), MeasurementStep(Z, "selected")]
-    got = sequence_probability(PureState(Z), steps)
+    got = sequence_probability(PureState(Z), [X, Z], ("selected", "selected"))
     assert got == 0.25
     assert abs(oracle.chain_probability_matrix(Z, [X, Z]) - got) <= 1e-15
 
 
 def test_sequence_probability_zero_step():
-    steps = [MeasurementStep(Z, "complement")]
-    assert sequence_probability(PureState(Z), steps) == 0.0
+    assert sequence_probability(PureState(Z), [Z], ("complement",)) == 0.0
 
 
 def test_sequence_probability_matches_chain_for_all_selected(rng):
     for _ in range(50):
         s = random_unit(rng)
         axes = [random_unit(rng) for _ in range(3)]
-        steps = [MeasurementStep(a, "selected") for a in axes]
-        got = sequence_probability(PureState(s), steps)
-        want = chain_probability(PureState(s), [projector(a) for a in axes])
+        got = sequence_probability(PureState(s), axes, ("selected",) * 3)
+        want = chain_probability(PureState(s), axes)
         assert got == want
 
 
@@ -333,11 +335,16 @@ def test_outcome_probabilities_match_matrix_oracle(rng):
             assert abs(oracle.chain_probability_matrix(s, signed) - got) <= 1e-14
 
 
-def test_measurement_step_validation():
-    with pytest.raises(ValidationError):
-        MeasurementStep(X, "maybe")
-    with pytest.raises(ValidationError):
-        MeasurementStep([1.0, 1.0, 0.0], "selected")
+def test_branch_node_validation():
+    with pytest.raises(ValidationError, match="outcome must be one of"):
+        BranchNode(X, "maybe", constant(1.0), 1.0)
+    with pytest.raises(ValidationError, match="unit vector"):
+        BranchNode([1.0, 1.0, 0.0], "selected", constant(1.0), 1.0)
+    # a pattern is held to the same outcome names, and must match the axes one for one
+    with pytest.raises(ValidationError, match="outcome must be one of"):
+        sequence_probability(PureState(Z), [X], ("maybe",))
+    with pytest.raises(ValidationError, match="2 axes but 1 outcomes"):
+        sequence_probability(PureState(Z), [X, Y], ("selected",))
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hvlab import (
+    BranchHistory,
     HermitianOp,
-    MeasurementStep,
     PureState,
     ReductionUndefinedError,
     ValidationError,
+    branch,
     chain_probability,
     conditional_expectation,
     cosine_between,
@@ -86,9 +87,9 @@ def test_unit_vector_passes_its_own_output_through():
     assert PureState(u).bloch is u
     axis = projector([0.8, 0.0, 0.6]).axis
     assert unit_vector(axis) is axis
-    step_axis = MeasurementStep([0.0, 0.0, 1.0], "selected").axis
-    assert unit_vector(step_axis) is step_axis
-    assert MeasurementStep(u, "complement").axis is u
+    selected, complement = branch(BranchHistory(PureState([0.0, 0.0, 1.0])), u)
+    assert selected.nodes[0].axis is u
+    assert complement.nodes[0].axis is u
 
 
 def test_derived_arrays_of_a_checked_vector_are_checked_again():
@@ -355,18 +356,21 @@ def test_conditional_expectation_swap_symmetry_and_oracle(rng):
 
 def test_chain_probability_examples():
     psi = PureState(Z)
-    assert chain_probability(psi, [projector(Z)]) == 1.0
+    assert chain_probability(psi, [Z]) == 1.0
     # frozen from the explicit matrix oracle: Tr[P_z P_x rho P_x P_z] chain = 1/4
-    got = chain_probability(psi, [projector(X), projector(Z)])
+    got = chain_probability(psi, [X, Z])
     assert got == 0.25
     assert abs(oracle.chain_probability_matrix(Z, [X, Z]) - 0.25) <= 1e-15
+    # |n| - 1 = 1.6e-9 is outside the unit-vector tolerance
+    with pytest.raises(ValidationError, match=r"axes\[1\] must be a unit vector"):
+        chain_probability(psi, [X, [1.0 + 1.6e-9, 0.0, 0.0]])
 
 
 def test_chain_probability_idempotent_step(rng):
     for _ in range(20):
         s, n = random_unit(rng), random_unit(rng)
-        single = chain_probability(PureState(s), [projector(n)])
-        repeated = chain_probability(PureState(s), [projector(n), projector(n)])
+        single = chain_probability(PureState(s), [n])
+        repeated = chain_probability(PureState(s), [n, n])
         assert repeated == single
 
 
@@ -379,7 +383,6 @@ def test_near_projector_rejected_by_every_entry_point():
         lambda: conditional_expectation(psi, projector(Y), near),
         lambda: conditional_expectation(psi, near, projector(Y)),
         lambda: reduce_state(psi, near),
-        lambda: chain_probability(psi, [near]),
     ]
     for call in calls:
         with pytest.raises(ValidationError, match="must be a projector"):
@@ -389,7 +392,7 @@ def test_near_projector_rejected_by_every_entry_point():
 def test_chain_probability_orthogonal_reports_index():
     psi = PureState(Z)
     with pytest.raises(ReductionUndefinedError) as err:
-        chain_probability(psi, [projector(X), projector(-X)])
+        chain_probability(psi, [X, -X])
     assert err.value.index == 1
 
 
@@ -397,6 +400,6 @@ def test_chain_probability_matches_matrix_oracle(rng):
     for _ in range(30):
         s = random_unit(rng)
         axes = [random_unit(rng) for _ in range(3)]
-        got = chain_probability(PureState(s), [projector(a) for a in axes])
+        got = chain_probability(PureState(s), axes)
         want = oracle.chain_probability_matrix(s, axes)
         assert abs(got - want) <= 1e-12
