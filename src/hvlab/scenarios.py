@@ -100,12 +100,13 @@ class ScenarioConfig:
                 f"unknown scenario {self.scenario!r}; expected one of {', '.join(SCENARIO_NAMES)}"
             )
         object.__setattr__(self, "axes", dict(self.axes))
-        if self.grid_points < 2:
-            raise ConfigError("grid_points must be at least 2")
-        if not (self.tolerance > 0 and math.isfinite(self.tolerance)):
-            raise ConfigError(f"tolerance must be positive and finite, got {self.tolerance!r}")
-        if self.seed is not None and self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed!r}")
+        if not _is_int_at_least(self.grid_points, 2):
+            raise ConfigError(f"grid_points must be at least 2 (an integer), got {self.grid_points!r}")
+        tol = self.tolerance
+        if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and tol > 0 and math.isfinite(tol)):
+            raise ConfigError(f"tolerance must be positive and finite (a real number), got {tol!r}")
+        if self.seed is not None and not _is_int_at_least(self.seed, 0):
+            raise ConfigError(f"seed must be non-negative (an integer), got {self.seed!r}")
         if self.trials is not None and not _is_int_at_least(self.trials, 1):
             raise ConfigError(f"trials must be an integer of at least 1, got {self.trials!r}")
         missing = [

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -129,12 +130,23 @@ def test_missing_required_keys_reported():
         ScenarioConfig("unknown_name")
 
 
-def test_bad_trials_is_a_config_error(tmp_path):
+def test_bad_integer_or_tolerance_field_is_a_config_error(tmp_path):
     with pytest.raises(ConfigError, match="trials must be an integer of at least 1"):
         load_config(write_config(tmp_path, "scenario = sweep\ntrials = 0\n"))
     for trials in (-3, 2.5, "5", True):
         with pytest.raises(ConfigError, match="trials must be an integer of at least 1"):
             ScenarioConfig("sweep", trials=trials)
+    for seed in (-1, 2.5, "3", True):
+        with pytest.raises(ConfigError, match=r"seed must be non-negative \(an integer\)"):
+            ScenarioConfig("sweep", seed=seed)
+    for grid_points in (1, 2.5, "5", True):
+        with pytest.raises(ConfigError, match=r"grid_points must be at least 2 \(an integer\)"):
+            ScenarioConfig("sweep", grid_points=grid_points)
+    for tolerance in (0.0, -1e-9, math.inf, math.nan, "1e-9", True):
+        with pytest.raises(ConfigError, match=r"tolerance must be positive and finite \(a real number\)"):
+            ScenarioConfig("sweep", tolerance=tolerance)
+    # the smallest accepted values still build
+    ScenarioConfig("sweep", seed=0, grid_points=2, tolerance=1e-300)
 
 
 # ---------------------------------------------------------------------------
