@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -7,6 +9,8 @@ import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 DEMOS = sorted((REPO / "demos").glob("*.py"))
+# sha256 of each demo's stdout; a change to any printed number must update it on purpose
+DIGESTS = json.loads((REPO / "tests" / "reports" / "demo_digests.json").read_text(encoding="utf-8"))
 
 
 def test_demos_exist():
@@ -27,3 +31,4 @@ def test_demo_runs_and_prints(demo):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
+    assert hashlib.sha256(result.stdout.encode("utf-8")).hexdigest() == DIGESTS[demo.stem]
