@@ -12,13 +12,7 @@ erases exactly that update.
 
 import numpy as np
 
-from hvlab import (
-    PureState,
-    bell_value,
-    classical_conditional,
-    conditional_expectation,
-    projector,
-)
+from hvlab import PureState, bell_value, classical_conditional, conditional_expectation
 
 z = np.array([0.0, 0.0, 1.0])
 x = np.array([1.0, 0.0, 0.0])
@@ -33,7 +27,7 @@ print("their intersection has measure", (map_x * map_y).integrate())
 print()
 
 classical = classical_conditional(psi, y, x)
-quantum = conditional_expectation(psi, projector(y), projector(x))
+quantum = conditional_expectation(psi, y, x)
 print(f"classical rule:  P(y-outcome | x-outcome) = {classical:.6f}")
 print(f"quantum value :  {quantum:.6f}")
 print(f"discrepancy   :  {abs(classical - quantum):.6f}")

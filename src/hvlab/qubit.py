@@ -7,6 +7,10 @@ has a closed form in ``(a, b)``, which removes complex arithmetic from the
 trusted path.  A complex-matrix reference implementation lives in the test
 suite as an independent oracle.
 
+A rank-1 projector (1 + n.sigma)/2 is passed around as its unit axis n, checked
+by :func:`unit_vector`; :class:`HermitianOp` is for general observables such as
+projector mixtures and ``sandwich`` results.
+
 Pure states only: the dispersion-free constructions verified here are defined
 for pure states, and mixed states are deliberately unsupported.
 """
@@ -138,22 +142,6 @@ class HermitianOp:
         r = self.b_norm
         return (self.a - r, self.a + r)
 
-    @property
-    def is_projector(self) -> bool:
-        # |2b| is the norm of the axis, held to the unit-vector test PureState applies to it;
-        # a is held to the same 1e-9
-        return (
-            abs(self.a - 0.5) <= UNIT_TOLERANCE
-            and abs(2.0 * self.b_norm - 1.0) <= UNIT_TOLERANCE
-        )
-
-    @property
-    def axis(self) -> np.ndarray:
-        """Unit Bloch axis of a projector (b scaled back to the sphere)."""
-        if not self.is_projector:
-            raise ValidationError("axis is only defined for projectors")
-        return unit_vector(np.multiply(self.b, 2.0), "projector axis")
-
     def __add__(self, other):
         if isinstance(other, HermitianOp):
             return HermitianOp(self.a + other.a, self.b + other.b)
@@ -195,8 +183,7 @@ class PureState:
 
 def projector(m) -> HermitianOp:
     """Rank-1 projector (1 + m.sigma)/2 onto the unit Bloch axis ``m``."""
-    axis = unit_vector(m, "projector axis")
-    return HermitianOp(0.5, axis * 0.5)
+    return HermitianOp(0.5, unit_vector(m, "projector axis") * 0.5)
 
 
 def expectation(psi: PureState, op: HermitianOp) -> float:
@@ -204,23 +191,16 @@ def expectation(psi: PureState, op: HermitianOp) -> float:
     return op.a + float(np.dot(op.b, psi.bloch))
 
 
-def _require_projector(op: HermitianOp, name: str) -> None:
-    if not op.is_projector:
-        raise ValidationError(f"{name} must be a projector (a = 1/2, |b| = 1/2), got {op!r}")
+def sandwich(outer_axis, inner_axis) -> HermitianOp:
+    """The Hermitian product B A B of the projectors on two unit axes.
 
-
-def sandwich(outer: HermitianOp, inner: HermitianOp) -> HermitianOp:
-    """The Hermitian product ``outer * inner * outer`` for two projectors.
-
-    For projectors on axes n (outer) and m (inner) the result is
-    ``((1 + n.m)/2) * P_n``.  The closed form below is the general
-    Pauli-algebra expansion of B A B, which is real because the cross terms
-    cancel; projector-ness of the inputs is still enforced per contract.
+    B projects on ``outer_axis`` n and A on ``inner_axis`` m, and the result
+    is ``((1 + n.m)/2) * P_n``.  It is evaluated by the general Pauli-algebra
+    expansion of B A B, which is real because the cross terms cancel, fed
+    with the ``(a, b) = (1/2, axis/2)`` of each projector.
     """
-    _require_projector(outer, "outer operator")
-    _require_projector(inner, "inner operator")
-    b0, bv = outer.a, outer.b
-    a0, av = inner.a, inner.b
+    b0, bv = 0.5, unit_vector(outer_axis, "outer axis") * 0.5
+    a0, av = 0.5, unit_vector(inner_axis, "inner axis") * 0.5
     ab = float(np.dot(av, bv))
     bb = float(np.dot(bv, bv))
     scalar = a0 * b0 * b0 + 2.0 * b0 * ab + a0 * bb
@@ -228,33 +208,31 @@ def sandwich(outer: HermitianOp, inner: HermitianOp) -> HermitianOp:
     return HermitianOp(scalar, vector)
 
 
-def reduce_state(psi: PureState, condition: HermitianOp) -> PureState:
-    """Post-measurement state B rho B / Tr[rho B] for a projector B.
+def reduce_state(psi: PureState, axis) -> PureState:
+    """Post-measurement state B rho B / Tr[rho B] for the projector B on ``axis``.
 
-    For a pure state and a rank-1 projector the reduced state is the
-    projector's own axis.  Raises :class:`ReductionUndefinedError` when
-    Tr[rho B] falls at or below the orthogonality cutoff.
+    For a pure state the reduced state is the axis itself.  Raises
+    :class:`ReductionUndefinedError` (from :func:`chain_probability`, index 0)
+    when Tr[rho B] falls at or below the orthogonality cutoff.
     """
-    _require_projector(condition, "condition")
-    weight = expectation(psi, condition)
-    if weight <= ORTHOGONALITY_CUTOFF:
-        raise ReductionUndefinedError(
-            f"state is orthogonal to the conditioning projector (Tr[rho B] = {weight!r})"
-        )
-    return PureState(condition.axis)
+    u = unit_vector(axis, "axis")
+    chain_probability(psi, [u])
+    return PureState(u)
 
 
-def conditional_expectation(psi: PureState, observed: HermitianOp, condition: HermitianOp) -> float:
-    """Tr[rho B A B] / Tr[rho B] for projectors A (observed) and B (condition).
+def conditional_expectation(psi: PureState, observed_axis, condition_axis) -> float:
+    """Tr[rho B A B] / Tr[rho B] for the projectors on two unit axes.
 
-    For rank-1 projectors this equals (1 + n.m)/2, independent of the state.
-    It is evaluated as the expectation of A in the reduced state
-    B rho B / Tr[rho B] (see :func:`reduce_state`), which stays exact to
-    rounding as Tr[rho B] shrinks; dividing Tr[rho B A B] by Tr[rho B] would
-    amplify the numerator's rounding error by 1 / Tr[rho B].
+    A projects on ``observed_axis`` m and B on ``condition_axis`` n.  This
+    equals (1 + n.m)/2, independent of the state.  It is evaluated as the
+    expectation of A in the reduced state B rho B / Tr[rho B] (see
+    :func:`reduce_state`), which stays exact to rounding as Tr[rho B]
+    shrinks; dividing Tr[rho B A B] by Tr[rho B] would amplify the
+    numerator's rounding error by 1 / Tr[rho B].
     """
-    _require_projector(observed, "observed operator")
-    return expectation(reduce_state(psi, condition), observed)
+    m = unit_vector(observed_axis, "observed axis")
+    n = unit_vector(condition_axis, "condition axis")
+    return expectation(reduce_state(psi, n), projector(m))
 
 
 def chain_probability(psi: PureState, axes: Iterable) -> float:

@@ -60,8 +60,8 @@ NORMALIZE_LIMIT = 1e-6
 # a near-zero normal vector, orthogonal conditioning or (anti-)collinear axes
 DEGENERACY_MARGIN = 1e-6
 
-_SCALAR_KEYS = ("lambda", "seed", "trials", "grid_points")
-_VECTOR_KEYS = ("state", "n", "m", "c")
+_AXIS_KEYS = ("n", "m", "c")
+_KEYS = ("scenario", "state", *_AXIS_KEYS, "lambda", "seed", "trials", "grid_points")
 
 __all__ = [
     "SCENARIO_NAMES",
@@ -78,6 +78,18 @@ __all__ = [
 
 def _is_int_at_least(value, minimum: int) -> bool:
     return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= minimum
+
+
+def _is_finite_real(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+
+
+def _config_vector(key: str, value) -> np.ndarray:
+    # the one check of every config vector, read from a file or built in code
+    try:
+        return unit_vector(value, f"vector {key!r}")
+    except ValidationError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -99,11 +111,20 @@ class ScenarioConfig:
             raise ConfigError(
                 f"unknown scenario {self.scenario!r}; expected one of {', '.join(SCENARIO_NAMES)}"
             )
-        object.__setattr__(self, "axes", dict(self.axes))
+        axes = dict(self.axes)
+        if not set(axes) <= set(_AXIS_KEYS):
+            raise ConfigError(f"axis names must be among n, m, c, got {list(axes)!r}")
+        object.__setattr__(self, "axes", {key: _config_vector(key, v) for key, v in axes.items()})
+        if self.state is not None:
+            object.__setattr__(self, "state", _config_vector("state", self.state))
+        if self.lam is not None and not _is_finite_real(self.lam):
+            raise ConfigError(f"lambda must be a finite real number, got {self.lam!r}")
+        if not isinstance(self.normalize_all_levels, bool):
+            raise ConfigError(f"normalize_all_levels must be a bool, got {self.normalize_all_levels!r}")
         if not _is_int_at_least(self.grid_points, 2):
             raise ConfigError(f"grid_points must be at least 2 (an integer), got {self.grid_points!r}")
         tol = self.tolerance
-        if isinstance(tol, bool) or not (isinstance(tol, numbers.Real) and tol > 0 and math.isfinite(tol)):
+        if not (_is_finite_real(tol) and tol > 0):
             raise ConfigError(f"tolerance must be positive and finite (a real number), got {tol!r}")
         if self.seed is not None and not _is_int_at_least(self.seed, 0):
             raise ConfigError(f"seed must be non-negative (an integer), got {self.seed!r}")
@@ -114,7 +135,7 @@ class ScenarioConfig:
             for key in _scenario(self.scenario).required
             if (key == "state" and self.state is None)
             or (key == "lambda" and self.lam is None)
-            or (key in ("n", "m", "c") and key not in self.axes)
+            or (key in _AXIS_KEYS and key not in self.axes)
         ]
         if missing:
             raise ConfigError(
@@ -137,7 +158,7 @@ def _normalize_config_vector(key: str, raw: np.ndarray) -> np.ndarray:
             f"vector {key!r} has norm {norm!r}; normalizing", stacklevel=3
         )
         raw = raw / norm
-    return unit_vector(raw, f"vector {key!r}")
+    return raw
 
 
 def load_config(path) -> ScenarioConfig:
@@ -155,7 +176,7 @@ def load_config(path) -> ScenarioConfig:
         value = value.strip()
         if key in entries:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        if key != "scenario" and key not in _SCALAR_KEYS and key not in _VECTOR_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         entries[key] = value
 
@@ -175,7 +196,7 @@ def load_config(path) -> ScenarioConfig:
         return _normalize_config_vector(key, raw)
 
     state = parse_vector("state") if "state" in entries else None
-    axes = {key: parse_vector(key) for key in ("n", "m", "c") if key in entries}
+    axes = {key: parse_vector(key) for key in _AXIS_KEYS if key in entries}
 
     def parse_int(key: str) -> int | None:
         if key not in entries:
@@ -294,7 +315,7 @@ def _run_measure_reproduction(config: ScenarioConfig) -> ScenarioReport:
 def _run_sandwich(config: ScenarioConfig) -> ScenarioReport:
     n = config.axes["n"]
     m = config.axes["m"]
-    product = sandwich(projector(n), projector(m))
+    product = sandwich(n, m)
     coefficient = 2.0 * product.a
     expected = 0.5 * (1.0 + cosine_between(n, m))
     axis_deviation = float(np.max(np.abs(product.b - coefficient * 0.5 * n)))
@@ -313,7 +334,7 @@ def _run_route_agreement(config: ScenarioConfig) -> ScenarioReport:
     m = config.axes["m"]
     via_state = route_state_update(n, m)
     via_product = route_operator_product(psi, n, m)
-    qm_value = conditional_expectation(psi, projector(m), projector(n))
+    qm_value = conditional_expectation(psi, m, n)
     hv = {
         "route_state_update": via_state.integrate(),
         "route_operator_product": via_product.integrate(),
@@ -356,7 +377,7 @@ def _run_classical_rule(config: ScenarioConfig) -> ScenarioReport:
     observed = bell_value(psi, m)
     condition = bell_value(psi, n)
     intersection, classical = _classical_intersection(observed, condition)
-    qm_value = conditional_expectation(psi, projector(m), projector(n))
+    qm_value = conditional_expectation(psi, m, n)
     violation = abs(classical - qm_value)
     hv = {"classical_conditional": classical, "violation": violation}
     qm = {"conditional_expectation": qm_value}

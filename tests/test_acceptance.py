@@ -62,7 +62,7 @@ def test_criterion_2_sandwich_identity():
     worst = 0.0
     for _ in range(10_000):
         n, m = random_unit(rng), random_unit(rng)
-        got = sandwich(projector(n), projector(m))
+        got = sandwich(n, m)
         coefficient = 0.5 * (1.0 + float(np.dot(n, m)))
         err = max(
             abs(2.0 * got.a - coefficient),
@@ -123,7 +123,7 @@ def test_criterion_4_pointwise_nonuniqueness():
 def test_criterion_5_classical_rule_violation():
     psi = PureState(Z)
     classical = classical_conditional(psi, Y, X)
-    quantum = conditional_expectation(psi, projector(Y), projector(X))
+    quantum = conditional_expectation(psi, Y, X)
     violation_exact = classical == 1.0 and quantum == 0.5 and abs(classical - quantum) == 0.5
 
     rng = np.random.default_rng(105)
@@ -135,7 +135,7 @@ def test_criterion_5_classical_rule_violation():
         same = abs(classical_conditional(PureState(s), n, n) - 1.0)
         opposite = abs(
             classical_conditional(PureState(s), -n, n)
-            - conditional_expectation(PureState(s), projector(-n), projector(n))
+            - conditional_expectation(PureState(s), -n, n)
         )
         worst_collinear = max(worst_collinear, same, opposite)
     report(

@@ -290,7 +290,7 @@ def test_route_spectra_match_their_observables(rng):
             continue
         psi = PureState(s)
         # P_m in the state prepared on n, and B A B / Tr[rho B] in the original state
-        product = sandwich(projector(n), projector(m)) * (1.0 / expectation(psi, projector(n)))
+        product = sandwich(n, m) * (1.0 / expectation(psi, projector(n)))
         for assignment, observable, state in (
             (route_state_update(n, m), projector(m), PureState(n)),
             (route_operator_product(psi, n, m), product, psi),
@@ -390,7 +390,7 @@ def test_classical_conditional_violates_quantum_value():
     assert interval_measure(support_intervals(fb)) == 0.5
     classical = classical_conditional(psi, Y, X)
     assert classical == 1.0
-    quantum = conditional_expectation(psi, projector(Y), projector(X))
+    quantum = conditional_expectation(psi, Y, X)
     assert abs(classical - quantum) == 0.5
 
 
@@ -400,7 +400,7 @@ def test_classical_conditional_opposite_axes_disjoint(rng):
         if 1.0 + float(np.dot(s, n)) <= 1e-6:
             continue
         got = classical_conditional(PureState(s), -n, n)
-        want = conditional_expectation(PureState(s), projector(-n), projector(n))
+        want = conditional_expectation(PureState(s), -n, n)
         assert got == 0.0
         assert abs(got - want) <= 1e-15
 

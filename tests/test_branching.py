@@ -23,7 +23,6 @@ from hvlab import (
     integrate_in_order,
     joint_function,
     outcome_probabilities,
-    projector,
     reduce_state,
     repeated_measurement_check,
     route_operator_product,
@@ -277,7 +276,7 @@ def test_every_site_cuts_off_the_same_outcome_probability():
     selected, _ = branch(BranchHistory(psi), Z)
     assert selected.zero_probability
     with pytest.raises(ReductionUndefinedError):
-        reduce_state(psi, projector(Z))
+        reduce_state(psi, Z)
     with pytest.raises(ReductionUndefinedError):
         chain_probability(psi, [Z])
     assert sequence_probability(psi, [Z], ("selected",)) == 0.0

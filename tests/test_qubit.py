@@ -85,8 +85,7 @@ def test_unit_vector_passes_its_own_output_through():
     bloch = PureState([0.0, 0.6, 0.8]).bloch
     assert unit_vector(bloch) is bloch
     assert PureState(u).bloch is u
-    axis = projector([0.8, 0.0, 0.6]).axis
-    assert unit_vector(axis) is axis
+    assert reduce_state(PureState([0.0, 0.0, 1.0]), u).bloch is u
     selected, complement = branch(BranchHistory(PureState([0.0, 0.0, 1.0])), u)
     assert selected.nodes[0].axis is u
     assert complement.nodes[0].axis is u
@@ -188,9 +187,6 @@ def test_hermitian_op_basics():
     op = HermitianOp(0.3, [0.1, 0.2, 0.2])
     low, high = op.eigenvalues
     assert low == 0.3 - op.b_norm and high == 0.3 + op.b_norm
-    assert not op.is_projector
-    with pytest.raises(ValidationError):
-        op.axis
     ident = HermitianOp(1.0, np.zeros(3))
     assert ident.a == 1.0 and ident.b_norm == 0.0
     scaled = 2.0 * op
@@ -221,7 +217,7 @@ def test_opposite_projectors_annihilate(rng):
     for _ in range(20):
         m = random_unit(rng)
         s = random_unit(rng)
-        squeezed = sandwich(projector(m), projector(-m))
+        squeezed = sandwich(m, -m)
         assert abs(expectation(PureState(s), squeezed)) <= 1e-15
         matrix = oracle.projector_matrix(m) @ oracle.projector_matrix(-m)
         assert abs(oracle.expectation_matrix(s, matrix)) <= 1e-15
@@ -262,20 +258,22 @@ def test_completeness_of_opposite_projectors(rng):
 
 
 def test_sandwich_examples():
-    p_n = projector(X)
-    assert ops_close(sandwich(p_n, p_n), p_n, tol=1e-15)
-    half = sandwich(projector(X), projector(Y))
+    assert ops_close(sandwich(X, X), projector(X), tol=1e-15)
+    half = sandwich(X, Y)
     assert ops_close(half, 0.5 * projector(X), tol=1e-15)
-    zero = sandwich(projector(X), projector(-X))
+    zero = sandwich(X, -X)
     assert abs(zero.a) <= 1e-15 and zero.b_norm <= 1e-15
-    with pytest.raises(ValidationError):
-        sandwich(HermitianOp(1.0, [0.0, 0.0, 0.0]), p_n)
+    with pytest.raises(ValidationError, match="outer axis must be a unit vector"):
+        sandwich([0.0, 0.0, 0.9], X)
+    # an operator is not an axis, even when it is a projector
+    with pytest.raises(ValidationError, match="inner axis must be a real 3-vector"):
+        sandwich(X, projector(X))
 
 
 def test_sandwich_closed_form_and_matrix_oracle(rng):
     for _ in range(200):
         n, m = random_unit(rng), random_unit(rng)
-        got = sandwich(projector(n), projector(m))
+        got = sandwich(n, m)
         coefficient = 0.5 * (1.0 + float(np.dot(n, m)))
         assert ops_close(got, coefficient * projector(n), tol=1e-12)
         a, b = oracle.bloch_decompose(
@@ -288,8 +286,8 @@ def test_sandwich_closed_form_and_matrix_oracle(rng):
 def test_sandwich_coefficient_symmetry(rng):
     for _ in range(50):
         n, m = random_unit(rng), random_unit(rng)
-        bab = sandwich(projector(n), projector(m))
-        aba = sandwich(projector(m), projector(n))
+        bab = sandwich(n, m)
+        aba = sandwich(m, n)
         assert abs(2.0 * bab.a - 2.0 * aba.a) <= 1e-14
 
 
@@ -300,18 +298,19 @@ def test_sandwich_coefficient_symmetry(rng):
 
 def test_reduce_examples():
     psi = PureState(Z)
-    assert reduce_state(psi, projector(Z)) == psi
-    assert reduce_state(psi, projector(X)) == PureState(X)
-    with pytest.raises(ReductionUndefinedError):
-        reduce_state(psi, projector(-Z))
+    assert reduce_state(psi, Z) == psi
+    assert reduce_state(psi, X) == PureState(X)
+    with pytest.raises(ReductionUndefinedError, match="step 0") as err:
+        reduce_state(psi, -Z)
+    assert err.value.index == 0
 
 
 def test_reduce_is_idempotent(rng):
     for _ in range(20):
         s, n = random_unit(rng), random_unit(rng)
         psi = PureState(s)
-        once = reduce_state(psi, projector(n))
-        twice = reduce_state(once, projector(n))
+        once = reduce_state(psi, n)
+        twice = reduce_state(once, n)
         assert once == twice
 
 
@@ -322,10 +321,10 @@ def test_reduce_is_idempotent(rng):
 
 def test_conditional_expectation_examples():
     psi = PureState(Z)
-    assert conditional_expectation(psi, projector(X), projector(X)) == 1.0
-    assert abs(conditional_expectation(psi, projector(Y), projector(X)) - 0.5) <= 1e-15
+    assert conditional_expectation(psi, X, X) == 1.0
+    assert abs(conditional_expectation(psi, Y, X) - 0.5) <= 1e-15
     with pytest.raises(ReductionUndefinedError):
-        conditional_expectation(psi, projector(X), projector(-Z))
+        conditional_expectation(psi, X, -Z)
 
 
 def test_conditional_expectation_state_independent(rng):
@@ -335,7 +334,7 @@ def test_conditional_expectation_state_independent(rng):
         s = random_unit(rng)
         if 1.0 + float(np.dot(n, s)) <= 1e-6:
             continue
-        got = conditional_expectation(PureState(s), projector(m), projector(n))
+        got = conditional_expectation(PureState(s), m, n)
         assert abs(got - want) <= 1e-12
 
 
@@ -343,8 +342,8 @@ def test_conditional_expectation_swap_symmetry_and_oracle(rng):
     for _ in range(50):
         s, n, m = random_unit(rng), random_unit(rng), random_unit(rng)
         psi = PureState(s)
-        forward = conditional_expectation(psi, projector(m), projector(n))
-        swapped = conditional_expectation(psi, projector(n), projector(m))
+        forward = conditional_expectation(psi, m, n)
+        swapped = conditional_expectation(psi, n, m)
         assert abs(forward - swapped) <= 1e-12
         assert abs(forward - oracle.conditional_matrix(s, m, n)) <= 1e-12
 
@@ -374,18 +373,20 @@ def test_chain_probability_idempotent_step(rng):
         assert repeated == single
 
 
-def test_near_projector_rejected_by_every_entry_point():
-    # |2b| - 1 = 1.6e-9 is outside the unit-vector tolerance PureState holds the axis to
-    near = HermitianOp(0.5, [0.5 + 0.8e-9, 0.0, 0.0])
-    assert not near.is_projector
+def test_near_unit_axis_rejected_by_every_axis_entry_point():
+    # |near| - 1 = 1.6e-9 is outside the unit-vector tolerance
+    near = [1.0 + 1.6e-9, 0.0, 0.0]
     psi = PureState(X)
     calls = [
-        lambda: conditional_expectation(psi, projector(Y), near),
-        lambda: conditional_expectation(psi, near, projector(Y)),
         lambda: reduce_state(psi, near),
+        lambda: conditional_expectation(psi, Y, near),
+        lambda: conditional_expectation(psi, near, Y),
+        lambda: sandwich(near, Y),
+        lambda: sandwich(Y, near),
+        lambda: chain_probability(psi, [near]),
     ]
     for call in calls:
-        with pytest.raises(ValidationError, match="must be a projector"):
+        with pytest.raises(ValidationError, match="must be a unit vector"):
             call()
 
 

@@ -8,15 +8,28 @@ product (Higham, Accuracy and Stability of Numerical Algorithms, Thm 3.1):
 
     |fl(x.y) - x.y| <= gamma_3 * sum_i |x_i y_i|,  gamma_3 = 3u / (1 - 3u),  u = 2**-53,
 
-plus u times the magnitude of each rounded sum or product taken after it.
+plus u times the magnitude of each rounded sum, product or quotient taken after
+it (|fl(x) - x| <= u |fl(x)| for round to nearest).
 """
 
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
+import pytest
 
-from hvlab import PureState, bell_value, cosine_between, expectation, projector, sandwich
+from hvlab import (
+    PureState,
+    ReductionUndefinedError,
+    bell_value,
+    conditional_expectation,
+    cosine_between,
+    expectation,
+    projector,
+    route_operator_product,
+    sandwich,
+    unit_vector,
+)
 
 from conftest import rational_axes
 
@@ -24,6 +37,7 @@ U = Fraction(1, 2**53)
 GAMMA_3 = 3 * U / (1 - 3 * U)
 
 AXES = [np.array(nums) / den for nums, den in rational_axes()]
+INDEX = {key: k for k, key in enumerate(rational_axes())}
 INTEGER = [den == 1 for _, den in rational_axes()]
 # the exact rationals the float axes store, not the ideal (3, 4, 0)/5 and so on
 EXACT = [[Fraction(x) for x in axis.tolist()] for axis in AXES]
@@ -76,6 +90,10 @@ def breakpoint_of(value_map) -> Fraction:
 
 
 PAIRS = list(product(range(len(AXES)), repeat=2))
+# x.y and sum |x_i y_i| of every pair of exact axes
+PAIR_DOTS = {(i, j): (dot(EXACT[i], EXACT[j]), abs_dot(EXACT[i], EXACT[j])) for i, j in PAIRS}
+# the states the conditioning checks run in, one of each family, fixed in advance
+STATES = [INDEX[key] for key in (((0, 0, 1), 1), ((3, 4, 0), 5), ((2, -3, 6), 7))]
 
 
 def test_axis_set_is_complete():
@@ -87,8 +105,7 @@ def test_closed_forms_against_exact_rationals():
     for i, j in PAIRS:
         s_float, m_float = AXES[i], AXES[j]
         s, m = EXACT[i], EXACT[j]
-        sm = dot(s, m)
-        weight = abs_dot(s, m)
+        sm, weight = PAIR_DOTS[i, j]
         psi = PureState(s_float)
 
         cosine = Fraction(cosine_between(s_float, m_float))
@@ -96,7 +113,7 @@ def test_closed_forms_against_exact_rationals():
         value_map = bell_value(psi, m_float)
         edge = breakpoint_of(value_map)
         integral = Fraction(value_map.integrate())
-        product_op = sandwich(projector(s_float), projector(m_float))
+        product_op = sandwich(s_float, m_float)
         want_a, want_b = exact_sandwich(s, m, sm, NORM_SQUARED[i])
         got_b = [Fraction(float(x)) for x in product_op.b]
 
@@ -119,3 +136,60 @@ def test_closed_forms_against_exact_rationals():
         )
         assert abs(Fraction(product_op.a) - want_a) <= scalar_err
         assert all(abs(got - want) <= vector_err for got, want in zip(got_b, want_b))
+
+
+
+
+def test_conditioning_against_exact_rationals():
+    # conditional_expectation(psi, m, n) is (1 + n.m)/2 in every state; route_operator_product
+    # (psi, n, m) is (1 + n.m)/(1 + n.s) times the value map of n and integrates to (1 + n.m)/2
+
+    # checked once, so the package passes them through
+    axes = [unit_vector(axis) for axis in AXES]
+    states = [PureState(axes[k]) for k in STATES]
+    numerators = {}
+    for i, j in PAIRS:
+        nm, weight = PAIR_DOTS[i, j]
+        # the first state that is not orthogonal to n; the value does not depend on it
+        opposite = np.negative(axes[i]).tolist()
+        psi = next(state for state in states if state.bloch.tolist() != opposite)
+        got = Fraction(conditional_expectation(psi, axes[j], axes[i]))
+        if INTEGER[i] and INTEGER[j]:
+            assert got == (1 + nm) / 2
+        else:
+            assert abs(got - (1 + nm) / 2) <= GAMMA_3 * weight / 2 + U * abs(got)
+        # 1 + n.m as route_operator_product rounds it, and its error bound
+        num = Fraction(1.0 + cosine_between(axes[i], axes[j]))
+        numerators[i, j] = 1 + nm, GAMMA_3 * weight + U * num
+    for k, i in product(STATES, range(len(AXES))):
+        s_float, n_float = axes[k], axes[i]
+        psi = PureState(s_float)
+        if s_float.tolist() == np.negative(n_float).tolist():
+            # Tr[rho B] = 0: no other pair of these axes comes near the cutoff
+            for m_float in axes:
+                with pytest.raises(ReductionUndefinedError):
+                    conditional_expectation(psi, m_float, n_float)
+                with pytest.raises(ReductionUndefinedError):
+                    route_operator_product(psi, n_float, m_float)
+            continue
+        ns, ns_weight = PAIR_DOTS[i, k]
+        den = Fraction(1.0 + cosine_between(n_float, s_float))
+        # |num'/den' - num/den| <= num_err/den' + |num| den_err/(den' den)
+        den_term = (GAMMA_3 * ns_weight + U * den) / (den * (1 + ns))
+        # each route is fl(ratio * w) for the integral w of n's value map
+        width = Fraction(bell_value(psi, n_float).integrate())
+        width_err = GAMMA_3 * ns_weight / 2 + U * width
+        for j, m_float in enumerate(axes):
+            route = route_operator_product(psi, n_float, m_float)
+            ratio = Fraction(max(route.values))
+            integral = Fraction(route.integrate())
+            num, num_err = numerators[i, j]
+            want_ratio = num / (1 + ns)
+            if INTEGER[k] and INTEGER[i] and INTEGER[j]:
+                assert ratio == want_ratio
+                assert integral == num / 2
+                continue
+            ratio_err = num_err / den + abs(num) * den_term + U * ratio
+            assert abs(ratio - want_ratio) <= ratio_err
+            integral_err = ratio_err * width + abs(want_ratio) * width_err + U * integral
+            assert abs(integral - num / 2) <= integral_err

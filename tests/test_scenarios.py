@@ -130,7 +130,7 @@ def test_missing_required_keys_reported():
         ScenarioConfig("unknown_name")
 
 
-def test_bad_integer_or_tolerance_field_is_a_config_error(tmp_path):
+def test_bad_config_field_is_a_config_error(tmp_path):
     with pytest.raises(ConfigError, match="trials must be an integer of at least 1"):
         load_config(write_config(tmp_path, "scenario = sweep\ntrials = 0\n"))
     for trials in (-3, 2.5, "5", True):
@@ -145,8 +145,26 @@ def test_bad_integer_or_tolerance_field_is_a_config_error(tmp_path):
     for tolerance in (0.0, -1e-9, math.inf, math.nan, "1e-9", True):
         with pytest.raises(ConfigError, match=r"tolerance must be positive and finite \(a real number\)"):
             ScenarioConfig("sweep", tolerance=tolerance)
+    xy = {"n": X, "m": Y}
+    for state in ([0, 0, 5], [0, 0, 2], [0, 0, 1, 0], [math.nan, 0, 1], "0 0 1"):
+        with pytest.raises(ConfigError, match="vector 'state' (must be a|has non-finite)"):
+            ScenarioConfig("sandwich", state=state, axes=xy)
+    with pytest.raises(ConfigError, match="vector 'm' must be a unit vector"):
+        ScenarioConfig("sandwich", axes={"n": X, "m": [0.0, 1.0 + 1.6e-9, 0.0]})
+    for axes in ({**xy, "q": Z}, {1: Z, **xy}):
+        with pytest.raises(ConfigError, match="axis names must be among n, m, c"):
+            ScenarioConfig("sandwich", axes=axes)
+    for lam in ("0.5", math.nan, math.inf, True):
+        with pytest.raises(ConfigError, match="lambda must be a finite real number"):
+            ScenarioConfig("sum_conflict", state=Z, axes=xy, lam=lam)
+    for flag in ("no", 1, None, np.bool_(True)):
+        with pytest.raises(ConfigError, match="normalize_all_levels must be a bool"):
+            ScenarioConfig("branching_chain", state=Z, axes=xy, normalize_all_levels=flag)
     # the smallest accepted values still build
     ScenarioConfig("sweep", seed=0, grid_points=2, tolerance=1e-300)
+    config = ScenarioConfig("sum_conflict", state=[0, 0, 1], axes=xy, lam=np.float64(0.5))
+    assert unit_vector(config.state) is config.state
+    assert run_scenario(config).inputs["state"] == [0.0, 0.0, 1.0]
 
 
 # ---------------------------------------------------------------------------
