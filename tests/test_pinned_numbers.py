@@ -71,3 +71,20 @@ def test_sweep_summaries_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "d4144fcf70e36cddf8ffbc5ddf53e75893744aaea5fdd0b3358c79e35db21283"
     )
+
+
+def _summary_lines(summary: dict) -> str:
+    return "".join(
+        f"{key}={value.hex() if isinstance(value, float) else json.dumps(value)}\n"
+        for key, value in summary.items()
+    )
+
+
+def test_thousand_trial_sweep_summaries_pinned():
+    # the default `hvlab sweep` size: every branch, order and idempotence trial runs
+    digest = hashlib.sha256()
+    for seed in (0, 3, 7):
+        digest.update(_summary_lines(run_sweep(seed, 1000)).encode())
+    assert digest.hexdigest() == (
+        "5e985c9ec028b6992e4dd3f2158ccfe4001b43411a7c51db45af1087fae306ee"
+    )
