@@ -30,8 +30,8 @@ import numpy as np
 
 from .bell import bell_value
 from .errors import ReductionUndefinedError, ValidationError, ZeroProbabilityError
-from .qubit import ORTHOGONALITY_CUTOFF, PureState, chain_probability, unit_vector
-from .stepfn import ProductFunction, StepFunction
+from .qubit import ORTHOGONALITY_CUTOFF, PureState, _negated_unit, chain_probability, unit_vector
+from .stepfn import ProductFunction, StepFunction, _is_int_at_least
 
 _SELECTED = "selected"
 _COMPLEMENT = "complement"
@@ -79,7 +79,7 @@ class BranchNode:
     @property
     def prepared_state(self) -> PureState:
         """The state handed to the next measurement: +axis if selected, -axis if not."""
-        return PureState(self.axis if self.outcome == _SELECTED else np.negative(self.axis))
+        return PureState(self.axis if self.outcome == _SELECTED else _negated_unit(self.axis))
 
     @property
     def zero_probability(self) -> bool:
@@ -161,20 +161,21 @@ def integrate_in_order(
 ) -> float:
     """Iteratively integrate the joint function, one level at a time.
 
-    ``order`` is a permutation of the 1-based levels.  Integrating out a
-    level multiplies the running prefactor by that level's exact integral,
-    as :meth:`ProductFunction.integrate_level` does; the joint function stays
+    ``order`` is a permutation of the 1-based levels, given as integers.
+    Integrating out a level multiplies the running prefactor by that level's
+    exact integral, which is the node's ``normalizer`` (the float
+    :func:`branch` took from ``level_function.integrate()``), as
+    :meth:`ProductFunction.integrate_level` does; the joint function stays
     factored, so every order yields the same number, and the intermediate
     single-level marginals are the two conditional-measurement routes (up to
     the normalization prefactors).
     """
     k = history.depth
-    if sorted(order) != list(range(1, k + 1)):
+    if not all(_is_int_at_least(level, 1) for level in order) or sorted(order) != list(range(1, k + 1)):
         raise ValidationError(f"order {order!r} is not a permutation of 1..{k}")
-    joint = joint_function(history, normalize_all_levels=normalize_all_levels)
-    total = joint.prefactor
+    total = joint_function(history, normalize_all_levels=normalize_all_levels).prefactor
     for level in order:
-        total *= joint.factors[level - 1].integrate()
+        total *= history.nodes[level - 1].normalizer
     return total
 
 
@@ -183,14 +184,16 @@ def repeated_measurement_check(psi: PureState, axis) -> StepFunction:
 
     After the first selected branch prepares the state on ``axis``, the
     second measurement of the same axis has the constant-1 level function:
-    repeating a measurement no longer changes anything.
+    repeating a measurement no longer changes anything.  The first outcome
+    must have positive probability; the prepared state is then +axis, so the
+    second level's map is ``bell_value`` of the axis in that state, the map
+    :func:`branch` would give the second selected node.  No branch is built:
+    the first level's maps and both complements would be thrown away.
     """
     u = unit_vector(axis, "measurement axis")
     # the first selected outcome must have positive probability to prepare +u
     chain_probability(psi, [u])
-    first, _ = branch(BranchHistory(psi), u)
-    second, _ = branch(first, u)
-    return second.nodes[1].level_function
+    return bell_value(PureState(u), u)
 
 
 def sequence_probability(initial: PureState, axes: Sequence, pattern: Sequence[str]) -> float:
@@ -207,7 +210,7 @@ def sequence_probability(initial: PureState, axes: Sequence, pattern: Sequence[s
     for k, (axis, outcome) in enumerate(zip(axes, pattern)):
         _check_outcome(outcome)
         u = unit_vector(axis, f"axes[{k}]")
-        signed.append(u if outcome == _SELECTED else np.negative(u))
+        signed.append(u if outcome == _SELECTED else _negated_unit(u))
     try:
         return chain_probability(initial, signed)
     except ReductionUndefinedError:

@@ -64,38 +64,67 @@ class _UnitVector(np.ndarray):
         return self.view(np.ndarray)[key]
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def _vector3(v, name: str) -> np.ndarray:
-    try:
-        arr = np.array(v)
-        if arr.dtype.kind == "c":
-            # casting to float would drop the imaginary part with only a warning
-            raise TypeError("got complex components")
-        arr = arr.astype(float, copy=False)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name} must be a real 3-vector: {exc}") from exc
-    if arr.shape != (3,):
-        raise ValidationError(f"{name} must be a real 3-vector, got shape {arr.shape}")
+    """A read-only float copy of a real, finite 3-vector, or a ValidationError.
+
+    A plain float64 array of shape (3,) is copied directly; any other input
+    goes through ``np.array`` and a cast.  Both take the same finiteness test
+    and give the same bits.
+    """
+    if type(v) is np.ndarray and v.dtype is _FLOAT64 and v.shape == (3,):
+        arr = v.copy()
+    else:
+        try:
+            arr = np.array(v)
+            if arr.dtype.kind == "c":
+                # casting to float would drop the imaginary part with only a warning
+                raise TypeError("got complex components")
+            arr = arr.astype(float, copy=False)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"{name} must be a real 3-vector: {exc}") from exc
+        if arr.shape != (3,):
+            raise ValidationError(f"{name} must be a real 3-vector, got shape {arr.shape}")
     if not all(map(math.isfinite, arr.tolist())):
         raise ValidationError(f"{name} has non-finite components")
-    arr.flags.writeable = False
+    arr.setflags(write=False)
     return arr
+
+
+def _marked(arr: np.ndarray) -> np.ndarray:
+    # a read-only unit 3-vector, marked so that unit_vector passes it through
+    unit = arr.view(_UnitVector)
+    unit._checked = True
+    return unit
 
 
 def unit_vector(v, name: str = "vector") -> np.ndarray:
     """Validate a unit 3-vector (|v| = 1 within 1e-9); returns it read-only.
 
     A vector this function returned is passed through as is, so each axis is
-    checked once however many layers it crosses.
+    checked once however many layers it crosses.  Any other input is copied
+    and checked in full by ``_vector3``; the norm is ``sqrt(np.dot(v, v))``.
     """
     if type(v) is _UnitVector and v._checked:
         return v
     arr = _vector3(v, name)
-    norm = math.sqrt(float(arr @ arr))
+    norm = math.sqrt(float(np.dot(arr, arr)))
     if abs(norm - 1.0) > UNIT_TOLERANCE:
         raise ValidationError(f"{name} must be a unit vector, got norm {norm!r}")
-    unit = arr.view(_UnitVector)
-    unit._checked = True
-    return unit
+    return _marked(arr)
+
+
+def _negated_unit(u) -> np.ndarray:
+    """-u for a unit vector, marked as checked without a second full check.
+
+    Negation flips only signs, so it is exact: -u is as finite and as close
+    to unit norm as u, bit for bit ``unit_vector(np.negative(u))``.
+    """
+    negated = np.negative(unit_vector(u))
+    negated.setflags(write=False)
+    return _marked(negated)
 
 
 def cosine_between(u: np.ndarray, v: np.ndarray) -> float:
@@ -110,7 +139,7 @@ def cosine_between(u: np.ndarray, v: np.ndarray) -> float:
     a, b = u.tolist(), v.tolist()
     if a == b:
         return 1.0
-    if a == [-x for x in b]:
+    if a[0] == -b[0] and a[1] == -b[1] and a[2] == -b[2]:
         return -1.0
     return min(1.0, max(-1.0, float(np.dot(u, v))))
 

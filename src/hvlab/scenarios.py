@@ -50,7 +50,7 @@ from .qubit import (
     sandwich,
     unit_vector,
 )
-from .stepfn import OMEGA_MAX, OMEGA_MIN, StepFunction, constant
+from .stepfn import OMEGA_MAX, OMEGA_MIN, StepFunction, _is_int_at_least, constant
 
 DEFAULT_TOLERANCE = 1e-12
 DEFAULT_GRID_POINTS = 2001
@@ -74,10 +74,6 @@ __all__ = [
     "run_sweep",
     "emit_trace",
 ]
-
-
-def _is_int_at_least(value, minimum: int) -> bool:
-    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= minimum
 
 
 def _is_finite_real(value) -> bool:
@@ -592,7 +588,7 @@ def scenario_traces(config: ScenarioConfig) -> dict[str, StepFunction]:
 def _random_unit(rng: np.random.Generator) -> np.ndarray:
     while True:
         v = rng.normal(size=3)
-        norm = math.sqrt(float(v @ v))
+        norm = math.sqrt(float(np.dot(v, v)))
         if norm > DEGENERACY_MARGIN:
             return unit_vector(v / norm, "random axis")
 

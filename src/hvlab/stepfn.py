@@ -24,6 +24,8 @@ Conventions
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -47,6 +49,13 @@ __all__ = [
 ]
 
 
+def _is_int_at_least(value, minimum: int) -> bool:
+    # an integer (numpy's too) but not a bool, at least ``minimum``; a plain
+    # int skips the slower abstract-base-class test
+    integral = type(value) is int or (not isinstance(value, bool) and isinstance(value, numbers.Integral))
+    return integral and value >= minimum
+
+
 class StepFunction:
     """Piecewise-constant real function on [-1/2, 1/2] with exact breakpoints.
 
@@ -57,32 +66,40 @@ class StepFunction:
     """
 
     def __init__(self, breakpoints: Iterable[float], values: Iterable[float]):
-        bps = tuple(float(b) for b in breakpoints)
-        vals = tuple(float(v) for v in values)
+        bps = tuple(map(float, breakpoints))
+        vals = tuple(map(float, values))
         if len(vals) != len(bps) + 1:
             raise ValidationError(
                 f"need exactly one more value than breakpoints, "
                 f"got {len(vals)} values for {len(bps)} breakpoints"
             )
-        for b in bps:
-            if not (OMEGA_MIN < b < OMEGA_MAX):
-                raise ValidationError(f"breakpoint {b!r} outside open interval ({OMEGA_MIN}, {OMEGA_MAX})")
-        for i in range(1, len(bps)):
-            if bps[i] <= bps[i - 1]:
-                raise ValidationError("breakpoints must be strictly increasing")
-        for v in vals:
-            if not math.isfinite(v):
-                raise ValidationError(f"non-finite segment value {v!r}")
-        # canonical form: drop breakpoints between exactly equal values
-        merged_b: list[float] = []
-        merged_v: list[float] = [vals[0]]
-        for b, v in zip(bps, vals[1:]):
-            if v == merged_v[-1]:
-                continue
-            merged_b.append(b)
-            merged_v.append(v)
-        self._breakpoints = tuple(merged_b)
-        self._values = tuple(merged_v)
+        # strictly increasing breakpoints lie in the open interval when the
+        # outer two do.  On a failure (a NaN fails every comparison) the range
+        # is reported before the order, breakpoint by breakpoint.
+        if bps and not (
+            OMEGA_MIN < bps[0] and bps[-1] < OMEGA_MAX and all(map(operator.lt, bps, bps[1:]))
+        ):
+            for b in bps:
+                if not (OMEGA_MIN < b < OMEGA_MAX):
+                    raise ValidationError(
+                        f"breakpoint {b!r} outside open interval ({OMEGA_MIN}, {OMEGA_MAX})"
+                    )
+            raise ValidationError("breakpoints must be strictly increasing")
+        if not all(map(math.isfinite, vals)):
+            bad = next(v for v in vals if not math.isfinite(v))
+            raise ValidationError(f"non-finite segment value {bad!r}")
+        if any(map(operator.eq, vals, vals[1:])):
+            # canonical form: drop breakpoints between exactly equal values
+            merged_b: list[float] = []
+            merged_v: list[float] = [vals[0]]
+            for b, v in zip(bps, vals[1:]):
+                if v == merged_v[-1]:
+                    continue
+                merged_b.append(b)
+                merged_v.append(v)
+            bps, vals = tuple(merged_b), tuple(merged_v)
+        self._breakpoints = bps
+        self._values = vals
 
     @property
     def breakpoints(self) -> tuple[float, ...]:
@@ -283,8 +300,10 @@ def mc_integrate(
     Draws ``n_samples`` uniform points per level from ``rng``; intended as an
     independent cross-check of the exact integrals, not as a primary route.
     """
-    if n_samples < 2:
-        raise ValidationError("need at least 2 samples for a standard error")
+    if not _is_int_at_least(n_samples, 2):
+        raise ValidationError(
+            f"need an integer of at least 2 samples for a standard error, got {n_samples!r}"
+        )
     if isinstance(fn, StepFunction):
         samples = fn(rng.uniform(OMEGA_MIN, OMEGA_MAX, n_samples))
     else:

@@ -170,6 +170,30 @@ def test_integrate_in_order_validation():
         integrate_in_order(history, [1, 1])
     with pytest.raises(ValidationError):
         integrate_in_order(history, [0, 1])
+    # these compare equal to a permutation of 1..2 but are not integers
+    for order in ([1.0, 2.0], [2, 1.0], [True, 2], (np.float64(2.0), np.float64(1.0))):
+        with pytest.raises(ValidationError, match="is not a permutation"):
+            integrate_in_order(history, order)
+    assert integrate_in_order(history, np.array([2, 1])) == integrate_in_order(history, [2, 1])
+
+
+def test_integrate_in_order_matches_level_by_level_integration(rng):
+    # each level's normalizer stands in for its integral, bit for bit
+    for _ in range(100):
+        depth = int(rng.integers(2, 5))
+        history = chain_selected(PureState(random_unit(rng)), [random_unit(rng) for _ in range(depth)])
+        if history.zero_probability:
+            continue
+        for normalize_all_levels in (False, True):
+            for order in permutations(range(1, depth + 1)):
+                joint = joint_function(history, normalize_all_levels)
+                remaining = list(range(1, depth + 1))
+                for level in order:
+                    joint = joint.integrate_level(remaining.index(level))
+                    remaining.remove(level)
+                assert joint.factors == ()
+                got = integrate_in_order(history, order, normalize_all_levels)
+                assert got.hex() == joint.prefactor.hex()
 
 
 def test_intermediate_marginals_reproduce_both_routes(rng):
@@ -243,6 +267,16 @@ def test_repeated_measurement_level_two_is_constant_one():
     selected, complement = branch(BranchHistory(PureState(Z)), X)
     assert selected.current_state == PureState(X)
     assert complement.current_state == PureState(-X)
+
+
+def test_repeated_measurement_check_is_the_second_branch_level(rng):
+    # the map a second selected branch on the same axis would carry
+    for _ in range(200):
+        psi, axis = PureState(random_unit(rng)), random_unit(rng)
+        if 1.0 + float(np.dot(psi.bloch, axis)) <= 1e-6:
+            continue
+        second = chain_selected(psi, [axis, axis]).nodes[1].level_function
+        assert repeated_measurement_check(psi, axis) == second == constant(1.0)
 
 
 def test_repeated_measurement_eigenstate_both_levels_constant():

@@ -22,6 +22,8 @@ from hvlab import (
     unit_vector,
 )
 
+from hvlab.qubit import _negated_unit
+
 import matrix_oracle as oracle
 from conftest import X, Y, Z, random_unit, rational_axes
 
@@ -75,6 +77,51 @@ def test_unit_vector_validation():
 def test_non_numeric_vectors_raise_validation_error(build, name):
     with pytest.raises(ValidationError, match=name):
         build()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("position", [0, 1, 2])
+@pytest.mark.parametrize(
+    "build, name",
+    [(unit_vector, "vector"), (lambda v: HermitianOp(0.5, v), "operator vector part")],
+    ids=["unit_vector", "HermitianOp"],
+)
+def test_non_finite_float64_arrays_are_rejected(build, name, bad, position):
+    v = np.array([0.0, 0.0, 0.0])
+    v[position] = bad
+    with pytest.raises(ValidationError, match=f"^{name} has non-finite components$"):
+        build(v)
+
+
+def test_float64_arrays_are_copied_not_kept():
+    source = np.array([0.0, 0.6, 0.8])
+    u = unit_vector(source)
+    op = HermitianOp(0.5, source)
+    source[:] = [np.nan, 5.0, -1.0]
+    assert u.tolist() == [0.0, 0.6, 0.8]
+    assert op.b.tolist() == [0.0, 0.6, 0.8]
+    assert not u.flags.writeable and not op.b.flags.writeable
+    # other dtypes and byte orders are cast to a native float64 copy
+    strided = np.array([0.0, 9.0, 1.0, 9.0, 0.0, 9.0])[::2]
+    for other in (np.array([0, 1, 0]), np.array([0.0, 1.0, 0.0], dtype=">f8"), strided):
+        checked = unit_vector(other)
+        assert checked.dtype == np.float64 and checked.dtype.isnative
+        assert checked.tolist() == other.tolist()
+
+
+def test_negated_unit_is_checked_negation(rng):
+    axes = [random_unit(rng) for _ in range(50)] + [X, -Y, Z, np.array([0.0, -0.8, 0.6])]
+    for axis in axes:
+        u = unit_vector(axis)
+        negated = _negated_unit(u)
+        assert negated.tobytes() == unit_vector(np.negative(u)).tobytes()
+        assert not negated.flags.writeable
+        with pytest.raises(ValueError):
+            negated.flags.writeable = True
+        assert unit_vector(negated) is negated
+        assert _negated_unit(negated).tobytes() == u.tobytes()
+    with pytest.raises(ValidationError):
+        _negated_unit([2.0, 0.0, 0.0])
 
 
 def test_unit_vector_passes_its_own_output_through():

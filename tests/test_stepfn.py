@@ -55,6 +55,30 @@ def test_construction_validation():
         StepFunction((), (math.nan,))
 
 
+@pytest.mark.parametrize(
+    "breakpoints, values, message",
+    [
+        ((math.nan,), (1.0, 2.0), "breakpoint nan outside open interval"),
+        ((-0.1, math.nan, 0.2), (1.0, 2.0, 3.0, 4.0), "breakpoint nan outside open interval"),
+        ((math.inf,), (1.0, 2.0), "breakpoint inf outside open interval"),
+        ((0.1, 0.6), (1.0, 2.0, 3.0), "breakpoint 0.6 outside open interval"),
+        ((-0.5,), (1.0, 2.0), "breakpoint -0.5 outside open interval"),
+        # the range is checked before the order
+        ((0.2, 0.1, 0.7), (1.0, 2.0, 3.0, 4.0), "breakpoint 0.7 outside open interval"),
+        ((0.2, 0.1), (1.0, 2.0, 3.0), "breakpoints must be strictly increasing"),
+        ((-0.1, 0.3, 0.2), (1.0, 2.0, 3.0, 4.0), "breakpoints must be strictly increasing"),
+        ((0.1, 0.1), (1.0, 2.0, 3.0), "breakpoints must be strictly increasing"),
+        ((0.1,), (1.0, math.inf), "non-finite segment value inf"),
+        ((0.1,), (-math.inf, math.nan), "non-finite segment value -inf"),
+        ((), (math.nan,), "non-finite segment value nan"),
+        ((0.1,), (1.0,), "need exactly one more value than breakpoints"),
+    ],
+)
+def test_construction_errors_keep_their_messages(breakpoints, values, message):
+    with pytest.raises(ValidationError, match=f"^{message}"):
+        StepFunction(breakpoints, values)
+
+
 def test_right_continuous_evaluation():
     f = StepFunction((0.0,), (2.0, 3.0))
     assert f(-0.1) == 2.0
@@ -307,6 +331,10 @@ def test_monte_carlo_agrees_within_four_standard_errors():
 def test_mc_integrate_validation():
     with pytest.raises(ValidationError):
         mc_integrate(constant(1.0), 1, np.random.default_rng(0))
+    for n_samples in (2.5, 10.0, "10", True, None, np.float64(10.0)):
+        with pytest.raises(ValidationError, match="integer of at least 2 samples"):
+            mc_integrate(constant(1.0), n_samples, np.random.default_rng(0))
+    assert mc_integrate(constant(1.0), np.int64(10), np.random.default_rng(0)) == (1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
