@@ -21,7 +21,7 @@ switches to dividing by every level (total integral 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product as _outcome_product
 from math import prod
 from typing import Sequence
@@ -62,19 +62,21 @@ class BranchNode:
     ``axis`` is the measured unit axis and ``outcome`` the branch followed:
     ``"selected"`` (B) or ``"complement"``.  ``level_function`` is the 0/1
     indicator on this level's copy of the interval and ``normalizer`` its
-    exact measure.  A node's level is its 1-based position in
-    :attr:`BranchHistory.nodes`.  Zero-probability branches are flagged
+    exact measure, taken from ``level_function.integrate()`` when the node is
+    built, so the two always agree.  A node's level is its 1-based position
+    in :attr:`BranchHistory.nodes`.  Zero-probability branches are flagged
     rather than raised so that outcome trees stay complete.
     """
 
     axis: np.ndarray
     outcome: str
     level_function: StepFunction
-    normalizer: float
+    normalizer: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "axis", unit_vector(self.axis, "measurement axis"))
         _check_outcome(self.outcome)
+        object.__setattr__(self, "normalizer", self.level_function.integrate())
 
     @property
     def prepared_state(self) -> PureState:
@@ -124,12 +126,11 @@ def branch(history: BranchHistory, axis) -> tuple[BranchHistory, BranchHistory]:
     """
     u = unit_vector(axis, "measurement axis")
     selected = bell_value(history.current_state, u)
-
-    def extend(outcome: str, fn: StepFunction) -> BranchHistory:
-        node = BranchNode(u, outcome, fn, fn.integrate())
-        return BranchHistory(history.initial_state, history.nodes + (node,))
-
-    return extend(_SELECTED, selected), extend(_COMPLEMENT, 1.0 - selected)
+    initial, nodes = history.initial_state, history.nodes
+    return (
+        BranchHistory(initial, nodes + (BranchNode(u, _SELECTED, selected),)),
+        BranchHistory(initial, nodes + (BranchNode(u, _COMPLEMENT, 1.0 - selected),)),
+    )
 
 
 def joint_function(history: BranchHistory, normalize_all_levels: bool = False) -> ProductFunction:
@@ -163,8 +164,8 @@ def integrate_in_order(
 
     ``order`` is a permutation of the 1-based levels, given as integers.
     Integrating out a level multiplies the running prefactor by that level's
-    exact integral, which is the node's ``normalizer`` (the float
-    :func:`branch` took from ``level_function.integrate()``), as
+    exact integral, which is the node's ``normalizer`` (taken from
+    ``level_function.integrate()`` when the node was built), as
     :meth:`ProductFunction.integrate_level` does; the joint function stays
     factored, so every order yields the same number, and the intermediate
     single-level marginals are the two conditional-measurement routes (up to

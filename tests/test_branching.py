@@ -20,6 +20,7 @@ from hvlab import (
     chain_probability,
     classical_conditional,
     constant,
+    indicator_from_sign,
     integrate_in_order,
     joint_function,
     outcome_probabilities,
@@ -370,9 +371,13 @@ def test_outcome_probabilities_match_matrix_oracle(rng):
 
 def test_branch_node_validation():
     with pytest.raises(ValidationError, match="outcome must be one of"):
-        BranchNode(X, "maybe", constant(1.0), 1.0)
+        BranchNode(X, "maybe", constant(1.0))
     with pytest.raises(ValidationError, match="unit vector"):
-        BranchNode([1.0, 1.0, 0.0], "selected", constant(1.0), 1.0)
+        BranchNode([1.0, 1.0, 0.0], "selected", constant(1.0))
+    # the normalizer is the level function's integral, never given separately
+    assert BranchNode(X, "selected", indicator_from_sign(0.25, 1)).normalizer == 0.75
+    with pytest.raises(TypeError):
+        BranchNode(X, "selected", constant(1.0), 0.25)
     # a pattern is held to the same outcome names, and must match the axes one for one
     with pytest.raises(ValidationError, match="outcome must be one of"):
         sequence_probability(PureState(Z), [X], ("maybe",))

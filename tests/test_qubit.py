@@ -48,6 +48,15 @@ def test_unit_vector_validation():
         unit_vector([np.inf, 0.0, 0.0])
 
 
+_NON_FINITE = [(bad, k) for bad in (np.nan, np.inf, -np.inf) for k in range(3)]
+
+
+def _with_component(k, value):
+    v = np.array([0.0, 0.0, 0.0])
+    v[k] = value
+    return v
+
+
 @pytest.mark.parametrize(
     "build, name",
     [
@@ -61,6 +70,18 @@ def test_unit_vector_validation():
         (lambda: HermitianOp("x", [0, 0, 0]), "operator scalar part"),
         (lambda: HermitianOp(np.complex128(0.5 + 1j), [0, 0, 0]), "operator scalar part"),
         (lambda: HermitianOp(0.5, [0, 0, "y"]), "operator vector part"),
+        # a float64 array of shape (3,) skips the cast, not the finiteness test
+        *[
+            (lambda bad=bad, k=k: unit_vector(_with_component(k, bad)), "^vector has non-finite components$")
+            for bad, k in _NON_FINITE
+        ],
+        *[
+            (
+                lambda bad=bad, k=k: HermitianOp(0.5, _with_component(k, bad)),
+                "^operator vector part has non-finite components$",
+            )
+            for bad, k in _NON_FINITE
+        ],
     ],
     ids=[
         "string",
@@ -72,41 +93,13 @@ def test_unit_vector_validation():
         "operator-scalar",
         "operator-complex-scalar",
         "operator-vector",
+        *[f"float64-{bad}-at-{k}" for bad, k in _NON_FINITE],
+        *[f"operator-float64-{bad}-at-{k}" for bad, k in _NON_FINITE],
     ],
 )
 def test_non_numeric_vectors_raise_validation_error(build, name):
     with pytest.raises(ValidationError, match=name):
         build()
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("position", [0, 1, 2])
-@pytest.mark.parametrize(
-    "build, name",
-    [(unit_vector, "vector"), (lambda v: HermitianOp(0.5, v), "operator vector part")],
-    ids=["unit_vector", "HermitianOp"],
-)
-def test_non_finite_float64_arrays_are_rejected(build, name, bad, position):
-    v = np.array([0.0, 0.0, 0.0])
-    v[position] = bad
-    with pytest.raises(ValidationError, match=f"^{name} has non-finite components$"):
-        build(v)
-
-
-def test_float64_arrays_are_copied_not_kept():
-    source = np.array([0.0, 0.6, 0.8])
-    u = unit_vector(source)
-    op = HermitianOp(0.5, source)
-    source[:] = [np.nan, 5.0, -1.0]
-    assert u.tolist() == [0.0, 0.6, 0.8]
-    assert op.b.tolist() == [0.0, 0.6, 0.8]
-    assert not u.flags.writeable and not op.b.flags.writeable
-    # other dtypes and byte orders are cast to a native float64 copy
-    strided = np.array([0.0, 9.0, 1.0, 9.0, 0.0, 9.0])[::2]
-    for other in (np.array([0, 1, 0]), np.array([0.0, 1.0, 0.0], dtype=">f8"), strided):
-        checked = unit_vector(other)
-        assert checked.dtype == np.float64 and checked.dtype.isnative
-        assert checked.tolist() == other.tolist()
 
 
 def test_negated_unit_is_checked_negation(rng):
@@ -166,8 +159,16 @@ def test_checked_vector_stays_read_only():
     assert u.tolist() == [0.6, 0.8, 0.0]
     source = np.array([0.0, 1.0, 0.0])
     v = unit_vector(source)
+    op = HermitianOp(0.5, source)
     source[1] = 5.0
     assert v.tolist() == [0.0, 1.0, 0.0]
+    assert op.b.tolist() == [0.0, 1.0, 0.0] and not op.b.flags.writeable
+    # other dtypes, byte orders and strides give the same native float64 copy
+    strided = np.array([0.0, 9.0, 1.0, 9.0, 0.0, 9.0])[::2]
+    for other in (np.array([0, 1, 0]), np.array([0.0, 1.0, 0.0], dtype=">f8"), strided):
+        checked = unit_vector(other)
+        assert checked.dtype == np.float64 and checked.dtype.isnative
+        assert checked.tolist() == [0.0, 1.0, 0.0]
 
 
 def _array_comparison_cosine(u, v):
