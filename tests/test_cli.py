@@ -1,8 +1,13 @@
+import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from hvlab.cli import main
+
+DEMO_CONFIG_DIR = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 ROUTE_CFG = """\
 scenario = route_agreement
@@ -118,6 +123,19 @@ def test_manifest_runs_sorted_configs(tmp_path, capsys):
     assert (out / "manifest__report.json").exists()
     assert (out / "sandwich__report.json").exists()
     assert (out / "route_agreement__report.json").exists()
+
+
+def test_manifest_of_demo_configs_stdout_is_pinned(capsys, monkeypatch):
+    # sha256 of `hvlab manifest demos/configs` with each runtime_ms value masked
+    monkeypatch.delenv("HVLAB_OUT", raising=False)
+    assert main(["manifest", str(DEMO_CONFIG_DIR)]) == 0
+    masked, count = re.subn(
+        r'"runtime_ms": [0-9.e+-]+\n', '"runtime_ms": <masked>\n', capsys.readouterr().out
+    )
+    assert count == len(list(DEMO_CONFIG_DIR.glob("*.cfg")))
+    assert hashlib.sha256(masked.encode()).hexdigest() == (
+        "fca5356d2b151ff470f848f87cf45112e191aebf68a4386033707ffdfcf5281f"
+    )
 
 
 def test_manifest_exit_code_reflects_failures(tmp_path, capsys):
