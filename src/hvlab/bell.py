@@ -90,7 +90,7 @@ class ConflictWitness:
 
 def _polarity(v: np.ndarray) -> int:
     # sign of the first non-zero component; a unit vector always has one
-    first = next(x for x in v if x != 0.0)
+    first = next(x for x in v.tolist() if x != 0.0)
     return 1 if first > 0.0 else -1
 
 

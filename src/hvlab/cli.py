@@ -30,6 +30,7 @@ from .scenarios import (
     DEFAULT_SWEEP_TRIALS,
     ScenarioConfig,
     ScenarioReport,
+    _indented_json,
     emit_trace,
     load_config,
     run_scenario,
@@ -101,16 +102,20 @@ def _write(out: Path | None, name: str, text: str) -> None:
         (out / name).write_text(text, encoding="utf-8")
 
 
-def _report(config: ScenarioConfig, args: argparse.Namespace) -> ScenarioReport:
-    """Apply the flags to ``config``, run it, and write its report under ``--out``."""
+def _report(config: ScenarioConfig, args: argparse.Namespace) -> tuple[ScenarioReport, str]:
+    """Apply the flags to ``config``, run it, and write its report under ``--out``.
+
+    Returns the report and its JSON text, serialized once.
+    """
     report = run_scenario(_apply_overrides(config, args))
-    _write(_out_dir(args), f"{report.scenario}__report.json", report.to_json())
-    return report
+    text = report.to_json()
+    _write(_out_dir(args), f"{report.scenario}__report.json", text)
+    return report, text
 
 
 def _print_report(config: ScenarioConfig, args: argparse.Namespace) -> int:
-    report = _report(config, args)
-    sys.stdout.write(report.to_json())
+    report, text = _report(config, args)
+    sys.stdout.write(text)
     return 0 if report.passed else 1
 
 
@@ -135,13 +140,13 @@ def _cmd_manifest(args: argparse.Namespace) -> int:
     reports = []
     for path in configs:
         try:
-            entry = _report(load_config(path), args).to_dict()
+            entry = _report(load_config(path), args)[0].to_dict()
         except (HvlabError, OSError) as exc:
             _error(exc)
             entry = {"error": str(exc), "pass": False}
         reports.append({"config": path.name, **entry})
     aggregate = {"reports": reports, "pass": all(r["pass"] for r in reports)}
-    text = json.dumps(aggregate, indent=2) + "\n"
+    text = _indented_json(aggregate) + "\n"
     sys.stdout.write(text)
     _write(_out_dir(args), "manifest__report.json", text)
     if any("error" in r for r in reports):
@@ -158,7 +163,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     written = emit_trace(config, out)
     if written:
         listing = {"scenario": config.scenario, "files": [p.name for p in written]}
-        sys.stdout.write(json.dumps(listing, indent=2) + "\n")
+        sys.stdout.write(_indented_json(listing) + "\n")
     else:
         notice = {"scenario": config.scenario, "notice": "scenario produces no omega traces"}
         sys.stdout.write(json.dumps(notice) + "\n")

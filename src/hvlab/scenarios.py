@@ -14,13 +14,13 @@ with ``#`` (or blank) are ignored.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
 from itertools import permutations
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -159,7 +159,10 @@ def _normalize_config_vector(key: str, raw: np.ndarray) -> np.ndarray:
 
 def load_config(path) -> ScenarioConfig:
     """Parse a flat ``key = value`` scenario config file."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: config is not UTF-8 text: {exc}") from exc
     entries: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -184,12 +187,12 @@ def load_config(path) -> ScenarioConfig:
         if len(parts) != 3:
             raise ConfigError(f"{path}: vector {key!r} needs three components, got {entries[key]!r}")
         try:
-            raw = np.array([float(p) for p in parts])
+            floats = [float(p) for p in parts]
         except ValueError as exc:
             raise ConfigError(f"{path}: vector {key!r} has a non-numeric component") from exc
-        if not np.all(np.isfinite(raw)):
+        if not all(map(math.isfinite, floats)):
             raise ConfigError(f"{path}: vector {key!r} has a non-finite component")
-        return _normalize_config_vector(key, raw)
+        return _normalize_config_vector(key, np.array(floats))
 
     state = parse_vector("state") if "state" in entries else None
     axes = {key: parse_vector(key) for key in _AXIS_KEYS if key in entries}
@@ -219,6 +222,75 @@ def load_config(path) -> ScenarioConfig:
         trials=parse_int("trials"),
         grid_points=grid_points if grid_points is not None else DEFAULT_GRID_POINTS,
     )
+
+
+def _json_float(x: float) -> str:
+    # json's float text: repr, or NaN / Infinity / -Infinity as json.dumps writes them
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _indented_json(value) -> str:
+    """The text of ``json.dumps`` with ``indent=2``, byte for byte, in one pass.
+
+    With an indent, ``json.dumps`` always runs json's pure-Python generator
+    encoder; this recursion appends the same text to one list and joins it
+    once.  Types are tested in that encoder's order: str, None, True, False,
+    int, float, list or tuple, dict.  Strings and keys go through json's C
+    escaper, ints and floats through ``int.__repr__`` and ``float.__repr__``.
+    Any other type, and a dict key that is not a str, raise ``TypeError``.
+    """
+    parts: list[str] = []
+    append = parts.append
+
+    def write(o, newline: str) -> None:
+        # newline is "\n" plus the indent of the line that holds o
+        if isinstance(o, str):
+            append(_json_string(o))
+        elif o is None:
+            append("null")
+        elif o is True:
+            append("true")
+        elif o is False:
+            append("false")
+        elif isinstance(o, int):
+            append(int.__repr__(o))
+        elif isinstance(o, float):
+            append(_json_float(o))
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                append("[]")
+                return
+            inner = newline + "  "
+            separator = "[" + inner
+            for item in o:
+                append(separator)
+                separator = "," + inner
+                write(item, inner)
+            append(newline + "]")
+        elif isinstance(o, dict):
+            if not o:
+                append("{}")
+                return
+            inner = newline + "  "
+            separator = "{" + inner
+            for key, item in o.items():
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                append(separator + _json_string(key) + ": ")
+                separator = "," + inner
+                write(item, inner)
+            append(newline + "}")
+        else:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+    write(value, "\n")
+    return "".join(parts)
 
 
 @dataclass(kw_only=True)
@@ -259,7 +331,7 @@ class ScenarioReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
+        return _indented_json(self.to_dict()) + "\n"
 
 
 def _witness_dicts(witness: ConflictWitness) -> list[dict]:
@@ -276,8 +348,8 @@ def _witness_dicts(witness: ConflictWitness) -> list[dict]:
 
 def _inputs_echo(config: ScenarioConfig) -> dict:
     return {
-        "state": None if config.state is None else [float(v) for v in config.state],
-        "axes": {name: [float(v) for v in vec] for name, vec in sorted(config.axes.items())},
+        "state": None if config.state is None else config.state.tolist(),
+        "axes": {name: vec.tolist() for name, vec in sorted(config.axes.items())},
         "lambda": config.lam,
         "seed": config.seed,
         "trials": config.trials,
@@ -606,6 +678,8 @@ def run_sweep(seed: int, trials: int, tolerance: float = DEFAULT_TOLERANCE) -> d
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     if not _is_int_at_least(trials, 1):
         raise ValidationError(f"trials must be an integer of at least 1, got {trials!r}")
+    if not (_is_finite_real(tolerance) and tolerance > 0):
+        raise ValidationError(f"tolerance must be positive and finite (a real number), got {tolerance!r}")
     rng = np.random.default_rng(seed)
     failures: list[str] = []
 

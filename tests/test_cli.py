@@ -58,9 +58,10 @@ def test_run_writes_report_to_out_dir(tmp_path, capsys):
     config = write(tmp_path, "route.cfg", ROUTE_CFG)
     out = tmp_path / "reports"
     assert main(["run", str(config), "--out", str(out)]) == 0
-    capsys.readouterr()
-    written = json.loads((out / "route_agreement__report.json").read_text())
-    assert written["pass"] is True
+    stdout = capsys.readouterr().out
+    written = (out / "route_agreement__report.json").read_bytes()
+    assert json.loads(written)["pass"] is True
+    assert written == stdout.encode("utf-8")
 
 
 def test_run_honors_out_env_var(tmp_path, capsys, monkeypatch):
@@ -76,6 +77,16 @@ def test_run_config_error_exits_two(tmp_path, capsys):
     config = write(tmp_path, "bad.cfg", "scenario = not_a_thing\n")
     assert main(["run", str(config)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_run_config_that_is_not_utf8_exits_two(tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_bytes(b"\xff\xfe")
+    assert main(["run", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(config) in captured.err and "UTF-8" in captured.err
 
 
 def test_run_missing_file_exits_two(tmp_path, capsys):
@@ -165,6 +176,19 @@ def test_manifest_records_a_bad_config_and_runs_the_rest(tmp_path, capsys):
     assert aggregate["pass"] is False
     assert (out / "manifest__report.json").read_text() == captured.out
     assert (out / "route_agreement__report.json").exists()
+
+
+def test_manifest_records_a_config_that_is_not_utf8_and_runs_the_rest(tmp_path, capsys):
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    (configs / "a_bad.cfg").write_bytes(b"\xff\xfe")
+    write(configs, "b_route.cfg", ROUTE_CFG)
+    assert main(["manifest", str(configs)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "a_bad.cfg" in captured.err
+    bad, good = json.loads(captured.out)["reports"]
+    assert bad == {"config": "a_bad.cfg", "error": captured.err[len("error: "):-1], "pass": False}
+    assert good["config"] == "b_route.cfg" and good["pass"] is True
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hvlab import (
     ConfigError,
@@ -298,22 +300,35 @@ def test_sweep_scenario_and_run_sweep():
     assert report.hv_values["nonuniqueness_fraction"] == summary["nonuniqueness_fraction"]
 
 
+# (seed, trials, tolerance, the name the error must give); tolerance None keeps
+# the default and stays out of the test id
+_BAD_SWEEP_INPUTS = [
+    (-1, 5, None, "seed"),
+    (1.5, 5, None, "seed"),
+    (True, 5, None, "seed"),
+    ("3", 5, None, "seed"),
+    (0, 2.5, None, "trials"),
+    (0, True, None, "trials"),
+    (0, "5", None, "trials"),
+    (0, 0, None, "trials"),
+    (0, 3, math.nan, "tolerance"),
+    (0, 3, math.inf, "tolerance"),
+    (0, 3, 0, "tolerance"),
+    (0, 3, -1e-9, "tolerance"),
+    (0, 3, "x", "tolerance"),
+    (0, 3, True, "tolerance"),
+]
+
+
 @pytest.mark.parametrize(
-    "seed, trials, bad",
-    [
-        (-1, 5, "seed"),
-        (1.5, 5, "seed"),
-        (True, 5, "seed"),
-        ("3", 5, "seed"),
-        (0, 2.5, "trials"),
-        (0, True, "trials"),
-        (0, "5", "trials"),
-        (0, 0, "trials"),
-    ],
+    "seed, trials, tolerance, bad",
+    _BAD_SWEEP_INPUTS,
+    ids=["-".join(str(v) for v in case if v is not None) for case in _BAD_SWEEP_INPUTS],
 )
-def test_run_sweep_rejects_bad_seed_and_trials(seed, trials, bad):
+def test_run_sweep_rejects_bad_seed_and_trials(seed, trials, tolerance, bad):
+    kwargs = {} if tolerance is None else {"tolerance": tolerance}
     with pytest.raises(ValidationError, match=bad):
-        run_sweep(seed, trials)
+        run_sweep(seed, trials, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +343,52 @@ def test_report_deterministic_up_to_runtime(tmp_path):
     first.pop("runtime_ms")
     second.pop("runtime_ms")
     assert json.dumps(first) == json.dumps(second)
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-7, 1e22]),
+    st.text(),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@example(
+    {
+        "floats": [math.nan, math.inf, -math.inf, -0.0, 1e-7, 1e22, 0.1],
+        "ints": [2**100, -(2**70), True, 1, False, 0, None],
+        "tuple": (1, (2.5, "x"), ()),
+        "text": "caf\u00e9 \x00\x1f\n\t\"\\ \u2028 \U0001f600",
+        "k\u00e9y\x01": {},
+        "empty": [[], {}, (), ""],
+    }
+)
+@given(_JSON_VALUES)
+def test_indented_json_matches_json_dumps(value):
+    # json.dumps stays the reference for the writer behind to_json and the CLI
+    assert scenarios._indented_json(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value", [np.int64(1), np.bool_(True), {1}, object(), {1: 0}], ids=repr
+)
+def test_indented_json_rejects_what_it_cannot_write(value):
+    for container in (value, [0.5, value], {"key": {"inner": value}}):
+        with pytest.raises(TypeError):
+            scenarios._indented_json(container)
 
 
 @pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda p: p.stem)
