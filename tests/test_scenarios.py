@@ -351,7 +351,7 @@ _JSON_SCALARS = st.one_of(
     st.integers(),
     st.integers(min_value=-(2**200), max_value=2**200),
     st.floats(),
-    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-7, 1e22]),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-7, 1e22, 0.1 + 0.2, 5e-324]),
     st.text(),
 )
 _JSON_VALUES = st.recursive(
@@ -365,10 +365,10 @@ _JSON_VALUES = st.recursive(
 )
 
 
-@settings(derandomize=True, max_examples=80, deadline=None)
+@settings(derandomize=True, max_examples=40, deadline=None)
 @example(
     {
-        "floats": [math.nan, math.inf, -math.inf, -0.0, 1e-7, 1e22, 0.1],
+        "floats": [math.nan, math.inf, -math.inf, -0.0, 1e-7, 1e22, 0.1 + 0.2, 5e-324, 1 / 3],
         "ints": [2**100, -(2**70), True, 1, False, 0, None],
         "tuple": (1, (2.5, "x"), ()),
         "text": "caf\u00e9 \x00\x1f\n\t\"\\ \u2028 \U0001f600",
@@ -383,7 +383,9 @@ def test_indented_json_matches_json_dumps(value):
 
 
 @pytest.mark.parametrize(
-    "value", [np.int64(1), np.bool_(True), {1}, object(), {1: 0}], ids=repr
+    "value",
+    [np.int64(1), np.bool_(True), {1}, object(), {1: 0}],
+    ids=["int64", "bool_", "set", "object", "int_key"],
 )
 def test_indented_json_rejects_what_it_cannot_write(value):
     for container in (value, [0.5, value], {"key": {"inner": value}}):
