@@ -133,14 +133,8 @@ def branch(history: BranchHistory, axis) -> tuple[BranchHistory, BranchHistory]:
     )
 
 
-def joint_function(history: BranchHistory, normalize_all_levels: bool = False) -> ProductFunction:
-    """Factored joint function of a history over Lambda^depth.
-
-    One factor per level; the prefactor divides by each level's normalizer
-    except the last (or every level with ``normalize_all_levels``), so the
-    total integral is the conditional probability of the final outcome given
-    the earlier ones (or exactly 1).
-    """
+def _prefactor(history: BranchHistory, normalize_all_levels: bool) -> float:
+    # the joint function's prefactor: 1 over each normalized level's normalizer
     if not history.nodes:
         raise ValidationError("empty history has no joint function")
     normalized = history.nodes if normalize_all_levels else history.nodes[:-1]
@@ -152,6 +146,18 @@ def joint_function(history: BranchHistory, normalize_all_levels: bool = False) -
                 "cannot divide by a zero-probability branch"
             )
         prefactor /= node.normalizer
+    return prefactor
+
+
+def joint_function(history: BranchHistory, normalize_all_levels: bool = False) -> ProductFunction:
+    """Factored joint function of a history over Lambda^depth.
+
+    One factor per level; the prefactor divides by each level's normalizer
+    except the last (or every level with ``normalize_all_levels``), so the
+    total integral is the conditional probability of the final outcome given
+    the earlier ones (or exactly 1).
+    """
+    prefactor = _prefactor(history, normalize_all_levels)
     return ProductFunction(tuple(node.level_function for node in history.nodes), prefactor)
 
 
@@ -174,7 +180,7 @@ def integrate_in_order(
     k = history.depth
     if not all(_is_int_at_least(level, 1) for level in order) or sorted(order) != list(range(1, k + 1)):
         raise ValidationError(f"order {order!r} is not a permutation of 1..{k}")
-    total = joint_function(history, normalize_all_levels=normalize_all_levels).prefactor
+    total = _prefactor(history, normalize_all_levels)
     for level in order:
         total *= history.nodes[level - 1].normalizer
     return total

@@ -102,20 +102,25 @@ def _write(out: Path | None, name: str, text: str) -> None:
         (out / name).write_text(text, encoding="utf-8")
 
 
-def _report(config: ScenarioConfig, args: argparse.Namespace) -> tuple[ScenarioReport, str]:
+def _report(config: ScenarioConfig, args: argparse.Namespace) -> tuple[ScenarioReport, str | None]:
     """Apply the flags to ``config``, run it, and write its report under ``--out``.
 
-    Returns the report and its JSON text, serialized once.
+    Returns the report and the JSON text it was written as, or None when
+    there is no output directory: a report is serialized only to be written
+    or printed.
     """
     report = run_scenario(_apply_overrides(config, args))
+    out = _out_dir(args)
+    if out is None:
+        return report, None
     text = report.to_json()
-    _write(_out_dir(args), f"{report.scenario}__report.json", text)
+    _write(out, f"{report.scenario}__report.json", text)
     return report, text
 
 
 def _print_report(config: ScenarioConfig, args: argparse.Namespace) -> int:
     report, text = _report(config, args)
-    sys.stdout.write(text)
+    sys.stdout.write(text or report.to_json())
     return 0 if report.passed else 1
 
 

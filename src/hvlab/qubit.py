@@ -127,6 +127,22 @@ def _negated_unit(u) -> np.ndarray:
     return _marked(negated)
 
 
+def _unit_projector(u) -> HermitianOp:
+    """The projector (1 + u.sigma)/2 on a unit axis, without a second check.
+
+    ``HermitianOp`` checks only that its vector part is a real, finite
+    3-vector.  Halving a finite vector scales by a power of two, so it stays
+    finite: ``0.5 * u`` passes that check by construction, and it is stored
+    read-only, bit for bit what ``HermitianOp(0.5, 0.5 * u)`` would hold.
+    """
+    half = unit_vector(u).view(np.ndarray) * 0.5
+    half.setflags(write=False)
+    op = object.__new__(HermitianOp)
+    object.__setattr__(op, "a", 0.5)
+    object.__setattr__(op, "b", half)
+    return op
+
+
 def cosine_between(u: np.ndarray, v: np.ndarray) -> float:
     """Dot product of two unit vectors, clipped to [-1, 1].
 
@@ -212,7 +228,7 @@ class PureState:
 
 def projector(m) -> HermitianOp:
     """Rank-1 projector (1 + m.sigma)/2 onto the unit Bloch axis ``m``."""
-    return HermitianOp(0.5, unit_vector(m, "projector axis") * 0.5)
+    return _unit_projector(unit_vector(m, "projector axis"))
 
 
 def expectation(psi: PureState, op: HermitianOp) -> float:

@@ -50,7 +50,7 @@ from .qubit import (
     sandwich,
     unit_vector,
 )
-from .stepfn import OMEGA_MAX, OMEGA_MIN, StepFunction, _is_int_at_least, constant
+from .stepfn import OMEGA_MAX, OMEGA_MIN, StepFunction, _is_int_at_least
 
 DEFAULT_TOLERANCE = 1e-12
 DEFAULT_GRID_POINTS = 2001
@@ -197,29 +197,23 @@ def load_config(path) -> ScenarioConfig:
     state = parse_vector("state") if "state" in entries else None
     axes = {key: parse_vector(key) for key in _AXIS_KEYS if key in entries}
 
-    def parse_int(key: str) -> int | None:
+    def parse_number(key: str, kind: type, what: str):
         if key not in entries:
             return None
         try:
-            return int(entries[key])
+            return kind(entries[key])
         except ValueError as exc:
-            raise ConfigError(f"{path}: {key!r} must be an integer") from exc
+            raise ConfigError(f"{path}: {key!r} must be {what}") from exc
 
-    lam = None
-    if "lambda" in entries:
-        try:
-            lam = float(entries["lambda"])
-        except ValueError as exc:
-            raise ConfigError(f"{path}: 'lambda' must be a real number") from exc
-
-    grid_points = parse_int("grid_points")
+    lam = parse_number("lambda", float, "a real number")
+    grid_points = parse_number("grid_points", int, "an integer")
     return ScenarioConfig(
         scenario=entries["scenario"],
         state=state,
         axes=axes,
         lam=lam,
-        seed=parse_int("seed"),
-        trials=parse_int("trials"),
+        seed=parse_number("seed", int, "an integer"),
+        trials=parse_number("trials", int, "an integer"),
         grid_points=grid_points if grid_points is not None else DEFAULT_GRID_POINTS,
     )
 
@@ -360,17 +354,56 @@ def _inputs_echo(config: ScenarioConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# invariant checks, each shared by its scenario executor and run_sweep
+# ---------------------------------------------------------------------------
+
+
+def _measure_check(psi: PureState, m) -> tuple[dict, dict, float, StepFunction]:
+    """Measure reproduction: hv and qm values, their distance and the value map of ``m``."""
+    value_map = bell_value(psi, m)
+    hv = {"measure": value_map.integrate()}
+    qm = {"expectation": expectation(psi, projector(m))}
+    return hv, qm, abs(hv["measure"] - qm["expectation"]), value_map
+
+
+def _route_check(psi: PureState, n, m) -> tuple[dict, dict, float, StepFunction, StepFunction]:
+    """Route agreement of ``m`` given ``n``: hv and qm values, their distance, both route maps."""
+    via_state = route_state_update(n, m)
+    via_product = route_operator_product(psi, n, m)
+    qm_value = conditional_expectation(psi, m, n)
+    hv = {
+        "route_state_update": via_state.integrate(),
+        "route_operator_product": via_product.integrate(),
+    }
+    err = max(abs(v - qm_value) for v in hv.values())
+    return hv, {"conditional_expectation": qm_value}, err, via_state, via_product
+
+
+def _order_check(history: BranchHistory, normalize_all_levels: bool = False) -> tuple[list, float]:
+    """Order independence: the iterated integrals in every order of the levels, and their spread."""
+    values = [
+        integrate_in_order(history, order, normalize_all_levels)
+        for order in permutations(range(1, history.depth + 1))
+    ]
+    return values, max(values) - min(values)
+
+
+def _idempotence_check(psi: PureState, axis) -> tuple[StepFunction, float]:
+    """Idempotence: ``axis`` measured again after selecting it; its map and largest deviation from 1.
+
+    Step functions are canonical, so the deviation is 0.0 exactly when the map is the constant 1.
+    """
+    repeated = branching.repeated_measurement_check(psi, axis)
+    return repeated, max(abs(v - 1.0) for v in repeated.values)
+
+
+# ---------------------------------------------------------------------------
 # scenario executors
 # ---------------------------------------------------------------------------
 
 
 def _run_measure_reproduction(config: ScenarioConfig) -> ScenarioReport:
-    psi = PureState(config.state)
-    m = config.axes["m"]
-    value_map = bell_value(psi, m)
-    hv = {"measure": value_map.integrate()}
-    qm = {"expectation": expectation(psi, projector(m))}
-    err = abs(hv["measure"] - qm["expectation"])
+    hv, qm, err, value_map = _measure_check(PureState(config.state), config.axes["m"])
     return ScenarioReport(
         hv_values=hv,
         qm_values=qm,
@@ -397,28 +430,15 @@ def _run_sandwich(config: ScenarioConfig) -> ScenarioReport:
 
 
 def _run_route_agreement(config: ScenarioConfig) -> ScenarioReport:
-    psi = PureState(config.state)
-    n = config.axes["n"]
-    m = config.axes["m"]
-    via_state = route_state_update(n, m)
-    via_product = route_operator_product(psi, n, m)
-    qm_value = conditional_expectation(psi, m, n)
-    hv = {
-        "route_state_update": via_state.integrate(),
-        "route_operator_product": via_product.integrate(),
-    }
-    err = max(abs(v - qm_value) for v in hv.values())
-    traces = {
-        "route_a": via_state,
-        "route_b": via_product,
-        "difference": via_state - via_product,
-    }
+    hv, qm, err, via_state, via_product = _route_check(
+        PureState(config.state), config.axes["n"], config.axes["m"]
+    )
     return ScenarioReport(
         hv_values=hv,
-        qm_values={"conditional_expectation": qm_value},
+        qm_values=qm,
         max_abs_error=err,
         passed=err <= config.tolerance,
-        traces=traces,
+        traces={"route_a": via_state, "route_b": via_product, "difference": via_state - via_product},
     )
 
 
@@ -520,13 +540,7 @@ def _run_branching_chain(config: ScenarioConfig) -> ScenarioReport:
     history = BranchHistory(psi)
     for axis in axes:
         history, _ = branch(history, axis)
-    k = history.depth
-    order_values = {
-        order: integrate_in_order(history, order, config.normalize_all_levels)
-        for order in permutations(range(1, k + 1))
-    }
-    values = list(order_values.values())
-    spread = max(values) - min(values)
+    values, spread = _order_check(history, config.normalize_all_levels)
     joint_integral = joint_function(history, config.normalize_all_levels).integrate()
     if config.normalize_all_levels:
         qm_value = 1.0
@@ -538,13 +552,14 @@ def _run_branching_chain(config: ScenarioConfig) -> ScenarioReport:
         "joint_integral": joint_integral,
         "order_spread": spread,
     }
+    # the chain rule and the joint integral are this scenario's own checks
     err = max(spread, max(abs(v - qm_value) for v in values), abs(joint_integral - qm_value))
     return ScenarioReport(
         hv_values=hv,
         qm_values=qm,
         max_abs_error=err,
         passed=err <= config.tolerance,
-        notes=[f"levels: {k}; integration orders checked: {len(order_values)}"],
+        notes=[f"levels: {history.depth}; integration orders checked: {len(values)}"],
         traces={
             f"level_{level}": node.level_function
             for level, node in enumerate(history.nodes, start=1)
@@ -556,35 +571,28 @@ def _run_branching_chain(config: ScenarioConfig) -> ScenarioReport:
 def _run_idempotence(config: ScenarioConfig) -> ScenarioReport:
     psi = PureState(config.state)
     axis = config.axes["n"]
-    # the first selected outcome must have positive probability to prepare +axis
-    chain_probability(psi, [axis])
-    # first measurement, then three repetitions of the same axis
-    history, _ = branch(BranchHistory(psi), axis)
-    functions = [history.nodes[0].level_function]
-    for _ in range(3):
-        history, _ = branch(history, axis)
-        functions.append(history.nodes[-1].level_function)
-    unit = constant(1.0)
-    deviations = [
-        max(abs(v - 1.0) for v in fn.values) for fn in functions[1:]
-    ]
-    exactly_one = all(fn == unit for fn in functions[1:])
-    hv = {
-        "level_2_max_deviation": deviations[0],
-        "levels_3_4_max_deviation": max(deviations[1:]),
-    }
+    # first measurement, then three repetitions of the same axis: the first
+    # starts from psi, the others from the +axis each selected outcome prepares
+    prepared = PureState(axis)
+    repeated, deviations = zip(
+        *(_idempotence_check(state, axis) for state in (psi, prepared, prepared))
+    )
+    functions = (bell_value(psi, axis), *repeated)
     err = max(deviations)
-    if exactly_one:
+    if err == 0.0:
         notes = ["levels 2..4 are identically the constant 1"]
     else:
         notes = ["a repeated level deviates from the constant 1"]
     return ScenarioReport(
-        hv_values=hv,
+        hv_values={
+            "level_2_max_deviation": deviations[0],
+            "levels_3_4_max_deviation": max(deviations[1:]),
+        },
         qm_values={"repeated_outcome_probability": 1.0},
         max_abs_error=err,
-        passed=exactly_one and err == 0.0,
+        passed=err == 0.0,
         notes=notes,
-        traces={f"level_{i + 1}": fn for i, fn in enumerate(functions)},
+        traces={f"level_{level}": fn for level, fn in enumerate(functions, start=1)},
     )
 
 
@@ -668,10 +676,13 @@ def _random_unit(rng: np.random.Generator) -> np.ndarray:
 def run_sweep(seed: int, trials: int, tolerance: float = DEFAULT_TOLERANCE) -> dict:
     """Seeded randomized sweep over the package's core invariants.
 
-    Samples unit vectors from a fixed-seed generator, checks measure
-    reproduction, route agreement on averages, genericity of pointwise route
-    disagreement, order-independent integration, idempotence, branch
-    completeness and outcome-tree conservation, and reports counts, worst-case
+    Samples unit vectors from a fixed-seed generator and runs on each draw the
+    checks the scenarios share: measure reproduction (``_measure_check``),
+    route agreement (``_route_check``), order-independent integration
+    (``_order_check``) and idempotence (``_idempotence_check``).  Only the
+    sweep checks genericity of pointwise route disagreement, branch
+    completeness and outcome-tree conservation, and skips draws within
+    ``DEGENERACY_MARGIN`` of a degenerate case.  Reports counts, worst-case
     errors, and any failing inputs verbatim.
     """
     if not _is_int_at_least(seed, 0):
@@ -686,12 +697,8 @@ def run_sweep(seed: int, trials: int, tolerance: float = DEFAULT_TOLERANCE) -> d
     max_measure_error = 0.0
     for _ in range(trials):
         s, m = _random_unit(rng), _random_unit(rng)
-        psi = PureState(s)
-        got = bell_value(psi, m).integrate()
-        want = expectation(psi, projector(m))
-        err = abs(got - want)
-        if err > max_measure_error:
-            max_measure_error = err
+        err = _measure_check(PureState(s), m)[2]
+        max_measure_error = max(max_measure_error, err)
         if err > tolerance:
             failures.append(f"measure_reproduction s={s.tolist()} m={m.tolist()} error={err!r}")
 
@@ -703,15 +710,8 @@ def run_sweep(seed: int, trials: int, tolerance: float = DEFAULT_TOLERANCE) -> d
         if 1.0 + float(np.dot(n, s)) <= DEGENERACY_MARGIN:
             continue
         route_trials += 1
-        psi = PureState(s)
-        want = 0.5 * (1.0 + cosine_between(n, m))
-        via_state = route_state_update(n, m)
-        via_product = route_operator_product(psi, n, m)
-        a = via_state.integrate()
-        b = via_product.integrate()
-        err = max(abs(a - want), abs(b - want))
-        if err > max_route_error:
-            max_route_error = err
+        _, _, err, via_state, via_product = _route_check(PureState(s), n, m)
+        max_route_error = max(max_route_error, err)
         if err > tolerance:
             failures.append(f"route_agreement s={s.tolist()} n={n.tolist()} m={m.tolist()} error={err!r}")
         if (
@@ -728,34 +728,26 @@ def run_sweep(seed: int, trials: int, tolerance: float = DEFAULT_TOLERANCE) -> d
         s = _random_unit(rng)
         history = BranchHistory(PureState(s))
         depth = int(rng.integers(2, 4))
-        dead = False
         for _ in range(depth):
             axis = _random_unit(rng)
             selected, comp = branch(history, axis)
             comp_total = selected.nodes[-1].normalizer + comp.nodes[-1].normalizer
             max_completeness_error = max(max_completeness_error, abs(comp_total - 1.0))
             if selected.zero_probability:
-                dead = True
                 break
             history = selected
-        if dead:
-            continue
-        values = [
-            integrate_in_order(history, order)
-            for order in permutations(range(1, history.depth + 1))
-        ]
-        spread = max(values) - min(values)
-        if spread > max_order_spread:
-            max_order_spread = spread
-        if spread > tolerance:
-            failures.append(f"order_independence s={s.tolist()} spread={spread!r}")
+        else:
+            spread = _order_check(history)[1]
+            max_order_spread = max(max_order_spread, spread)
+            if spread > tolerance:
+                failures.append(f"order_independence s={s.tolist()} spread={spread!r}")
 
     idempotence_failures = 0
     for _ in range(order_trials):
         s, axis = _random_unit(rng), _random_unit(rng)
         if 1.0 + float(np.dot(s, axis)) <= DEGENERACY_MARGIN:
             continue
-        if branching.repeated_measurement_check(PureState(s), axis) != constant(1.0):
+        if _idempotence_check(PureState(s), axis)[1] != 0.0:
             idempotence_failures += 1
             failures.append(f"idempotence s={s.tolist()} axis={axis.tolist()}")
 
@@ -767,8 +759,7 @@ def run_sweep(seed: int, trials: int, tolerance: float = DEFAULT_TOLERANCE) -> d
         axes = [_random_unit(rng) for _ in range(depth)]
         table = branching.outcome_probabilities(PureState(s), axes)
         err = abs(sum(table.values()) - 1.0)
-        if err > max_tree_error:
-            max_tree_error = err
+        max_tree_error = max(max_tree_error, err)
         if err > tolerance:
             failures.append(f"tree_conservation s={s.tolist()} depth={depth} error={err!r}")
 

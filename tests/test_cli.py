@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from hvlab import ScenarioReport
 from hvlab.cli import main
 
 DEMO_CONFIG_DIR = Path(__file__).resolve().parent.parent / "demos" / "configs"
@@ -147,6 +148,17 @@ def test_manifest_of_demo_configs_stdout_is_pinned(capsys, monkeypatch):
     assert hashlib.sha256(masked.encode()).hexdigest() == (
         "fca5356d2b151ff470f848f87cf45112e191aebf68a4386033707ffdfcf5281f"
     )
+
+
+def test_manifest_without_out_serializes_no_report(capsys, monkeypatch):
+    # the aggregate reads each report's to_dict(); to_json() is for --out only
+    monkeypatch.delenv("HVLAB_OUT", raising=False)
+    calls = []
+    to_json = ScenarioReport.to_json
+    monkeypatch.setattr(ScenarioReport, "to_json", lambda self: calls.append(1) or to_json(self))
+    assert main(["manifest", str(DEMO_CONFIG_DIR)]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+    assert calls == []
 
 
 def test_manifest_exit_code_reflects_failures(tmp_path, capsys):

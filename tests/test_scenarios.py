@@ -300,6 +300,56 @@ def test_sweep_scenario_and_run_sweep():
     assert report.hv_values["nonuniqueness_fraction"] == summary["nonuniqueness_fraction"]
 
 
+ZERO = StepFunction((), (0.0,))
+
+# (private check, a stand-in that reports an error, a scenario that runs the
+# check, the prefix of the failure run_sweep records for it)
+_SHARED_CHECKS = [
+    (
+        "_measure_check",
+        lambda psi, m: ({}, {}, 1.0, ZERO),
+        ScenarioConfig("measure_reproduction", state=Z, axes={"m": X}),
+        "measure_reproduction ",
+    ),
+    (
+        "_route_check",
+        lambda psi, n, m: ({}, {}, 1.0, ZERO, ZERO),
+        ScenarioConfig("route_agreement", state=Z, axes={"n": X, "m": Y}),
+        "route_agreement ",
+    ),
+    (
+        "_route_check",
+        lambda psi, n, m: ({}, {}, 1.0, ZERO, ZERO),
+        ScenarioConfig("nonuniqueness", state=Z, axes={"n": X, "m": Y}),
+        "route_agreement ",
+    ),
+    (
+        "_order_check",
+        lambda history, normalize_all_levels=False: ([0.0], 1.0),
+        ScenarioConfig("branching_chain", state=Z, axes={"n": X, "m": Y}),
+        "order_independence ",
+    ),
+    (
+        "_idempotence_check",
+        lambda psi, axis: (ZERO, 1.0),
+        ScenarioConfig("idempotence", state=Z, axes={"n": X}),
+        "idempotence ",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "check, broken, config, failure", _SHARED_CHECKS, ids=[case[2].scenario for case in _SHARED_CHECKS]
+)
+def test_scenario_and_sweep_share_each_check(monkeypatch, check, broken, config, failure):
+    # a check that reports an error must fail both its scenario and the sweep
+    monkeypatch.setattr(scenarios, check, broken)
+    assert not run_scenario(config).passed
+    summary = run_sweep(0, 5)
+    assert not summary["pass"]
+    assert any(line.startswith(failure) for line in summary["failures"])
+
+
 # (seed, trials, tolerance, the name the error must give); tolerance None keeps
 # the default and stays out of the test id
 _BAD_SWEEP_INPUTS = [
