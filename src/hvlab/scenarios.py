@@ -341,7 +341,8 @@ def _witness_dicts(witness: ConflictWitness) -> list[dict]:
 
 
 def _inputs_echo(config: ScenarioConfig) -> dict:
-    return {
+    # the config fields the scenario reads, in this order
+    echo = {
         "state": None if config.state is None else config.state.tolist(),
         "axes": {name: vec.tolist() for name, vec in sorted(config.axes.items())},
         "lambda": config.lam,
@@ -351,6 +352,8 @@ def _inputs_echo(config: ScenarioConfig) -> dict:
         "normalize_all_levels": config.normalize_all_levels,
         "tolerance": config.tolerance,
     }
+    inputs = _scenario(config.scenario).inputs
+    return {key: value for key, value in echo.items() if key in inputs}
 
 
 # ---------------------------------------------------------------------------
@@ -611,24 +614,33 @@ def _run_sweep_scenario(config: ScenarioConfig) -> ScenarioReport:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A named scenario: the config keys it requires, its executor and whether it has traces."""
+    """A named scenario: the config keys it requires, its executor and the inputs it reads.
+
+    ``inputs`` names the config fields the scenario reads, as its report
+    echoes them.  Only a scenario with omega traces reads ``grid_points``,
+    the grid :func:`emit_trace` samples them on.
+    """
 
     name: str
     required: tuple[str, ...]
     run: Callable[[ScenarioConfig], ScenarioReport]
-    traced: bool = True
+    inputs: tuple[str, ...]
 
 
+# what a traced scenario on a state and its axes reads, graded against the tolerance
+_GEOMETRY = ("state", "axes", "grid_points", "tolerance")
 _SCENARIOS = (
-    Scenario("measure_reproduction", ("state", "m"), _run_measure_reproduction),
-    Scenario("sandwich", ("n", "m"), _run_sandwich, traced=False),
-    Scenario("route_agreement", ("state", "n", "m"), _run_route_agreement),
-    Scenario("nonuniqueness", ("state", "n", "m"), _run_nonuniqueness),
-    Scenario("classical_rule", ("state", "n", "m"), _run_classical_rule),
-    Scenario("sum_conflict", ("state", "n", "m", "lambda"), _run_sum_conflict),
-    Scenario("branching_chain", ("state", "n", "m"), _run_branching_chain),
-    Scenario("idempotence", ("state", "n"), _run_idempotence),
-    Scenario("sweep", (), _run_sweep_scenario, traced=False),
+    Scenario("measure_reproduction", ("state", "m"), _run_measure_reproduction, _GEOMETRY),
+    Scenario("sandwich", ("n", "m"), _run_sandwich, ("axes", "tolerance")),
+    Scenario("route_agreement", ("state", "n", "m"), _run_route_agreement, _GEOMETRY),
+    Scenario("nonuniqueness", ("state", "n", "m"), _run_nonuniqueness, _GEOMETRY),
+    Scenario("classical_rule", ("state", "n", "m"), _run_classical_rule, _GEOMETRY),
+    Scenario("sum_conflict", ("state", "n", "m", "lambda"), _run_sum_conflict, (*_GEOMETRY, "lambda")),
+    Scenario(
+        "branching_chain", ("state", "n", "m"), _run_branching_chain, (*_GEOMETRY, "normalize_all_levels")
+    ),
+    Scenario("idempotence", ("state", "n"), _run_idempotence, ("state", "axes", "grid_points")),
+    Scenario("sweep", (), _run_sweep_scenario, ("seed", "trials", "tolerance")),
 )
 
 SCENARIO_NAMES = tuple(scenario.name for scenario in _SCENARIOS)
@@ -855,7 +867,7 @@ def emit_trace(config: ScenarioConfig, out_dir) -> list[Path]:
     written paths; a scenario without traces (``sandwich``, ``sweep``) returns
     an empty list without being run.
     """
-    if not _scenario(config.scenario).traced:
+    if "grid_points" not in _scenario(config.scenario).inputs:
         return []
     traces = scenario_traces(config)
     out = Path(out_dir)

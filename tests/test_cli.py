@@ -146,7 +146,7 @@ def test_manifest_of_demo_configs_stdout_is_pinned(capsys, monkeypatch):
     )
     assert count == len(list(DEMO_CONFIG_DIR.glob("*.cfg")))
     assert hashlib.sha256(masked.encode()).hexdigest() == (
-        "fca5356d2b151ff470f848f87cf45112e191aebf68a4386033707ffdfcf5281f"
+        "13ca1a97224155768387546b91bb3e656efcf9faf0773cf3de3fb75fd38db33a"
     )
 
 
