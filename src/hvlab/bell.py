@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    ReductionUndefinedError,
     UndefinedConditionalError,
     ValidationError,
     WitnessUndefinedError,
@@ -37,6 +36,7 @@ from .qubit import (
     ORTHOGONALITY_CUTOFF,
     HermitianOp,
     PureState,
+    chain_probability,
     cosine_between,
     projector,
     unit_vector,
@@ -152,14 +152,13 @@ def route_operator_product(psi: PureState, condition_axis, observed_axis) -> Ste
     B A B / Tr[rho B] evaluated without updating the state.  Its integral is
     (1 + n.m)/2, the same number the state-update route produces, but the
     omega dependence follows the *first* measurement axis n instead of m.
+    Raises :class:`ReductionUndefinedError` (from :func:`chain_probability`,
+    index 0) when Tr[rho B] = (1 + n.s)/2 falls at or below the cutoff.
     """
     n = unit_vector(condition_axis, "condition axis")
     m = unit_vector(observed_axis, "observed axis")
-    denom = 1.0 + cosine_between(n, psi.bloch)
-    if 0.5 * denom <= ORTHOGONALITY_CUTOFF:
-        raise ReductionUndefinedError(
-            f"state is orthogonal to the conditioning projector (1 + n.s = {denom!r})"
-        )
+    # doubling Tr[rho B] is exact: denom is 1 + n.s bit for bit
+    denom = 2.0 * chain_probability(psi, [n])
     ratio = (1.0 + cosine_between(n, m)) / denom
     return bell_value(psi, n) * ratio
 

@@ -127,22 +127,6 @@ def _negated_unit(u) -> np.ndarray:
     return _marked(negated)
 
 
-def _unit_projector(u) -> HermitianOp:
-    """The projector (1 + u.sigma)/2 on a unit axis, without a second check.
-
-    ``HermitianOp`` checks only that its vector part is a real, finite
-    3-vector.  Halving a finite vector scales by a power of two, so it stays
-    finite: ``0.5 * u`` passes that check by construction, and it is stored
-    read-only, bit for bit what ``HermitianOp(0.5, 0.5 * u)`` would hold.
-    """
-    half = unit_vector(u).view(np.ndarray) * 0.5
-    half.setflags(write=False)
-    op = object.__new__(HermitianOp)
-    object.__setattr__(op, "a", 0.5)
-    object.__setattr__(op, "b", half)
-    return op
-
-
 def cosine_between(u: np.ndarray, v: np.ndarray) -> float:
     """Dot product of two unit vectors, clipped to [-1, 1].
 
@@ -150,8 +134,10 @@ def cosine_between(u: np.ndarray, v: np.ndarray) -> float:
     exactly +-1.0: for the same float vector the true cosine is 1 even when
     dot(v, v) rounds away from it, and sequential-measurement identities
     (idempotence, zero-probability complements) must hold exactly.  Exact
-    comparison only; nothing is snapped within a tolerance.
+    comparison only; nothing is snapped within a tolerance.  Both arguments
+    go through :func:`unit_vector`, which passes checked axes in O(1).
     """
+    u, v = unit_vector(u, "first vector"), unit_vector(v, "second vector")
     a, b = u.tolist(), v.tolist()
     if a == b:
         return 1.0
@@ -228,7 +214,16 @@ class PureState:
 
 def projector(m) -> HermitianOp:
     """Rank-1 projector (1 + m.sigma)/2 onto the unit Bloch axis ``m``."""
-    return _unit_projector(unit_vector(m, "projector axis"))
+    # HermitianOp checks only that its vector part is a real, finite 3-vector.
+    # Halving a finite vector scales by a power of two, so it stays finite:
+    # 0.5 * m passes that check by construction, and it is stored read-only,
+    # bit for bit what HermitianOp(0.5, 0.5 * m) would hold.
+    half = unit_vector(m, "projector axis").view(np.ndarray) * 0.5
+    half.setflags(write=False)
+    op = object.__new__(HermitianOp)
+    object.__setattr__(op, "a", 0.5)
+    object.__setattr__(op, "b", half)
+    return op
 
 
 def expectation(psi: PureState, op: HermitianOp) -> float:

@@ -9,7 +9,11 @@ seed (``runtime_ms`` is the only field that varies between runs).
 Config files are flat ``key = value`` text; vectors are three whitespace
 separated floats.  Recognized keys: ``scenario``, ``state``, ``n``, ``m``,
 ``c``, ``lambda``, ``seed``, ``trials``, ``grid_points``.  Lines starting
-with ``#`` (or blank) are ignored.
+with ``#`` (or blank) are ignored.  A vector whose norm is off 1 by more
+than 1e-9 but at most 1e-6 is normalized with a warning.  Each scenario
+declares the keys it reads once, in its :class:`Scenario` row; its required
+keys, its report's ``inputs`` echo and whether it has omega traces all
+follow from that declaration.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from .bell import (
 from .branching import BranchHistory, branch, integrate_in_order, joint_function
 from .errors import ConfigError, HvlabError, ScenarioError, ValidationError
 from .qubit import (
-    UNIT_TOLERANCE,
     PureState,
     chain_probability,
     conditional_expectation,
@@ -62,6 +65,8 @@ DEGENERACY_MARGIN = 1e-6
 
 _AXIS_KEYS = ("n", "m", "c")
 _KEYS = ("scenario", "state", *_AXIS_KEYS, "lambda", "seed", "trials", "grid_points")
+# the keys a scenario that reads them must set; every other key has a default
+_REQUIRED = ("state", "n", "m", "lambda")
 
 __all__ = [
     "SCENARIO_NAMES",
@@ -126,13 +131,9 @@ class ScenarioConfig:
             raise ConfigError(f"seed must be non-negative (an integer), got {self.seed!r}")
         if self.trials is not None and not _is_int_at_least(self.trials, 1):
             raise ConfigError(f"trials must be an integer of at least 1, got {self.trials!r}")
-        missing = [
-            key
-            for key in _scenario(self.scenario).required
-            if (key == "state" and self.state is None)
-            or (key == "lambda" and self.lam is None)
-            or (key in _AXIS_KEYS and key not in self.axes)
-        ]
+        given = {"state": self.state, "lambda": self.lam, **self.axes}
+        reads = _scenario(self.scenario).reads
+        missing = [key for key in _REQUIRED if key in reads and given.get(key) is None]
         if missing:
             raise ConfigError(
                 f"scenario {self.scenario!r} is missing required keys: {', '.join(missing)}"
@@ -140,21 +141,6 @@ class ScenarioConfig:
 
     def axis(self, name: str) -> np.ndarray:
         return self.axes[name]
-
-
-def _normalize_config_vector(key: str, raw: np.ndarray) -> np.ndarray:
-    norm = float(np.sqrt(raw @ raw))
-    deviation = abs(norm - 1.0)
-    if deviation > NORMALIZE_LIMIT:
-        raise ConfigError(
-            f"vector {key!r} has norm {norm!r}; beyond the auto-normalization limit {NORMALIZE_LIMIT}"
-        )
-    if deviation > UNIT_TOLERANCE:
-        warnings.warn(
-            f"vector {key!r} has norm {norm!r}; normalizing", stacklevel=3
-        )
-        raw = raw / norm
-    return raw
 
 
 def load_config(path) -> ScenarioConfig:
@@ -192,7 +178,20 @@ def load_config(path) -> ScenarioConfig:
             raise ConfigError(f"{path}: vector {key!r} has a non-numeric component") from exc
         if not all(map(math.isfinite, floats)):
             raise ConfigError(f"{path}: vector {key!r} has a non-finite component")
-        return _normalize_config_vector(key, np.array(floats))
+        raw = np.array(floats)
+        try:
+            # the one check of a unit vector; ScenarioConfig passes it through
+            return unit_vector(raw, f"vector {key!r}")
+        except ValidationError:
+            pass
+        # off unit norm: only a file vector is rescaled, and only within NORMALIZE_LIMIT
+        norm = float(np.sqrt(raw @ raw))
+        if abs(norm - 1.0) > NORMALIZE_LIMIT:
+            raise ConfigError(
+                f"vector {key!r} has norm {norm!r}; beyond the auto-normalization limit {NORMALIZE_LIMIT}"
+            )
+        warnings.warn(f"vector {key!r} has norm {norm!r}; normalizing", stacklevel=2)
+        return raw / norm
 
     state = parse_vector("state") if "state" in entries else None
     axes = {key: parse_vector(key) for key in _AXIS_KEYS if key in entries}
@@ -341,10 +340,12 @@ def _witness_dicts(witness: ConflictWitness) -> list[dict]:
 
 
 def _inputs_echo(config: ScenarioConfig) -> dict:
-    # the config fields the scenario reads, in this order
+    # the config fields the scenario reads, in this order; "axes" holds the
+    # axes it reads, and a scenario that reads any axis requires one
+    reads = _scenario(config.scenario).reads
     echo = {
         "state": None if config.state is None else config.state.tolist(),
-        "axes": {name: vec.tolist() for name, vec in sorted(config.axes.items())},
+        "axes": {name: vec.tolist() for name, vec in sorted(config.axes.items()) if name in reads},
         "lambda": config.lam,
         "seed": config.seed,
         "trials": config.trials,
@@ -352,8 +353,7 @@ def _inputs_echo(config: ScenarioConfig) -> dict:
         "normalize_all_levels": config.normalize_all_levels,
         "tolerance": config.tolerance,
     }
-    inputs = _scenario(config.scenario).inputs
-    return {key: value for key, value in echo.items() if key in inputs}
+    return {key: value for key, value in echo.items() if key in reads or (key == "axes" and value)}
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +421,7 @@ def _run_sandwich(config: ScenarioConfig) -> ScenarioReport:
     m = config.axes["m"]
     product = sandwich(n, m)
     coefficient = 2.0 * product.a
-    expected = 0.5 * (1.0 + cosine_between(n, m))
+    expected = conditional_expectation(PureState(n), m, n)
     axis_deviation = float(np.max(np.abs(product.b - coefficient * 0.5 * n)))
     err = max(abs(coefficient - expected), axis_deviation)
     return ScenarioReport(
@@ -614,33 +614,33 @@ def _run_sweep_scenario(config: ScenarioConfig) -> ScenarioReport:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A named scenario: the config keys it requires, its executor and the inputs it reads.
+    """A named scenario: its executor and the config keys it reads.
 
-    ``inputs`` names the config fields the scenario reads, as its report
-    echoes them.  Only a scenario with omega traces reads ``grid_points``,
-    the grid :func:`emit_trace` samples them on.
+    ``reads`` uses the config-file keys (``lambda``, the axis names) plus the
+    ``ScenarioConfig`` fields ``normalize_all_levels`` and ``tolerance``.
+    The keys it reads among ``state``, ``n``, ``m`` and ``lambda`` are
+    required, and its report echoes exactly the keys it reads.  Only a
+    scenario with omega traces reads ``grid_points``, the grid
+    :func:`emit_trace` samples them on.
     """
 
     name: str
-    required: tuple[str, ...]
     run: Callable[[ScenarioConfig], ScenarioReport]
-    inputs: tuple[str, ...]
+    reads: tuple[str, ...]
 
 
-# what a traced scenario on a state and its axes reads, graded against the tolerance
-_GEOMETRY = ("state", "axes", "grid_points", "tolerance")
+# what a traced scenario on a state and two axes reads, graded against the tolerance
+_GEOMETRY = ("state", "n", "m", "grid_points", "tolerance")
 _SCENARIOS = (
-    Scenario("measure_reproduction", ("state", "m"), _run_measure_reproduction, _GEOMETRY),
-    Scenario("sandwich", ("n", "m"), _run_sandwich, ("axes", "tolerance")),
-    Scenario("route_agreement", ("state", "n", "m"), _run_route_agreement, _GEOMETRY),
-    Scenario("nonuniqueness", ("state", "n", "m"), _run_nonuniqueness, _GEOMETRY),
-    Scenario("classical_rule", ("state", "n", "m"), _run_classical_rule, _GEOMETRY),
-    Scenario("sum_conflict", ("state", "n", "m", "lambda"), _run_sum_conflict, (*_GEOMETRY, "lambda")),
-    Scenario(
-        "branching_chain", ("state", "n", "m"), _run_branching_chain, (*_GEOMETRY, "normalize_all_levels")
-    ),
-    Scenario("idempotence", ("state", "n"), _run_idempotence, ("state", "axes", "grid_points")),
-    Scenario("sweep", (), _run_sweep_scenario, ("seed", "trials", "tolerance")),
+    Scenario("measure_reproduction", _run_measure_reproduction, ("state", "m", "grid_points", "tolerance")),
+    Scenario("sandwich", _run_sandwich, ("n", "m", "tolerance")),
+    Scenario("route_agreement", _run_route_agreement, _GEOMETRY),
+    Scenario("nonuniqueness", _run_nonuniqueness, _GEOMETRY),
+    Scenario("classical_rule", _run_classical_rule, _GEOMETRY),
+    Scenario("sum_conflict", _run_sum_conflict, (*_GEOMETRY, "lambda")),
+    Scenario("branching_chain", _run_branching_chain, (*_GEOMETRY, "c", "normalize_all_levels")),
+    Scenario("idempotence", _run_idempotence, ("state", "n", "grid_points")),
+    Scenario("sweep", _run_sweep_scenario, ("seed", "trials", "tolerance")),
 )
 
 SCENARIO_NAMES = tuple(scenario.name for scenario in _SCENARIOS)
@@ -867,7 +867,7 @@ def emit_trace(config: ScenarioConfig, out_dir) -> list[Path]:
     written paths; a scenario without traces (``sandwich``, ``sweep``) returns
     an empty list without being run.
     """
-    if "grid_points" not in _scenario(config.scenario).inputs:
+    if "grid_points" not in _scenario(config.scenario).reads:
         return []
     traces = scenario_traces(config)
     out = Path(out_dir)

@@ -267,8 +267,10 @@ def test_route_operator_product_average(rng):
 
 
 def test_route_operator_product_orthogonal_preparation_raises():
-    with pytest.raises(ReductionUndefinedError):
+    # the guard is chain_probability's, so the error is the chain's at step 0
+    with pytest.raises(ReductionUndefinedError, match="chain hits an orthogonal projector at step 0") as err:
         route_operator_product(PureState(Z), -Z, X)
+    assert err.value.index == 0
 
 
 def test_routes_agree_on_averages_with_oracle(rng):

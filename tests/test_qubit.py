@@ -223,6 +223,15 @@ def test_cosine_short_circuits_on_identical_arrays(rng):
     assert cosine_between(X, Y) == 0.0
 
 
+def test_cosine_between_checks_both_arguments():
+    # a 2-vector and a non-unit 3-vector are refused in either place, by name
+    for bad in (np.array([1.0, 0.0]), np.array([2.0, 0.0, 0.0])):
+        with pytest.raises(ValidationError, match="first vector"):
+            cosine_between(bad, -bad)
+        with pytest.raises(ValidationError, match="second vector"):
+            cosine_between(X, bad)
+
+
 def test_pure_state_and_density():
     psi = PureState(Z)
     # the density matrix (1 + s.sigma)/2 of a pure state is the projector on s

@@ -70,6 +70,25 @@ def test_scenario_registry_matches_names_and_demo_configs():
         assert load_config(path).scenario == path.stem
 
 
+def test_scenarios_read_only_config_keys_and_fields():
+    from dataclasses import fields
+
+    from hvlab.scenarios import _KEYS, _SCENARIOS
+
+    known = set(_KEYS) | {f.name for f in fields(ScenarioConfig)}
+    for scenario in _SCENARIOS:
+        assert set(scenario.reads) <= known, scenario.name
+
+
+def test_demo_configs_set_only_keys_their_scenario_reads():
+    from hvlab.scenarios import _scenario
+
+    for path in DEMO_CONFIGS:
+        lines = [line.split("#", 1)[0] for line in path.read_text(encoding="utf-8").splitlines()]
+        keys = {line.partition("=")[0].strip() for line in lines if line.strip()}
+        assert keys - {"scenario"} <= set(_scenario(path.stem).reads), path.name
+
+
 # ---------------------------------------------------------------------------
 # config parsing
 # ---------------------------------------------------------------------------
@@ -461,6 +480,12 @@ def test_report_carries_its_traces_outside_the_json(tmp_path):
     assert report.traces["route_a"].integrate() == report.hv_values["route_state_update"]
     assert "traces" not in report.to_dict()
     assert "traces" not in repr(report)
+
+
+def test_report_echoes_only_the_axes_its_scenario_reads():
+    config = ScenarioConfig("measure_reproduction", state=Z, axes={"m": X, "n": Y, "c": Z})
+    assert run_scenario(config).inputs["axes"] == {"m": [1.0, 0.0, 0.0]}
+    assert "axes" not in run_scenario(ScenarioConfig("sweep", seed=3, trials=5)).inputs
 
 
 def test_report_json_shape(tmp_path):
