@@ -143,7 +143,10 @@ def cosine_between(u: np.ndarray, v: np.ndarray) -> float:
         return 1.0
     if a[0] == -b[0] and a[1] == -b[1] and a[2] == -b[2]:
         return -1.0
-    return min(1.0, max(-1.0, float(np.dot(u, v))))
+    # clipped by comparison rather than min/max calls: run_sweep(seed, 1000)
+    # makes about 15,000 calls here
+    c = float(np.dot(u, v))
+    return 1.0 if c > 1.0 else -1.0 if c < -1.0 else c
 
 
 @dataclass(frozen=True, eq=False)
