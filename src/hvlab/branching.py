@@ -137,6 +137,8 @@ def _prefactor(history: BranchHistory, normalize_all_levels: bool) -> float:
     # the joint function's prefactor: 1 over each normalized level's normalizer
     if not history.nodes:
         raise ValidationError("empty history has no joint function")
+    if not isinstance(normalize_all_levels, bool):
+        raise ValidationError(f"normalize_all_levels must be a bool, got {normalize_all_levels!r}")
     normalized = history.nodes if normalize_all_levels else history.nodes[:-1]
     prefactor = 1.0
     for level, node in enumerate(normalized, start=1):

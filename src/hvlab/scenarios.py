@@ -19,7 +19,6 @@ follow from that declaration.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -53,7 +52,7 @@ from .qubit import (
     sandwich,
     unit_vector,
 )
-from .stepfn import OMEGA_MAX, OMEGA_MIN, StepFunction, _is_int_at_least
+from .stepfn import OMEGA_MAX, OMEGA_MIN, StepFunction, _is_finite_real, _is_int_at_least
 
 DEFAULT_TOLERANCE = 1e-12
 DEFAULT_GRID_POINTS = 2001
@@ -79,10 +78,6 @@ __all__ = [
     "run_sweep",
     "emit_trace",
 ]
-
-
-def _is_finite_real(value) -> bool:
-    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 def _config_vector(key: str, value) -> np.ndarray:
@@ -206,7 +201,7 @@ def load_config(path) -> ScenarioConfig:
 
     lam = parse_number("lambda", float, "a real number")
     grid_points = parse_number("grid_points", int, "an integer")
-    return ScenarioConfig(
+    config = ScenarioConfig(
         scenario=entries["scenario"],
         state=state,
         axes=axes,
@@ -215,6 +210,11 @@ def load_config(path) -> ScenarioConfig:
         trials=parse_number("trials", int, "an integer"),
         grid_points=grid_points if grid_points is not None else DEFAULT_GRID_POINTS,
     )
+    reads = _scenario(config.scenario).reads
+    unread = [key for key in entries if key != "scenario" and key not in reads]
+    if unread:
+        raise ConfigError(f"{path}: scenario {config.scenario!r} does not read keys: {', '.join(unread)}")
+    return config
 
 
 def _json_float(x: float) -> str:
@@ -814,7 +814,8 @@ class _GridRows:
 
     Row ``i`` of the grid is ``text[offsets[i]:offsets[i + 1]]`` and ends in
     ``b"\\n"``.  The text is built a block at a time, so the grid's strings
-    are never all alive at once.
+    are never all alive at once.  The grid is increasing and ends at
+    ``OMEGA_MAX``, to the right of every breakpoint.
     """
 
     def __init__(self, grid: np.ndarray):
@@ -827,43 +828,38 @@ class _GridRows:
         newlines = np.flatnonzero(np.frombuffer(self.text, dtype=np.uint8) == ord("\n"))
         self.offsets = np.concatenate(([0], newlines + 1))
 
-    def write(self, stream, omegas: np.ndarray, values: np.ndarray) -> None:
-        """Write one ``omega,value`` row per sample, byte for byte as ``%.17g,%.17g``.
+    def write(self, stream, fn: StepFunction) -> None:
+        """Write ``fn``'s ``omega,value`` rows on the grid and its breakpoints, one segment at a time.
 
-        A sample reuses its grid string only where its float has the grid
-        float's bits, so ``-0.0`` and ``0.0`` stay apart.  Rows are written
-        in runs of consecutive grid rows with one value (compared by bits):
-        each run is a slice of the grid text with ``,<value>`` put before
-        every newline.  A row off the grid is formatted on its own.
+        The bytes are ``%.17g,%.17g`` over ``np.union1d(grid, fn.breakpoints)``
+        and ``fn`` of each.  A breakpoint starts its segment at the first
+        grid row at or to its right.  One equal to that row's float (``-0.0``
+        to ``0.0`` too) is that row, as ``np.union1d`` keeps one of equal
+        values; any other gets a row of its own.  A segment's grid rows are
+        slices of the grid text with ``,<value>`` put before every newline.
         """
-        index = np.minimum(np.searchsorted(self.grid, omegas), len(self.grid) - 1)
-        on_grid = self.grid[index].view(np.int64) == omegas.view(np.int64)
-        bits = values.view(np.int64)
-        starts = np.ones(len(omegas), dtype=bool)
-        # every grid value is a sample, so adjacent samples on the grid are
-        # adjacent grid rows
-        starts[1:] = (bits[1:] != bits[:-1]) | ~on_grid[1:] | ~on_grid[:-1]
-        starts = np.flatnonzero(starts).tolist()
-        for begin, end in zip(starts, starts[1:] + [len(omegas)]):
-            tail = b",%.17g\n" % values[begin]
-            if not on_grid[begin]:
-                stream.write(b"%.17g" % omegas[begin] + tail)
-                continue
-            first = int(index[begin]) - begin
+        grid, breakpoints = self.grid, fn.breakpoints
+        cuts = np.searchsorted(grid, breakpoints).tolist()
+        for value, left, begin, end in zip(
+            fn.values, (None, *breakpoints), [0, *cuts], [*cuts, len(grid)]
+        ):
+            tail = b",%.17g\n" % value
+            if left is not None and grid[begin] != left:
+                stream.write(b"%.17g" % left + tail)
             for lo in range(begin, end, _TRACE_BLOCK_ROWS):
-                hi = min(lo + _TRACE_BLOCK_ROWS, end)
-                rows = self.text[self.offsets[first + lo] : self.offsets[first + hi]]
+                rows = self.text[self.offsets[lo] : self.offsets[min(lo + _TRACE_BLOCK_ROWS, end)]]
                 stream.write(rows.replace(b"\n", tail))
 
 
 def emit_trace(config: ScenarioConfig, out_dir) -> list[Path]:
     """Write one ``omega,value`` CSV per step function the scenario produces.
 
-    Sampling points are a uniform grid of ``grid_points`` plus every exact
-    breakpoint, so no step edge is missed; values carry 17 significant digits
-    and re-integrate (breakpoint-aware) to the reported integrals.  Rows end
-    in ``\\n`` on every platform.  The grid is formatted once per call and
-    shared by every role's file; nothing is kept between calls.  Returns the
+    Rows are a uniform grid of ``grid_points`` united with every exact
+    breakpoint, so no step edge is missed, written one segment of the step
+    function at a time; values carry 17 significant digits and re-integrate
+    (breakpoint-aware) to the reported integrals.  Rows end in ``\\n`` on
+    every platform.  The grid is formatted once per call and shared by every
+    role's file; nothing is kept between calls.  Returns the
     written paths; a scenario without traces (``sandwich``, ``sweep``) returns
     an empty list without being run.
     """
@@ -876,11 +872,9 @@ def emit_trace(config: ScenarioConfig, out_dir) -> list[Path]:
     grid = np.linspace(OMEGA_MIN, OMEGA_MAX, config.grid_points)
     rows = _GridRows(grid)
     for role, fn in traces.items():
-        omegas = np.union1d(grid, np.asarray(fn.breakpoints, dtype=float))
-        values = fn(omegas)
         path = out / f"{config.scenario}__{role}.csv"
         with path.open("wb") as stream:
             stream.write(b"omega,value\n")
-            rows.write(stream, omegas, values)
+            rows.write(stream, fn)
         written.append(path)
     return written

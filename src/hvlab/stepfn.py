@@ -56,6 +56,11 @@ def _is_int_at_least(value, minimum: int) -> bool:
     return integral and value >= minimum
 
 
+def _is_finite_real(value) -> bool:
+    # a real number (numpy's too) but not a bool, and finite
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+
+
 class StepFunction:
     """Piecewise-constant real function on [-1/2, 1/2] with exact breakpoints.
 
@@ -258,6 +263,8 @@ class ProductFunction:
     prefactor: float = 1.0
 
     def __post_init__(self):
+        if not _is_finite_real(self.prefactor):
+            raise ValidationError(f"prefactor must be a finite real number, got {self.prefactor!r}")
         object.__setattr__(self, "factors", tuple(self.factors))
         object.__setattr__(self, "prefactor", float(self.prefactor))
         for f in self.factors:

@@ -497,3 +497,33 @@ def test_sum_conflict_collinear_and_weight_validation():
         sum_conflict_witness(psi, X, Y, 0.0)
     with pytest.raises(ValidationError):
         sum_conflict_witness(psi, X, Y, 1.0)
+
+
+def test_collinear_matches_the_np_cross_form(rng):
+    from hvlab.bell import NONCOLLINEARITY_TOLERANCE, _collinear
+
+    def by_np_cross(n, m):
+        cross = np.cross(n, m)
+        return float(np.sqrt(cross @ cross)) <= NONCOLLINEARITY_TOLERANCE
+
+    pairs = [(random_unit(rng), random_unit(rng)) for _ in range(2000)]
+    # near the 1e-9 edge: n and n + t p (or -n + t p) for a unit p orthogonal
+    # to n, with |n x m| = t stepping through the tolerance by 2^-44 relative
+    for _ in range(20):
+        n = random_unit(rng)
+        p = np.cross(n, random_unit(rng))
+        p /= np.sqrt(p @ p)
+        for k in range(-40, 41):
+            t = NONCOLLINEARITY_TOLERANCE * (1.0 + k * 2.0**-44)
+            pairs.extend([(n, n + t * p), (n, -n + t * p)])
+    # exact cross products: |X x (1, t, 0)| is t, stepped one float at a time
+    t = NONCOLLINEARITY_TOLERANCE
+    for _ in range(4):
+        t = np.nextafter(t, 0.0)
+    for k in range(9):
+        for n, m in ((X, [1.0, t, 0.0]), (Y, [0.0, -1.0, t]), (Z, [0.0, t, 1.0])):
+            pairs.append((n, np.array(m)))
+        t = np.nextafter(t, 1.0)
+    results = [_collinear(n, m) for n, m in pairs]
+    assert results == [by_np_cross(n, m) for n, m in pairs]
+    assert True in results and False in results

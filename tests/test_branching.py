@@ -401,3 +401,13 @@ def test_branch_records_are_json_shaped():
     assert records[0]["breakpoints"] == [0.0]
     assert records[0]["values"] == [0.0, 1.0]
     json.dumps(records)  # round-trips through JSON without custom encoders
+
+
+@pytest.mark.parametrize("flag", ["no", 1, 0, None, np.True_])
+def test_normalize_all_levels_must_be_a_bool(flag):
+    # a truthy non-bool used to switch on dividing by every level
+    history = chain_selected(PureState(Z), [X, Y])
+    with pytest.raises(ValidationError, match="normalize_all_levels must be a bool"):
+        joint_function(history, flag)
+    with pytest.raises(ValidationError, match="normalize_all_levels must be a bool"):
+        integrate_in_order(history, (1, 2), flag)

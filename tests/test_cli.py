@@ -90,6 +90,14 @@ def test_run_config_that_is_not_utf8_exits_two(tmp_path, capsys):
     assert str(config) in captured.err and "UTF-8" in captured.err
 
 
+def test_config_key_the_scenario_does_not_read_exits_two(tmp_path, capsys):
+    config = write(tmp_path, "sandwich.cfg", SANDWICH_CFG + "state = 0 0 1\nlambda = 0.5\n")
+    assert main(["run", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {config}: scenario 'sandwich' does not read keys: state, lambda\n"
+
+
 def test_run_missing_file_exits_two(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.cfg")]) == 2
 

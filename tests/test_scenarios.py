@@ -37,7 +37,6 @@ scenario = route_agreement
 state = 0 0 1
 n = 1 0 0
 m = 0 1 0
-seed = 7
 """
 
 
@@ -98,7 +97,7 @@ def test_load_config_round_trip(tmp_path):
     np.testing.assert_array_equal(config.state, Z)
     np.testing.assert_array_equal(config.axis("n"), X)
     np.testing.assert_array_equal(config.axis("m"), Y)
-    assert config.seed == 7
+    assert config.seed is None
     assert config.trials is None
     # config vectors leave the parser validated: unit_vector passes them through
     for vector in (config.state, *config.axes.values()):
@@ -115,6 +114,21 @@ def test_load_config_rejects_unknown_and_duplicate_keys(tmp_path):
         load_config(write_config(tmp_path, "seed = 1\n"))
     with pytest.raises(ConfigError):
         load_config(write_config(tmp_path, "scenario = sweep\nnot a pair\n"))
+
+
+def test_load_config_rejects_keys_the_scenario_does_not_read(tmp_path):
+    # listed in file order, not in the order of the recognized keys
+    text = "scenario = sandwich\nlambda = 0.5\nn = 1 0 0\nstate = 0 0 1\nm = 0 1 0\nseed = 7\n"
+    path = write_config(tmp_path, text)
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value) == f"{path}: scenario 'sandwich' does not read keys: lambda, state, seed"
+    # every other check comes first, with its own message
+    for extra, message in (("seed = -1", "seed must be non-negative"), ("grid_points = 1", "grid_points")):
+        with pytest.raises(ConfigError, match=message):
+            load_config(write_config(tmp_path, f"scenario = sandwich\nn = 1 0 0\nm = 0 1 0\n{extra}\n"))
+    with pytest.raises(ConfigError, match="missing required keys: m"):
+        load_config(write_config(tmp_path, "scenario = sandwich\nn = 1 0 0\nseed = 7\n"))
 
 
 def test_load_config_vector_validation(tmp_path):
@@ -618,14 +632,33 @@ def test_emit_trace_across_write_blocks(monkeypatch, tmp_path):
     )
 
 
-def test_trace_rows_reuse_grid_text_only_for_equal_bits():
-    grid = np.linspace(-0.5, 0.5, 5)
-    omegas = grid.copy()
-    omegas[2] = -0.0  # compares equal to the grid's 0.0 but formats as -0
-    values = np.array([1.0, 1.0, 1.0, -0.0, 0.0])
+def test_trace_rows_take_grid_text_for_an_equal_breakpoint():
+    # a -0.0 breakpoint equals the grid's 0.0: one row, with the grid's text,
+    # as np.union1d keeps one of them; a -0.0 segment value still prints as -0
+    fn = StepFunction((-0.0, 0.375), (1.0, -0.0, 2.0))
     stream = io.BytesIO()
-    scenarios._GridRows(grid).write(stream, omegas, values)
-    assert stream.getvalue() == b"-0.5,1\n-0.25,1\n-0,1\n0.25,-0\n0.5,0\n"
+    scenarios._GridRows(np.linspace(-0.5, 0.5, 5)).write(stream, fn)
+    assert stream.getvalue() == b"-0.5,1\n-0.25,1\n0,-0\n0.25,-0\n0.375,2\n0.5,2\n"
+
+
+@pytest.mark.parametrize("grid_points", [2, 5, 2001])
+def test_trace_rows_match_the_union_reference(grid_points):
+    grid = np.linspace(-0.5, 0.5, grid_points)
+    rows = scenarios._GridRows(grid)
+    rng = np.random.default_rng(grid_points)
+    for _ in range(200):
+        # breakpoints on interior grid values, anywhere, and a pair between
+        # two adjacent grid points
+        points = set(rng.choice(grid, 3).tolist()) | set(rng.uniform(-0.5, 0.5, 2).tolist())
+        lo, hi = grid[(i := int(rng.integers(grid_points - 1))) : i + 2].tolist()
+        points |= {lo + (hi - lo) / 3, hi - (hi - lo) / 3}
+        breakpoints = sorted(p for p in points if -0.5 < p < 0.5)
+        values = rng.choice([-1.5, -0.0, 0.0, 1.0 / 3.0, 1.0, 2.0], len(breakpoints) + 1)
+        fn = StepFunction(breakpoints, values)
+        stream = io.BytesIO()
+        rows.write(stream, fn)
+        u = np.union1d(grid, fn.breakpoints)
+        assert stream.getvalue() == b"".join(b"%.17g,%.17g\n" % (w, v) for w, v in zip(u, fn(u)))
 
 
 TRACE_PIN_GRIDS = (2, 2001, 20001)

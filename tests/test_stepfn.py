@@ -304,6 +304,15 @@ def test_integrate_level_any_order():
         assert abs(current.prefactor - full) <= 1e-12 * max(1.0, abs(full))
 
 
+@pytest.mark.parametrize("prefactor", [math.nan, math.inf, -math.inf, "2", None, True, 1j])
+def test_product_prefactor_must_be_a_finite_real(prefactor):
+    # a NaN prefactor used to be accepted and integrate() returned nan
+    with pytest.raises(ValidationError, match="prefactor must be a finite real number"):
+        ProductFunction((), prefactor)
+    with pytest.raises(ValidationError, match="prefactor must be a finite real number"):
+        ProductFunction((indicator_from_sign(0.0, +1),), prefactor)
+
+
 def test_integrate_level_validation_and_collapse():
     half = indicator_from_sign(0.0, +1)
     p = ProductFunction((half,), 2.0)
