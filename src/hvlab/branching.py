@@ -96,7 +96,17 @@ class BranchHistory:
     nodes: tuple[BranchNode, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
+        if not isinstance(self.initial_state, PureState):
+            raise ValidationError(
+                f"initial_state must be a PureState, got {type(self.initial_state).__name__}"
+            )
+        nodes = tuple(self.nodes)
+        for node in nodes:
+            if not isinstance(node, BranchNode):
+                raise ValidationError(
+                    f"BranchHistory nodes must be BranchNode instances, got {type(node).__name__}"
+                )
+        object.__setattr__(self, "nodes", nodes)
 
     @property
     def depth(self) -> int:

@@ -267,15 +267,19 @@ def conditional_expectation(psi: PureState, observed_axis, condition_axis) -> fl
     """Tr[rho B A B] / Tr[rho B] for the projectors on two unit axes.
 
     A projects on ``observed_axis`` m and B on ``condition_axis`` n.  This
-    equals (1 + n.m)/2, independent of the state.  It is evaluated as the
-    expectation of A in the reduced state B rho B / Tr[rho B] (see
-    :func:`reduce_state`), which stays exact to rounding as Tr[rho B]
-    shrinks; dividing Tr[rho B A B] by Tr[rho B] would amplify the
-    numerator's rounding error by 1 / Tr[rho B].
+    equals (1 + n.m)/2, the expectation of A in the reduced state, which is
+    the axis n itself (see :func:`reduce_state`), independent of the state.
+    It is evaluated in that closed form, with :func:`cosine_between`, so
+    identical axes give exactly 1.0 and opposite ones exactly 0.0; dividing
+    Tr[rho B A B] by Tr[rho B] would amplify the numerator's rounding error
+    by 1 / Tr[rho B].  Raises :class:`ReductionUndefinedError` (from
+    :func:`chain_probability`, index 0) when Tr[rho B] falls at or below the
+    orthogonality cutoff.
     """
     m = unit_vector(observed_axis, "observed axis")
     n = unit_vector(condition_axis, "condition axis")
-    return expectation(reduce_state(psi, n), projector(m))
+    chain_probability(psi, [n])
+    return 0.5 * (1.0 + cosine_between(n, m))
 
 
 def chain_probability(psi: PureState, axes: Iterable) -> float:

@@ -238,7 +238,7 @@ def indicator_from_sign(threshold: float, polarity: int) -> StepFunction:
     threshold = float(threshold)
     if not 0.0 <= threshold <= 0.5:
         raise ValidationError(f"threshold {threshold!r} outside [0, 1/2]")
-    if polarity not in (1, -1):
+    if not (_is_int_at_least(polarity, -1) and polarity in (1, -1)):
         raise ValidationError(f"polarity must be +1 or -1, got {polarity!r}")
     high = 0.5 * (1 + polarity)
     low = 0.5 * (1 - polarity)
@@ -306,18 +306,40 @@ def mc_integrate(
 
     Draws ``n_samples`` uniform points per level from ``rng``; intended as an
     independent cross-check of the exact integrals, not as a primary route.
+    The mean and the ``ddof=1`` standard error of the sampled values come
+    from how many samples fall in each cell, a cell being one segment per
+    level; a sample on a breakpoint counts to its right, as evaluation does.
     """
     if not _is_int_at_least(n_samples, 2):
         raise ValidationError(
             f"need an integer of at least 2 samples for a standard error, got {n_samples!r}"
         )
+    # rng.uniform(OMEGA_MIN, OMEGA_MAX, n_samples) draws OMEGA_MIN + 1.0 * u
+    # for u from rng.random: the same floats, drawn here into one buffer
+    omegas = np.empty(n_samples)
     if isinstance(fn, StepFunction):
-        samples = fn(rng.uniform(OMEGA_MIN, OMEGA_MAX, n_samples))
+        rng.random(out=omegas)
+        omegas += OMEGA_MIN
+        at_or_right = [np.count_nonzero(omegas >= b) for b in fn.breakpoints]
+        counts = -np.diff([n_samples, *at_or_right, 0])
+        values = np.array(fn.values)
     else:
-        samples = np.full(n_samples, fn.prefactor)
+        # one index per sample into the cells so far, C order over the levels
+        cells = np.zeros(n_samples, np.intp)
+        values = np.array([fn.prefactor])
         for f in fn.factors:
-            samples = samples * f(rng.uniform(OMEGA_MIN, OMEGA_MAX, n_samples))
-    estimate = float(np.mean(samples))
-    stderr = float(np.std(samples, ddof=1) / math.sqrt(n_samples))
-    return estimate, stderr
+            rng.random(out=omegas)
+            omegas += OMEGA_MIN
+            cells *= len(f.values)
+            for b in f.breakpoints:
+                cells += omegas >= b
+            values = np.multiply.outer(values, f.values).ravel()
+            if len(values) > n_samples:
+                # renumber the occupied cells, so the index stays below n_samples
+                occupied, cells = np.unique(cells, return_inverse=True)
+                values = values[occupied]
+        counts = np.bincount(cells, minlength=len(values))
+    estimate = float(counts @ values) / n_samples
+    variance = float(counts @ (values - estimate) ** 2) / (n_samples - 1)
+    return estimate, math.sqrt(variance) / math.sqrt(n_samples)
 

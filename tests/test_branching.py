@@ -385,6 +385,16 @@ def test_branch_node_validation():
         sequence_probability(PureState(Z), [X, Y], ("selected",))
 
 
+def test_branch_history_validation():
+    # entries that are not nodes used to be accepted, and failed only when used
+    psi = PureState(Z)
+    with pytest.raises(ValidationError, match="nodes must be BranchNode instances, got int"):
+        BranchHistory(psi, (1, 2))
+    with pytest.raises(ValidationError, match="initial_state must be a PureState, got ndarray"):
+        BranchHistory(Z)
+    assert BranchHistory(psi, list(chain_selected(psi, [X, Y]).nodes)).depth == 2
+
+
 # ---------------------------------------------------------------------------
 # records dump
 # ---------------------------------------------------------------------------

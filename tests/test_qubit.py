@@ -405,6 +405,26 @@ def test_conditional_expectation_swap_symmetry_and_oracle(rng):
         assert abs(forward - oracle.conditional_matrix(s, m, n)) <= 1e-12
 
 
+def test_conditional_expectation_identities_are_exact():
+    # identical axes give certainty and opposite ones impossibility, bit for bit
+    rng = np.random.default_rng(15)
+    for _ in range(1000):
+        n = random_unit(rng)
+        psi = PureState(n)
+        assert conditional_expectation(psi, n, n) == 1.0
+        assert conditional_expectation(psi, -n, n) == 0.0
+
+
+def test_conditional_expectation_is_the_reduced_state_expectation_bit_for_bit():
+    # the closed form gives the bits of <A> in the reduced state n, 1/2 + (m/2).n
+    rng = np.random.default_rng(16)
+    for _ in range(2000):
+        s, n, m = random_unit(rng), random_unit(rng), random_unit(rng)
+        if 1.0 + float(np.dot(n, s)) <= 1e-6:
+            continue
+        assert conditional_expectation(PureState(s), m, n) == 0.5 + float(np.dot(0.5 * m, n))
+
+
 # ---------------------------------------------------------------------------
 # chain probability
 # ---------------------------------------------------------------------------

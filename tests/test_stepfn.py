@@ -146,6 +146,11 @@ def test_indicator_validation():
         indicator_from_sign(-0.1, +1)
     with pytest.raises(ValidationError):
         indicator_from_sign(0.25, 0)
+    # a polarity is an integer, as a sample count is: not a bool or a float
+    for polarity in (True, 1.0, -1.0, np.float64(1.0)):
+        with pytest.raises(ValidationError, match=r"polarity must be \+1 or -1"):
+            indicator_from_sign(0.25, polarity)
+    assert indicator_from_sign(0.25, np.int64(-1)) == indicator_from_sign(0.25, -1)
 
 
 @given(
@@ -344,6 +349,34 @@ def test_mc_integrate_validation():
         with pytest.raises(ValidationError, match="integer of at least 2 samples"):
             mc_integrate(constant(1.0), n_samples, np.random.default_rng(0))
     assert mc_integrate(constant(1.0), np.int64(10), np.random.default_rng(0)) == (1.0, 0.0)
+
+
+def per_sample_values(fn, n_samples, rng):
+    # the per-sample reference: fn at each draw of rng.uniform, level by level
+    if isinstance(fn, StepFunction):
+        return fn(rng.uniform(-0.5, 0.5, n_samples))
+    samples = np.full(n_samples, fn.prefactor)
+    for f in fn.factors:
+        samples = samples * f(rng.uniform(-0.5, 0.5, n_samples))
+    return samples
+
+
+def test_mc_integrate_counts_the_per_sample_values():
+    f = StepFunction((-0.3, 0.0, 0.2, 0.4), (1.5, -2.0, 0.25, 3.0, -1.0))
+    cases = [
+        (f, 10_000),
+        (ProductFunction((f, indicator_from_sign(0.1, -1), f), 0.5), 10_000),
+        # 625 cells for 100 samples: the occupied cells are renumbered
+        (ProductFunction((f, f, f, f), 2.0), 100),
+        (ProductFunction((), -1.5), 10),
+    ]
+    for fn, n_samples in cases:
+        estimate, stderr = mc_integrate(fn, n_samples, np.random.default_rng(3))
+        samples = per_sample_values(fn, n_samples, np.random.default_rng(3))
+        # the same draws, summed in another order: within gamma_n of each sum
+        gamma = n_samples * 2.0**-53
+        assert abs(estimate - samples.mean()) <= 2 * gamma * np.abs(samples).max()
+        assert abs(stderr - samples.std(ddof=1) / math.sqrt(n_samples)) <= 4 * gamma * stderr
 
 
 # ---------------------------------------------------------------------------
