@@ -819,8 +819,8 @@ def _veltkamp_split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _quad_tables() -> tuple[np.ndarray, np.ndarray]:
     # each group q of four digits as four ASCII bytes read as one uint32: at
     # index q all four, at 10_000 + q without its trailing zeros (NUL bytes
-    # instead); and the number of bytes printed at each index
-    # (small dtypes keep the import's temporaries, and so its peak memory, small)
+    # instead); and the number of bytes printed at each index.  Small dtypes
+    # keep the import's temporaries, and so its peak memory, small.
     places = np.array([1000, 100, 10, 1], np.uint16)
     digits = (np.arange(10_000, dtype=np.uint16)[:, None] // places % 10).astype(np.uint8)
     printed = np.logical_or.accumulate(digits[:, ::-1] > 0, axis=1)[:, ::-1]
