@@ -94,13 +94,6 @@ def _polarity(v: np.ndarray) -> int:
     return 1 if first > 0.0 else -1
 
 
-def _sign_factor(c: float, s: np.ndarray, m: np.ndarray) -> int:
-    """sign(s.m), with the exact tie c == 0.0 (either zero) broken by p(s) p(m)."""
-    if c == 0.0:
-        return _polarity(s) * _polarity(m)
-    return 1 if c > 0.0 else -1
-
-
 def bell_value(psi: PureState, m) -> StepFunction:
     """Dispersion-free 0/1 value map of the projector on axis ``m`` in state ``psi``.
 
@@ -110,25 +103,26 @@ def bell_value(psi: PureState, m) -> StepFunction:
     """
     axis = unit_vector(m, "measurement axis")
     c = cosine_between(psi.bloch, axis)
-    return indicator_from_sign(0.5 * abs(c), _sign_factor(c, psi.bloch, axis))
+    if c == 0.0:
+        # sign(s.m) at the exact tie (either zero) is p(s) p(m)
+        return indicator_from_sign(0.0, _polarity(psi.bloch) * _polarity(axis))
+    return indicator_from_sign(0.5 * abs(c), 1 if c > 0.0 else -1)
 
 
 def bell_value_operator(psi: PureState, op: HermitianOp) -> StepFunction:
     """Dispersion-free value map of a general observable ``a*1 + b.sigma``.
 
     For b != 0 the map is ``a + |b| sign(omega + |s.bhat|/2) sign(s.bhat)``:
-    it takes only the eigenvalues a -+ |b|, reduces to :func:`bell_value` on
-    projectors (the tie s.bhat == 0.0 is broken the same way), and integrates
-    to the expectation a + b.s.  For b = 0 it is the constant a.
+    it is :func:`bell_value`'s map for the axis bhat = b/|b|, the tie
+    included, with 1 and 0 relabelled as the eigenvalues a + |b| and a - |b|,
+    so it integrates to the expectation a + b.s.  For b = 0 it is constant a.
     """
     if not isinstance(op, HermitianOp):
         raise ValidationError("observable must be a HermitianOp")
     radius = op.b_norm
     if radius == 0.0:
         return constant(op.a)
-    bhat = op.b / radius
-    c = cosine_between(psi.bloch, bhat)
-    ind = indicator_from_sign(0.5 * abs(c), _sign_factor(c, psi.bloch, bhat))
+    ind = bell_value(psi, op.b / radius)
     low, high = op.eigenvalues
     return StepFunction(ind.breakpoints, tuple(high if v == 1.0 else low for v in ind.values))
 

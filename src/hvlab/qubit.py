@@ -38,7 +38,6 @@ __all__ = [
     "projector",
     "expectation",
     "sandwich",
-    "reduce_state",
     "conditional_expectation",
     "chain_probability",
 ]
@@ -251,30 +250,17 @@ def sandwich(outer_axis, inner_axis) -> HermitianOp:
     return HermitianOp(scalar, vector)
 
 
-def reduce_state(psi: PureState, axis) -> PureState:
-    """Post-measurement state B rho B / Tr[rho B] for the projector B on ``axis``.
-
-    For a pure state the reduced state is the axis itself.  Raises
-    :class:`ReductionUndefinedError` (from :func:`chain_probability`, index 0)
-    when Tr[rho B] falls at or below the orthogonality cutoff.
-    """
-    u = unit_vector(axis, "axis")
-    chain_probability(psi, [u])
-    return PureState(u)
-
-
 def conditional_expectation(psi: PureState, observed_axis, condition_axis) -> float:
     """Tr[rho B A B] / Tr[rho B] for the projectors on two unit axes.
 
     A projects on ``observed_axis`` m and B on ``condition_axis`` n.  This
     equals (1 + n.m)/2, the expectation of A in the reduced state, which is
-    the axis n itself (see :func:`reduce_state`), independent of the state.
-    It is evaluated in that closed form, with :func:`cosine_between`, so
-    identical axes give exactly 1.0 and opposite ones exactly 0.0; dividing
-    Tr[rho B A B] by Tr[rho B] would amplify the numerator's rounding error
-    by 1 / Tr[rho B].  Raises :class:`ReductionUndefinedError` (from
-    :func:`chain_probability`, index 0) when Tr[rho B] falls at or below the
-    orthogonality cutoff.
+    the axis n itself, independent of the state.  It is evaluated in that
+    closed form, with :func:`cosine_between`, so identical axes give exactly
+    1.0 and opposite ones exactly 0.0; dividing Tr[rho B A B] by Tr[rho B]
+    would amplify the numerator's rounding error by 1 / Tr[rho B].  Raises
+    :class:`ReductionUndefinedError` (from :func:`chain_probability`,
+    index 0) when Tr[rho B] falls at or below the orthogonality cutoff.
     """
     m = unit_vector(observed_axis, "observed axis")
     n = unit_vector(condition_axis, "condition axis")

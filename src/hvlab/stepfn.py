@@ -28,7 +28,6 @@ import numbers
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -71,8 +70,11 @@ class StepFunction:
     """
 
     def __init__(self, breakpoints: Iterable[float], values: Iterable[float]):
-        bps = tuple(map(float, breakpoints))
-        vals = tuple(map(float, values))
+        try:
+            bps = tuple(map(float, breakpoints))
+            vals = tuple(map(float, values))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"breakpoints and values must be real numbers: {exc}") from exc
         if len(vals) != len(bps) + 1:
             raise ValidationError(
                 f"need exactly one more value than breakpoints, "
@@ -114,27 +116,21 @@ class StepFunction:
     def values(self) -> tuple[float, ...]:
         return self._values
 
-    @cached_property
-    def _breakpoint_array(self) -> np.ndarray:
-        return np.asarray(self._breakpoints, dtype=float)
-
-    @cached_property
-    def _value_array(self) -> np.ndarray:
-        return np.asarray(self._values, dtype=float)
-
     def __call__(self, omega):
         """Evaluate at a scalar or array of omega values (right-continuous)."""
-        if np.ndim(omega) == 0:
-            x = float(omega)
+        scalar = np.ndim(omega) == 0
+        try:
+            x = float(omega) if scalar else np.asarray(omega, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"omega must be real: {exc}") from exc
+        if scalar:
             if not OMEGA_MIN <= x <= OMEGA_MAX:
                 raise ValidationError(f"omega {x!r} outside [{OMEGA_MIN}, {OMEGA_MAX}]")
             return self._values[bisect_right(self._breakpoints, x)]
-        arr = np.asarray(omega, dtype=float)
         # written so that a NaN, which propagates through min and max, fails it
-        if arr.size and not (OMEGA_MIN <= arr.min() and arr.max() <= OMEGA_MAX):
+        if x.size and not (OMEGA_MIN <= x.min() and x.max() <= OMEGA_MAX):
             raise ValidationError("omega samples outside [-1/2, 1/2]")
-        idx = np.searchsorted(self._breakpoint_array, arr, side="right")
-        return self._value_array[idx]
+        return np.array(self._values)[np.searchsorted(self._breakpoints, x, side="right")]
 
     def integrate(self) -> float:
         """Exact integral over [-1/2, 1/2]: sum of value * segment length."""
@@ -235,7 +231,10 @@ def indicator_from_sign(threshold: float, polarity: int) -> StepFunction:
     breakpoint is the right-hand one, consistent with right-continuous
     evaluation.  A threshold of exactly 1/2 yields a constant function.
     """
-    threshold = float(threshold)
+    try:
+        threshold = float(threshold)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"threshold must be a real number: {exc}") from exc
     if not 0.0 <= threshold <= 0.5:
         raise ValidationError(f"threshold {threshold!r} outside [0, 1/2]")
     if not (_is_int_at_least(polarity, -1) and polarity in (1, -1)):

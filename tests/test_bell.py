@@ -197,6 +197,16 @@ def test_operator_map_of_identity_is_constant_one():
     assert assignment.values == (1.0,)
 
 
+def test_operator_map_rejects_a_non_unit_axis_as_the_measurement_axis():
+    # b.b underflows to a subnormal, so b/|b| is about 1 + 5.6e-6 long
+    op = HermitianOp(0.5, [1e-160, 0.0, 0.0])
+    with pytest.raises(
+        ValidationError,
+        match=r"^measurement axis must be a unit vector, got norm 1\.0000055664551362$",
+    ):
+        bell_value_operator(PureState(Z), op)
+
+
 def test_operator_map_mixture_against_eigendecomposition_oracle(rng):
     # E = (P_n + P_m)/2 with perpendicular axes: eigenvalues (1 +- 1/sqrt(2))/2
     for _ in range(25):

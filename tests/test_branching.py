@@ -24,7 +24,6 @@ from hvlab import (
     integrate_in_order,
     joint_function,
     outcome_probabilities,
-    reduce_state,
     repeated_measurement_check,
     route_operator_product,
     route_state_update,
@@ -310,8 +309,6 @@ def test_every_site_cuts_off_the_same_outcome_probability():
     assert 1.0 + float(np.dot(psi.bloch, Z)) > 1e-12
     selected, _ = branch(BranchHistory(psi), Z)
     assert selected.zero_probability
-    with pytest.raises(ReductionUndefinedError):
-        reduce_state(psi, Z)
     with pytest.raises(ReductionUndefinedError):
         chain_probability(psi, [Z])
     assert sequence_probability(psi, [Z], ("selected",)) == 0.0

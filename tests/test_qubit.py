@@ -17,7 +17,6 @@ from hvlab import (
     cosine_between,
     expectation,
     projector,
-    reduce_state,
     sandwich,
     unit_vector,
 )
@@ -125,7 +124,6 @@ def test_unit_vector_passes_its_own_output_through():
     bloch = PureState([0.0, 0.6, 0.8]).bloch
     assert unit_vector(bloch) is bloch
     assert PureState(u).bloch is u
-    assert reduce_state(PureState([0.0, 0.0, 1.0]), u).bloch is u
     selected, complement = branch(BranchHistory(PureState([0.0, 0.0, 1.0])), u)
     assert selected.nodes[0].axis is u
     assert complement.nodes[0].axis is u
@@ -349,29 +347,6 @@ def test_sandwich_coefficient_symmetry(rng):
 
 
 # ---------------------------------------------------------------------------
-# reduce_state
-# ---------------------------------------------------------------------------
-
-
-def test_reduce_examples():
-    psi = PureState(Z)
-    assert reduce_state(psi, Z) == psi
-    assert reduce_state(psi, X) == PureState(X)
-    with pytest.raises(ReductionUndefinedError, match="step 0") as err:
-        reduce_state(psi, -Z)
-    assert err.value.index == 0
-
-
-def test_reduce_is_idempotent(rng):
-    for _ in range(20):
-        s, n = random_unit(rng), random_unit(rng)
-        psi = PureState(s)
-        once = reduce_state(psi, n)
-        twice = reduce_state(once, n)
-        assert once == twice
-
-
-# ---------------------------------------------------------------------------
 # conditional expectation
 # ---------------------------------------------------------------------------
 
@@ -455,7 +430,6 @@ def test_near_unit_axis_rejected_by_every_axis_entry_point():
     near = [1.0 + 1.6e-9, 0.0, 0.0]
     psi = PureState(X)
     calls = [
-        lambda: reduce_state(psi, near),
         lambda: conditional_expectation(psi, Y, near),
         lambda: conditional_expectation(psi, near, Y),
         lambda: sandwich(near, Y),

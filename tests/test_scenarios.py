@@ -95,8 +95,8 @@ def test_load_config_round_trip(tmp_path):
     config = load_config(write_config(tmp_path, ROUTE_CFG))
     assert config.scenario == "route_agreement"
     np.testing.assert_array_equal(config.state, Z)
-    np.testing.assert_array_equal(config.axis("n"), X)
-    np.testing.assert_array_equal(config.axis("m"), Y)
+    np.testing.assert_array_equal(config.axes["n"], X)
+    np.testing.assert_array_equal(config.axes["m"], Y)
     assert config.seed is None
     assert config.trials is None
     # config vectors leave the parser validated: unit_vector passes them through
@@ -145,8 +145,8 @@ def test_load_config_normalizes_with_warning(tmp_path):
     text = "scenario = idempotence\nstate = 0 0 1\nn = 0 0 1.00000003\n"
     with pytest.warns(UserWarning, match="normalizing"):
         config = load_config(write_config(tmp_path, text))
-    assert abs(float(np.linalg.norm(config.axis("n"))) - 1.0) <= 1e-12
-    assert unit_vector(config.axis("n")) is config.axis("n")
+    assert abs(float(np.linalg.norm(config.axes["n"])) - 1.0) <= 1e-12
+    assert unit_vector(config.axes["n"]) is config.axes["n"]
 
 
 def test_load_config_accepts_tiny_deviation_silently(tmp_path, recwarn):
@@ -310,7 +310,7 @@ def test_conditional_oracle_near_orthogonality(tmp_path, scenario):
     report = run_scenario(config)
     assert report.passed
     assert report.max_abs_error <= 1e-15
-    want = 0.5 * (1.0 + float(config.axis("n") @ config.axis("m")))
+    want = 0.5 * (1.0 + float(config.axes["n"] @ config.axes["m"]))
     assert abs(report.qm_values["conditional_expectation"] - want) <= 1e-15
 
 

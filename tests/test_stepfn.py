@@ -79,6 +79,24 @@ def test_construction_errors_keep_their_messages(breakpoints, values, message):
         StepFunction(breakpoints, values)
 
 
+_HALF = StepFunction((0.0,), (0.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: StepFunction(["a"], [0, 1]), "breakpoints and values must be real numbers"),
+        (lambda: StepFunction((), [None]), "breakpoints and values must be real numbers"),
+        (lambda: _HALF("x"), "omega must be real"),
+        (lambda: _HALF(["x"]), "omega must be real"),
+        (lambda: indicator_from_sign("a", 1), "threshold must be a real number"),
+    ],
+)
+def test_non_numeric_input_is_a_validation_error(call, message):
+    with pytest.raises(ValidationError, match=f"^{message}: "):
+        call()
+
+
 def test_right_continuous_evaluation():
     f = StepFunction((0.0,), (2.0, 3.0))
     assert f(-0.1) == 2.0
