@@ -30,7 +30,7 @@ import numpy as np
 
 from .bell import bell_value
 from .errors import ReductionUndefinedError, ValidationError, ZeroProbabilityError
-from .qubit import ORTHOGONALITY_CUTOFF, PureState, _negated_unit, chain_probability, unit_vector
+from .qubit import ORTHOGONALITY_CUTOFF, PureState, chain_probability, unit_vector
 from .stepfn import ProductFunction, StepFunction, _is_int_at_least
 
 _SELECTED = "selected"
@@ -81,7 +81,7 @@ class BranchNode:
     @property
     def prepared_state(self) -> PureState:
         """The state handed to the next measurement: +axis if selected, -axis if not."""
-        return PureState(self.axis if self.outcome == _SELECTED else _negated_unit(self.axis))
+        return PureState(self.axis if self.outcome == _SELECTED else np.negative(self.axis))
 
     @property
     def zero_probability(self) -> bool:
@@ -190,7 +190,11 @@ def integrate_in_order(
     the normalization prefactors).
     """
     k = history.depth
-    if not all(_is_int_at_least(level, 1) for level in order) or sorted(order) != list(range(1, k + 1)):
+    try:
+        integers = all(_is_int_at_least(level, 1) for level in order)
+    except TypeError:  # order is not iterable
+        integers = False
+    if not integers or sorted(order) != list(range(1, k + 1)):
         raise ValidationError(f"order {order!r} is not a permutation of 1..{k}")
     total = _prefactor(history, normalize_all_levels)
     for level in order:
@@ -229,7 +233,7 @@ def sequence_probability(initial: PureState, axes: Sequence, pattern: Sequence[s
     for k, (axis, outcome) in enumerate(zip(axes, pattern)):
         _check_outcome(outcome)
         u = unit_vector(axis, f"axes[{k}]")
-        signed.append(u if outcome == _SELECTED else _negated_unit(u))
+        signed.append(u if outcome == _SELECTED else np.negative(u))
     try:
         return chain_probability(initial, signed)
     except ReductionUndefinedError:
@@ -238,7 +242,10 @@ def sequence_probability(initial: PureState, axes: Sequence, pattern: Sequence[s
 
 def outcome_probabilities(initial: PureState, axes: Sequence) -> dict[tuple[str, ...], float]:
     """Probabilities of all 2^k outcome patterns for a fixed axis sequence."""
-    units = [unit_vector(a, "measurement axis") for a in axes]
+    try:
+        units = [unit_vector(a, "measurement axis") for a in axes]
+    except TypeError as exc:  # axes is not iterable
+        raise ValidationError(f"axes must be a sequence of unit 3-vectors, got {axes!r}") from exc
     return {
         pattern: sequence_probability(initial, units, pattern)
         for pattern in _outcome_product(_OUTCOMES, repeat=len(units))

@@ -92,13 +92,6 @@ def _vector3(v, name: str) -> np.ndarray:
     return arr
 
 
-def _marked(arr: np.ndarray) -> np.ndarray:
-    # a read-only unit 3-vector, marked so that unit_vector passes it through
-    unit = arr.view(_UnitVector)
-    unit._checked = True
-    return unit
-
-
 def unit_vector(v, name: str = "vector") -> np.ndarray:
     """Validate a unit 3-vector (|v| = 1 within 1e-9); returns it read-only.
 
@@ -112,18 +105,9 @@ def unit_vector(v, name: str = "vector") -> np.ndarray:
     norm = math.sqrt(float(np.dot(arr, arr)))
     if abs(norm - 1.0) > UNIT_TOLERANCE:
         raise ValidationError(f"{name} must be a unit vector, got norm {norm!r}")
-    return _marked(arr)
-
-
-def _negated_unit(u) -> np.ndarray:
-    """-u for a unit vector, marked as checked without a second full check.
-
-    Negation flips only signs, so it is exact: -u is as finite and as close
-    to unit norm as u, bit for bit ``unit_vector(np.negative(u))``.
-    """
-    negated = np.negative(unit_vector(u))
-    negated.setflags(write=False)
-    return _marked(negated)
+    unit = arr.view(_UnitVector)
+    unit._checked = True
+    return unit
 
 
 def cosine_between(u: np.ndarray, v: np.ndarray) -> float:
@@ -216,16 +200,7 @@ class PureState:
 
 def projector(m) -> HermitianOp:
     """Rank-1 projector (1 + m.sigma)/2 onto the unit Bloch axis ``m``."""
-    # HermitianOp checks only that its vector part is a real, finite 3-vector.
-    # Halving a finite vector scales by a power of two, so it stays finite:
-    # 0.5 * m passes that check by construction, and it is stored read-only,
-    # bit for bit what HermitianOp(0.5, 0.5 * m) would hold.
-    half = unit_vector(m, "projector axis").view(np.ndarray) * 0.5
-    half.setflags(write=False)
-    op = object.__new__(HermitianOp)
-    object.__setattr__(op, "a", 0.5)
-    object.__setattr__(op, "b", half)
-    return op
+    return HermitianOp(0.5, unit_vector(m, "projector axis") * 0.5)
 
 
 def expectation(psi: PureState, op: HermitianOp) -> float:

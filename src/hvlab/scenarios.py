@@ -107,7 +107,10 @@ class ScenarioConfig:
             raise ConfigError(
                 f"unknown scenario {self.scenario!r}; expected one of {', '.join(SCENARIO_NAMES)}"
             )
-        axes = dict(self.axes)
+        try:
+            axes = dict(self.axes)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"axes must map axis names to vectors, got {self.axes!r}") from exc
         if not set(axes) <= set(_AXIS_KEYS):
             raise ConfigError(f"axis names must be among n, m, c, got {list(axes)!r}")
         object.__setattr__(self, "axes", {key: _config_vector(key, v) for key, v in axes.items()})

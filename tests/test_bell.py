@@ -507,6 +507,8 @@ def test_sum_conflict_collinear_and_weight_validation():
         sum_conflict_witness(psi, X, Y, 0.0)
     with pytest.raises(ValidationError):
         sum_conflict_witness(psi, X, Y, 1.0)
+    with pytest.raises(ValidationError, match="mixture weight must be a real number, got 'a'"):
+        sum_conflict_witness(psi, X, Y, "a")
 
 
 def test_collinear_matches_the_np_cross_form(rng):

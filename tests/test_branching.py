@@ -32,7 +32,7 @@ from hvlab import (
 )
 
 import matrix_oracle as oracle
-from conftest import X, Y, Z, random_unit
+from conftest import X, Y, Z, random_unit, rational_axes
 
 
 def chain_selected(psi, axes):
@@ -171,7 +171,7 @@ def test_integrate_in_order_validation():
     with pytest.raises(ValidationError):
         integrate_in_order(history, [0, 1])
     # these compare equal to a permutation of 1..2 but are not integers
-    for order in ([1.0, 2.0], [2, 1.0], [True, 2], (np.float64(2.0), np.float64(1.0))):
+    for order in ([1.0, 2.0], [2, 1.0], [True, 2], (np.float64(2.0), np.float64(1.0)), None):
         with pytest.raises(ValidationError, match="is not a permutation"):
             integrate_in_order(history, order)
     assert integrate_in_order(history, np.array([2, 1])) == integrate_in_order(history, [2, 1])
@@ -207,16 +207,42 @@ def test_intermediate_marginals_reproduce_both_routes(rng):
         psi = PureState(s)
         joint = joint_function(chain_selected(psi, [n, m]))
 
-        omega_first = marginal(joint, 0)
-        via_state = route_state_update(n, m)
-        probe = np.linspace(-0.5, 0.5, 101)
-        np.testing.assert_allclose(omega_first(probe), via_state(probe), rtol=0, atol=1e-12)
+        # the breakpoints agree exactly; the values differ by the rounding of
+        # the prefactors (1/N1)*N1 and (1/N1)*N2 that integrate_level forms
+        for got, route in (
+            (marginal(joint, 0), route_state_update(n, m)),
+            (marginal(joint, 1), route_operator_product(psi, n, m)),
+        ):
+            assert got.breakpoints == route.breakpoints
+            np.testing.assert_allclose(got.values, route.values, rtol=0, atol=1e-12)
 
-        omega_prime_first = marginal(joint, 1)
-        via_product = route_operator_product(psi, n, m)
-        np.testing.assert_allclose(
-            omega_prime_first(probe), via_product(probe), rtol=0, atol=1e-12
-        )
+
+def _assert_routes_are_branch_levels(psi, selected, n, m):
+    # selected is branch(BranchHistory(psi), n)[0]
+    first, second = branch(selected, m)[0].nodes
+    assert route_state_update(n, m) == second.level_function
+    assert route_operator_product(psi, n, m) == first.level_function * (
+        second.normalizer / first.normalizer
+    )
+
+
+def test_routes_are_the_two_branch_levels_exactly(rng):
+    # the state-update route is the second level function, and the
+    # operator-product route the first level scaled by N2/N1, bit for bit
+    for _ in range(2000):
+        psi, n, m = PureState(random_unit(rng)), random_unit(rng), random_unit(rng)
+        _assert_routes_are_branch_levels(psi, branch(BranchHistory(psi), n)[0], n, m)
+    axes = [np.array(nums) / den for nums, den in rational_axes()]
+    psi = PureState(np.array([2.0, -3.0, 6.0]) / 7)
+    checked = 0
+    for n in axes:
+        selected = branch(BranchHistory(psi), n)[0]
+        if selected.zero_probability:
+            continue
+        for m in axes:
+            _assert_routes_are_branch_levels(psi, selected, n, m)
+            checked += 1
+    assert checked == 77 * 78
 
 
 def test_intermediate_marginals_differ_pointwise_but_agree_as_numbers():
@@ -335,6 +361,9 @@ def test_sequence_probability_frozen_quarter():
 
 def test_sequence_probability_zero_step():
     assert sequence_probability(PureState(Z), [Z], ("complement",)) == 0.0
+    # a zero-probability step does not hide a malformed later axis behind 0.0
+    with pytest.raises(ValidationError, match=r"axes\[1\]"):
+        sequence_probability(PureState(Z), [-Z, [2.0, 0.0, 0.0]], ("selected", "selected"))
 
 
 def test_sequence_probability_matches_chain_for_all_selected(rng):
@@ -380,6 +409,8 @@ def test_branch_node_validation():
         sequence_probability(PureState(Z), [X], ("maybe",))
     with pytest.raises(ValidationError, match="2 axes but 1 outcomes"):
         sequence_probability(PureState(Z), [X, Y], ("selected",))
+    with pytest.raises(ValidationError, match="axes must be a sequence of unit 3-vectors, got None"):
+        outcome_probabilities(PureState(Z), None)
 
 
 def test_branch_history_validation():

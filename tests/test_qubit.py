@@ -21,8 +21,6 @@ from hvlab import (
     unit_vector,
 )
 
-from hvlab.qubit import _negated_unit
-
 import matrix_oracle as oracle
 from conftest import X, Y, Z, random_unit, rational_axes
 
@@ -101,19 +99,14 @@ def test_non_numeric_vectors_raise_validation_error(build, name):
         build()
 
 
-def test_negated_unit_is_checked_negation(rng):
+def test_complement_prepares_the_checked_negation(rng):
     axes = [random_unit(rng) for _ in range(50)] + [X, -Y, Z, np.array([0.0, -0.8, 0.6])]
     for axis in axes:
-        u = unit_vector(axis)
-        negated = _negated_unit(u)
-        assert negated.tobytes() == unit_vector(np.negative(u)).tobytes()
-        assert not negated.flags.writeable
-        with pytest.raises(ValueError):
-            negated.flags.writeable = True
-        assert unit_vector(negated) is negated
-        assert _negated_unit(negated).tobytes() == u.tobytes()
-    with pytest.raises(ValidationError):
-        _negated_unit([2.0, 0.0, 0.0])
+        _, complement = branch(BranchHistory(PureState(Z)), axis)
+        node = complement.nodes[0]
+        bloch = node.prepared_state.bloch
+        assert bloch.tobytes() == unit_vector(np.negative(node.axis)).tobytes()
+        assert unit_vector(bloch) is bloch
 
 
 def test_unit_vector_passes_its_own_output_through():

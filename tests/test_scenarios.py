@@ -185,6 +185,8 @@ def test_bad_config_field_is_a_config_error(tmp_path):
             ScenarioConfig("sandwich", state=state, axes=xy)
     with pytest.raises(ConfigError, match="vector 'm' must be a unit vector"):
         ScenarioConfig("sandwich", axes={"n": X, "m": [0.0, 1.0 + 1.6e-9, 0.0]})
+    with pytest.raises(ConfigError, match="axes must map axis names to vectors, got None"):
+        ScenarioConfig("sandwich", axes=None)
     for axes in ({**xy, "q": Z}, {1: Z, **xy}):
         with pytest.raises(ConfigError, match="axis names must be among n, m, c"):
             ScenarioConfig("sandwich", axes=axes)
