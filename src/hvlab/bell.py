@@ -23,6 +23,7 @@ swapping its two axes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,7 @@ from .qubit import (
     ORTHOGONALITY_CUTOFF,
     HermitianOp,
     PureState,
+    _dot3,
     chain_probability,
     cosine_between,
     projector,
@@ -192,8 +194,8 @@ def _collinear(n: np.ndarray, m: np.ndarray) -> bool:
     # |n x m| at or below the tolerance: the axes (anti-)align and their projectors commute.
     # np.cross's components, from floats: np.cross costs about ten times more on 3-vectors
     (n1, n2, n3), (m1, m2, m3) = n.tolist(), m.tolist()
-    cross = np.array((n2 * m3 - n3 * m2, n3 * m1 - n1 * m3, n1 * m2 - n2 * m1))
-    return float(np.sqrt(cross @ cross)) <= NONCOLLINEARITY_TOLERANCE
+    cross = (n2 * m3 - n3 * m2, n3 * m1 - n1 * m3, n1 * m2 - n2 * m1)
+    return math.sqrt(_dot3(cross, cross)) <= NONCOLLINEARITY_TOLERANCE
 
 
 def classical_conditional(psi: PureState, observed_axis, condition_axis) -> float:

@@ -135,8 +135,11 @@ def branch(history: BranchHistory, axis) -> tuple[BranchHistory, BranchHistory]:
     not raised, because sibling branches must still sum to probability 1.
     """
     u = unit_vector(axis, "measurement axis")
-    selected = bell_value(history.current_state, u)
-    initial, nodes = history.initial_state, history.nodes
+    try:
+        state, initial, nodes = history.current_state, history.initial_state, history.nodes
+    except AttributeError as exc:
+        raise ValidationError(f"history must be a BranchHistory, got {type(history).__name__}") from exc
+    selected = bell_value(state, u)
     return (
         BranchHistory(initial, nodes + (BranchNode(u, _SELECTED, selected),)),
         BranchHistory(initial, nodes + (BranchNode(u, _COMPLEMENT, 1.0 - selected),)),
@@ -227,7 +230,13 @@ def sequence_probability(initial: PureState, axes: Sequence, pattern: Sequence[s
     (1 + s.n)/2 and (1 - s.n)/2 while the prepared state walks the signed
     axes.  A zero-probability step gives 0.0 rather than raising.
     """
-    if len(axes) != len(pattern):
+    try:
+        mismatch = len(axes) != len(pattern)
+    except TypeError as exc:
+        raise ValidationError(
+            f"axes and pattern must be sequences, got {type(axes).__name__} and {type(pattern).__name__}"
+        ) from exc
+    if mismatch:
         raise ValidationError(f"{len(axes)} axes but {len(pattern)} outcomes")
     signed = []
     for k, (axis, outcome) in enumerate(zip(axes, pattern)):

@@ -66,8 +66,8 @@ class _UnitVector(np.ndarray):
 _FLOAT64 = np.dtype(np.float64)
 
 
-def _vector3(v, name: str) -> np.ndarray:
-    """A read-only float copy of a real, finite 3-vector, or a ValidationError.
+def _vector3(v, name: str) -> tuple[np.ndarray, list[float]]:
+    """A read-only float copy of a real, finite 3-vector and its ``tolist()``, or a ValidationError.
 
     A plain float64 array of shape (3,) is copied directly; any other input
     goes through ``np.array`` and a cast.  Both take the same finiteness test
@@ -86,10 +86,21 @@ def _vector3(v, name: str) -> np.ndarray:
             raise ValidationError(f"{name} must be a real 3-vector: {exc}") from exc
         if arr.shape != (3,):
             raise ValidationError(f"{name} must be a real 3-vector, got shape {arr.shape}")
-    if not all(map(math.isfinite, arr.tolist())):
+    components = arr.tolist()
+    if not all(map(math.isfinite, components)):
         raise ValidationError(f"{name} has non-finite components")
     arr.setflags(write=False)
-    return arr
+    return arr, components
+
+
+def _dot3(a, b) -> float:
+    """``(a0*b0 + a1*b1) + a2*b2`` over two sequences of three floats (``tolist()`` components).
+
+    CPython rounds each operation once and never fuses them, so the result
+    does not depend on the CPU, unlike numpy's dot product of 3-vectors,
+    whose order and fusing the BLAS kernel picked at run time decides.
+    """
+    return (a[0] * b[0] + a[1] * b[1]) + a[2] * b[2]
 
 
 def unit_vector(v, name: str = "vector") -> np.ndarray:
@@ -97,12 +108,12 @@ def unit_vector(v, name: str = "vector") -> np.ndarray:
 
     A vector this function returned is passed through as is, so each axis is
     checked once however many layers it crosses.  Any other input is copied
-    and checked in full by ``_vector3``; the norm is ``sqrt(np.dot(v, v))``.
+    and checked in full by ``_vector3``; the norm is ``sqrt(_dot3(v, v))``.
     """
     if type(v) is _UnitVector and v._checked:
         return v
-    arr = _vector3(v, name)
-    norm = math.sqrt(float(np.dot(arr, arr)))
+    arr, components = _vector3(v, name)
+    norm = math.sqrt(_dot3(components, components))
     if abs(norm - 1.0) > UNIT_TOLERANCE:
         raise ValidationError(f"{name} must be a unit vector, got norm {norm!r}")
     unit = arr.view(_UnitVector)
@@ -128,7 +139,7 @@ def cosine_between(u: np.ndarray, v: np.ndarray) -> float:
         return -1.0
     # clipped by comparison rather than min/max calls: run_sweep(seed, 1000)
     # makes about 15,000 calls here
-    c = float(np.dot(u, v))
+    c = _dot3(a, b)
     return 1.0 if c > 1.0 else -1.0 if c < -1.0 else c
 
 
@@ -146,13 +157,14 @@ class HermitianOp:
             object.__setattr__(self, "a", float(self.a))
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"operator scalar part must be a real number: {exc}") from exc
-        object.__setattr__(self, "b", _vector3(self.b, "operator vector part"))
+        object.__setattr__(self, "b", _vector3(self.b, "operator vector part")[0])
         if not math.isfinite(self.a):
             raise ValidationError("operator scalar part must be finite")
 
     @property
     def b_norm(self) -> float:
-        return math.sqrt(float(self.b @ self.b))
+        b = self.b.tolist()
+        return math.sqrt(_dot3(b, b))
 
     @property
     def eigenvalues(self) -> tuple[float, float]:
@@ -205,7 +217,7 @@ def projector(m) -> HermitianOp:
 
 def expectation(psi: PureState, op: HermitianOp) -> float:
     """<psi| op |psi> = a + b.s; equals (1 + s.m)/2 for a projector on m."""
-    return op.a + float(np.dot(op.b, psi.bloch))
+    return op.a + _dot3(op.b.tolist(), psi.bloch.tolist())
 
 
 def sandwich(outer_axis, inner_axis) -> HermitianOp:
@@ -218,8 +230,9 @@ def sandwich(outer_axis, inner_axis) -> HermitianOp:
     """
     b0, bv = 0.5, unit_vector(outer_axis, "outer axis") * 0.5
     a0, av = 0.5, unit_vector(inner_axis, "inner axis") * 0.5
-    ab = float(np.dot(av, bv))
-    bb = float(np.dot(bv, bv))
+    a_list, b_list = av.tolist(), bv.tolist()
+    ab = _dot3(a_list, b_list)
+    bb = _dot3(b_list, b_list)
     scalar = a0 * b0 * b0 + 2.0 * b0 * ab + a0 * bb
     vector = (b0 * b0 - bb) * av + 2.0 * (a0 * b0 + ab) * bv
     return HermitianOp(scalar, vector)
@@ -253,7 +266,10 @@ def chain_probability(psi: PureState, axes: Iterable) -> float:
     :class:`ReductionUndefinedError` (with the failing index) if an
     intermediate conditioning probability hits the cutoff.
     """
-    current = psi.bloch
+    try:
+        current = psi.bloch
+    except AttributeError as exc:
+        raise ValidationError(f"psi must be a PureState, got {type(psi).__name__}") from exc
     total = 1.0
     for k, a in enumerate(axes):
         axis = unit_vector(a, f"axes[{k}]")

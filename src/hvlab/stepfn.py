@@ -60,6 +60,16 @@ def _is_finite_real(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
 
 
+def _floats(items: Iterable) -> tuple[float, ...]:
+    # float() takes a numpy complex with only a ComplexWarning and drops its
+    # imaginary part; refuse it first, as qubit._vector3 does
+    items = tuple(items)
+    for item in items:
+        if isinstance(item, np.complexfloating):
+            raise TypeError(f"got complex value {item!r}")
+    return tuple(map(float, items))
+
+
 class StepFunction:
     """Piecewise-constant real function on [-1/2, 1/2] with exact breakpoints.
 
@@ -71,8 +81,8 @@ class StepFunction:
 
     def __init__(self, breakpoints: Iterable[float], values: Iterable[float]):
         try:
-            bps = tuple(map(float, breakpoints))
-            vals = tuple(map(float, values))
+            bps = _floats(breakpoints)
+            vals = _floats(values)
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"breakpoints and values must be real numbers: {exc}") from exc
         if len(vals) != len(bps) + 1:
@@ -120,6 +130,9 @@ class StepFunction:
         """Evaluate at a scalar or array of omega values (right-continuous)."""
         scalar = np.ndim(omega) == 0
         try:
+            # as in _floats; a Python float, the common case, skips the test
+            if type(omega) is not float and np.iscomplexobj(omega):
+                raise TypeError(f"got complex values {omega!r}")
             x = float(omega) if scalar else np.asarray(omega, dtype=float)
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"omega must be real: {exc}") from exc
@@ -232,6 +245,8 @@ def indicator_from_sign(threshold: float, polarity: int) -> StepFunction:
     evaluation.  A threshold of exactly 1/2 yields a constant function.
     """
     try:
+        if isinstance(threshold, np.complexfloating):
+            raise TypeError(f"got complex value {threshold!r}")
         threshold = float(threshold)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"threshold must be a real number: {exc}") from exc

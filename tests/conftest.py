@@ -1,3 +1,4 @@
+import math
 from itertools import permutations, product
 
 import numpy as np
@@ -9,9 +10,11 @@ Z = np.array([0.0, 0.0, 1.0])
 
 
 def random_unit(rng: np.random.Generator) -> np.ndarray:
+    # the norm in the fixed order (x*x + y*y) + z*z, so the draws do not depend on the BLAS kernel
     while True:
         v = rng.normal(size=3)
-        norm = np.sqrt(v @ v)
+        x, y, z = v.tolist()
+        norm = math.sqrt((x * x + y * y) + z * z)
         if norm > 1e-6:
             return v / norm
 

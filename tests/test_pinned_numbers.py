@@ -4,12 +4,18 @@ Each test hashes its outputs exactly (``float.hex`` or JSON, whose float
 ``repr`` round-trips), so any change in rounding shows, not only changes
 beyond a tolerance.  The digests were taken from the code as it stands; a
 refactor of the chain rule or of the branch records must leave them as they
-are.
+are.  Every 3-vector dot product, the test draws' norms included, is summed
+in one fixed order, so the digests do not depend on the BLAS kernel numpy
+loads (``test_sweep_summary_is_the_same_on_two_blas_kernels``).
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 
@@ -39,7 +45,7 @@ def test_outcome_probabilities_pinned():
         table = outcome_probabilities(PureState(s), [a, b])
         digest.update(_table_lines(f"signed/{i}/{j}/{k}", table).encode())
     assert digest.hexdigest() == (
-        "64dcdbe2680dd19220deb8e1c8ced435a60bcaab35c105270a15055cd2b35a5a"
+        "baf19db4840d9c8e522b3f5319423e9a8f92b4d5a18ff3e53ff3f7d3007ea963"
     )
 
 
@@ -69,7 +75,7 @@ def test_branch_records_pinned():
 def test_sweep_summaries_pinned():
     text = json.dumps([run_sweep(seed, 200) for seed in (0, 3, 7)])
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "d4144fcf70e36cddf8ffbc5ddf53e75893744aaea5fdd0b3358c79e35db21283"
+        "b12e8be4afb3ed590d71b044c1539583ca96530db4f78bde1b4b07a97939dca8"
     )
 
 
@@ -86,5 +92,32 @@ def test_thousand_trial_sweep_summaries_pinned():
     for seed in (0, 3, 7):
         digest.update(_summary_lines(run_sweep(seed, 1000)).encode())
     assert digest.hexdigest() == (
-        "5e985c9ec028b6992e4dd3f2158ccfe4001b43411a7c51db45af1087fae306ee"
+        "23419a46c0a6e561cb23dee45215ad94fa0ae22c77db51e50e4e6c0d95a7b864"
     )
+
+
+_SWEEP_SUMMARY = "import json; from hvlab import run_sweep; print(json.dumps(run_sweep(0, 200)))"
+
+
+def test_sweep_summary_is_the_same_on_two_blas_kernels():
+    # OpenBLAS sums a numpy 3-vector dot product in a different order, with or
+    # without fused multiply-adds, on each of these kernels; the package's
+    # fixed-order dot products must not notice.  The variable is set only in
+    # the children's environment.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    children = [
+        subprocess.Popen(
+            [sys.executable, "-c", _SWEEP_SUMMARY],
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_CORETYPE": kernel, "OPENBLAS_NUM_THREADS": "1"},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for kernel in ("HASWELL", "PRESCOTT")
+    ]
+    summaries = []
+    for child in children:
+        out, err = child.communicate(timeout=120)
+        assert child.returncode == 0, err
+        summaries.append(out)
+    assert summaries[0] == summaries[1]

@@ -17,7 +17,9 @@ from hvlab import (
     cosine_between,
     expectation,
     projector,
+    repeated_measurement_check,
     sandwich,
+    sequence_probability,
     unit_vector,
 )
 
@@ -79,6 +81,17 @@ def _with_component(k, value):
             )
             for bad, k in _NON_FINITE
         ],
+        # None where a sequence, a history or a state belongs
+        (
+            lambda: sequence_probability(PureState(Z), None, ("selected",)),
+            "^axes and pattern must be sequences, got NoneType and tuple$",
+        ),
+        (
+            lambda: sequence_probability(PureState(Z), [X], None),
+            "^axes and pattern must be sequences, got list and NoneType$",
+        ),
+        (lambda: branch(None, X), "^history must be a BranchHistory, got NoneType$"),
+        (lambda: repeated_measurement_check(None, X), "^psi must be a PureState, got NoneType$"),
     ],
     ids=[
         "string",
@@ -92,6 +105,10 @@ def _with_component(k, value):
         "operator-vector",
         *[f"float64-{bad}-at-{k}" for bad, k in _NON_FINITE],
         *[f"operator-float64-{bad}-at-{k}" for bad, k in _NON_FINITE],
+        "sequence-probability-axes-none",
+        "sequence-probability-pattern-none",
+        "branch-history-none",
+        "repeated-measurement-state-none",
     ],
 )
 def test_non_numeric_vectors_raise_validation_error(build, name):
@@ -163,12 +180,14 @@ def test_checked_vector_stays_read_only():
 
 
 def _array_comparison_cosine(u, v):
-    # the array-comparison form cosine_between replaced, kept as the oracle
+    # the array-comparison form cosine_between replaced, kept as the oracle;
+    # the dot product is written out in the fixed order cosine_between uses
     if np.array_equal(u, v):
         return 1.0
     if np.array_equal(u, np.negative(v)):
         return -1.0
-    return min(1.0, max(-1.0, float(np.dot(u, v))))
+    (u0, u1, u2), (v0, v1, v2) = u.tolist(), v.tolist()
+    return min(1.0, max(-1.0, (u0 * v0 + u1 * v1) + u2 * v2))
 
 
 _RATIONAL_FLOAT_AXES = [np.array(nums) / den for nums, den in rational_axes()]
@@ -390,7 +409,8 @@ def test_conditional_expectation_is_the_reduced_state_expectation_bit_for_bit():
         s, n, m = random_unit(rng), random_unit(rng), random_unit(rng)
         if 1.0 + float(np.dot(n, s)) <= 1e-6:
             continue
-        assert conditional_expectation(PureState(s), m, n) == 0.5 + float(np.dot(0.5 * m, n))
+        (a0, a1, a2), (b0, b1, b2) = (0.5 * m).tolist(), n.tolist()
+        assert conditional_expectation(PureState(s), m, n) == 0.5 + ((a0 * b0 + a1 * b1) + a2 * b2)
 
 
 # ---------------------------------------------------------------------------

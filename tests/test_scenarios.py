@@ -25,7 +25,7 @@ from hvlab import (
     unit_vector,
 )
 
-from conftest import X, Y, Z
+from conftest import X, Y, Z, random_unit
 
 REPO = Path(__file__).resolve().parent.parent
 DEMO_CONFIGS = sorted((REPO / "demos" / "configs").glob("*.cfg"))
@@ -331,6 +331,40 @@ def test_sweep_scenario_and_run_sweep():
     report = run_scenario(ScenarioConfig("sweep", seed=11, trials=200))
     assert report.passed
     assert report.hv_values["nonuniqueness_fraction"] == summary["nonuniqueness_fraction"]
+
+
+class _ShrunkRowRng:
+    """A seeded generator whose normal draws, taken as rows of three, have one row scaled to about 1e-9."""
+
+    def __init__(self, seed, shrunk_row):
+        self.rng = np.random.default_rng(seed)
+        self.shrunk_row = shrunk_row
+        self.rows_drawn = 0
+
+    def normal(self, size):
+        draws = self.rng.normal(size=size)
+        rows = draws.reshape(-1, 3)
+        k = -1 if self.shrunk_row is None else self.shrunk_row - self.rows_drawn
+        if 0 <= k < len(rows):
+            rows[k] *= 1e-9
+        self.rows_drawn += len(rows)
+        return draws
+
+
+@pytest.mark.parametrize("shrunk_row", [None, 0, 4, 9])
+def test_random_units_yield_the_axes_of_one_at_a_time_draws(shrunk_row):
+    # a block of k rows is the stream of k draws of three: the same axes, and
+    # the generator left in the same state, also when a row is rejected and
+    # drawn again; conftest.random_unit is the one-at-a-time draw
+    count = 10
+    block, single, reference = (_ShrunkRowRng(5, shrunk_row) for _ in range(3))
+    axes = list(scenarios._random_units(block, count))
+    assert all(unit_vector(axis) is axis for axis in axes)
+    assert [axis.tolist() for axis in axes] == [scenarios._random_unit(single).tolist() for _ in range(count)]
+    assert [axis.tolist() for axis in axes] == [random_unit(reference).tolist() for _ in range(count)]
+    states = {json.dumps(g.rng.bit_generator.state) for g in (block, single, reference)}
+    assert len(states) == 1
+    assert block.rows_drawn == single.rows_drawn == count + (shrunk_row is not None)
 
 
 ZERO = StepFunction((), (0.0,))

@@ -90,6 +90,12 @@ _HALF = StepFunction((0.0,), (0.0, 1.0))
         (lambda: _HALF("x"), "omega must be real"),
         (lambda: _HALF(["x"]), "omega must be real"),
         (lambda: indicator_from_sign("a", 1), "threshold must be a real number"),
+        # float() would take these with only a ComplexWarning and drop the imaginary part
+        (lambda: StepFunction((), [np.complex128(1 + 1j)]), "breakpoints and values must be real numbers"),
+        (lambda: StepFunction([np.complex64(0.1)], [0, 1]), "breakpoints and values must be real numbers"),
+        (lambda: indicator_from_sign(np.complex128(0.25 + 1j), 1), "threshold must be a real number"),
+        (lambda: _HALF(np.complex128(0.1 + 1j)), "omega must be real"),
+        (lambda: _HALF(np.array([0.1 + 1j])), "omega must be real"),
     ],
 )
 def test_non_numeric_input_is_a_validation_error(call, message):
