@@ -684,17 +684,14 @@ def scenario_traces(config: ScenarioConfig) -> dict[str, StepFunction]:
 def _random_units(rng: np.random.Generator, count: int) -> Iterator[np.ndarray]:
     """``count`` random unit axes: rows of ``rng.normal(size=(k, 3))`` over their norms.
 
-    The norm is ``sqrt((x*x + y*y) + z*z)``, the order of ``qubit._dot3``, in
-    unfused elementwise numpy.  Rows with a norm at or below
-    ``DEGENERACY_MARGIN`` are skipped and only they are drawn again, so this
-    yields the axes of ``count`` draws of ``size=3`` (the same stream) and
-    leaves ``rng`` where they would.
+    Rows with a norm at or below ``DEGENERACY_MARGIN`` are skipped and only
+    they are drawn again, so this yields the axes of ``count`` draws of
+    ``size=3`` (the same stream) and leaves ``rng`` where they would.
     """
     while count:
         rows = rng.normal(size=(count, 3))
-        squares = rows * rows
-        norms = np.sqrt((squares[:, 0] + squares[:, 1]) + squares[:, 2]).tolist()
-        for row, norm in zip(rows, norms):
+        for row, components in zip(rows, rows.tolist()):
+            norm = math.sqrt(_dot3(components, components))
             if norm > DEGENERACY_MARGIN:
                 count -= 1
                 yield unit_vector(row / norm, "random axis")
