@@ -115,9 +115,11 @@ def test_sweep_summary_is_the_same_on_two_blas_kernels():
         )
         for kernel in ("HASWELL", "PRESCOTT")
     ]
-    summaries = []
-    for child in children:
-        out, err = child.communicate(timeout=120)
+    try:
+        outputs = [child.communicate(timeout=120) for child in children]
+    finally:
+        for child in children:
+            child.kill()  # a no-op for a child that has exited
+    for child, (_, err) in zip(children, outputs):
         assert child.returncode == 0, err
-        summaries.append(out)
-    assert summaries[0] == summaries[1]
+    assert outputs[0][0] == outputs[1][0]
