@@ -37,9 +37,9 @@ from .qubit import (
     ORTHOGONALITY_CUTOFF,
     HermitianOp,
     PureState,
+    _cosine,
     _dot3,
     chain_probability,
-    cosine_between,
     projector,
     unit_vector,
 )
@@ -104,10 +104,14 @@ def bell_value(psi: PureState, m) -> StepFunction:
     takes the polarity p(s) p(m), so the maps for m and -m are complementary.
     """
     axis = unit_vector(m, "measurement axis")
-    c = cosine_between(psi.bloch, axis)
+    try:
+        bloch = psi.bloch
+    except AttributeError as exc:
+        raise ValidationError(f"psi must be a PureState, got {type(psi).__name__}") from exc
+    c = _cosine(bloch, axis)
     if c == 0.0:
         # sign(s.m) at the exact tie (either zero) is p(s) p(m)
-        return indicator_from_sign(0.0, _polarity(psi.bloch) * _polarity(axis))
+        return indicator_from_sign(0.0, _polarity(bloch) * _polarity(axis))
     return indicator_from_sign(0.5 * abs(c), 1 if c > 0.0 else -1)
 
 
@@ -155,7 +159,7 @@ def route_operator_product(psi: PureState, condition_axis, observed_axis) -> Ste
     m = unit_vector(observed_axis, "observed axis")
     # doubling Tr[rho B] is exact: denom is 1 + n.s bit for bit
     denom = 2.0 * chain_probability(psi, [n])
-    ratio = (1.0 + cosine_between(n, m)) / denom
+    ratio = (1.0 + _cosine(n, m)) / denom
     return bell_value(psi, n) * ratio
 
 
@@ -167,7 +171,12 @@ def disagreement_witness(lhs: StepFunction, rhs: StepFunction) -> ConflictWitnes
     segment of the common breakpoint partition on which the sides disagree,
     so both reported values are constant over the sampled interval.
     """
-    breakpoints, pairs = _common_segments(lhs, rhs)
+    try:
+        breakpoints, pairs = _common_segments(lhs, rhs)
+    except AttributeError as exc:
+        raise ValidationError(
+            f"lhs and rhs must be StepFunctions, got {type(lhs).__name__} and {type(rhs).__name__}"
+        ) from exc
     region = StepFunction(breakpoints, [1.0 if a != b else 0.0 for a, b in pairs])
     edges = zip([OMEGA_MIN, *breakpoints], [*breakpoints, OMEGA_MAX])
     samples = tuple(

@@ -146,13 +146,20 @@ def branch(history: BranchHistory, axis) -> tuple[BranchHistory, BranchHistory]:
     )
 
 
-def _prefactor(history: BranchHistory, normalize_all_levels: bool) -> float:
+def _nodes(history: BranchHistory) -> tuple[BranchNode, ...]:
+    try:
+        return history.nodes
+    except AttributeError as exc:
+        raise ValidationError(f"history must be a BranchHistory, got {type(history).__name__}") from exc
+
+
+def _prefactor(nodes: tuple[BranchNode, ...], normalize_all_levels: bool) -> float:
     # the joint function's prefactor: 1 over each normalized level's normalizer
-    if not history.nodes:
+    if not nodes:
         raise ValidationError("empty history has no joint function")
     if not isinstance(normalize_all_levels, bool):
         raise ValidationError(f"normalize_all_levels must be a bool, got {normalize_all_levels!r}")
-    normalized = history.nodes if normalize_all_levels else history.nodes[:-1]
+    normalized = nodes if normalize_all_levels else nodes[:-1]
     prefactor = 1.0
     for level, node in enumerate(normalized, start=1):
         if node.zero_probability:
@@ -172,8 +179,9 @@ def joint_function(history: BranchHistory, normalize_all_levels: bool = False) -
     total integral is the conditional probability of the final outcome given
     the earlier ones (or exactly 1).
     """
-    prefactor = _prefactor(history, normalize_all_levels)
-    return ProductFunction(tuple(node.level_function for node in history.nodes), prefactor)
+    nodes = _nodes(history)
+    prefactor = _prefactor(nodes, normalize_all_levels)
+    return ProductFunction(tuple(node.level_function for node in nodes), prefactor)
 
 
 def integrate_in_order(
@@ -192,16 +200,17 @@ def integrate_in_order(
     single-level marginals are the two conditional-measurement routes (up to
     the normalization prefactors).
     """
-    k = history.depth
+    nodes = _nodes(history)
+    k = len(nodes)
     try:
         integers = all(_is_int_at_least(level, 1) for level in order)
     except TypeError:  # order is not iterable
         integers = False
     if not integers or sorted(order) != list(range(1, k + 1)):
         raise ValidationError(f"order {order!r} is not a permutation of 1..{k}")
-    total = _prefactor(history, normalize_all_levels)
+    total = _prefactor(nodes, normalize_all_levels)
     for level in order:
-        total *= history.nodes[level - 1].normalizer
+        total *= nodes[level - 1].normalizer
     return total
 
 
@@ -274,5 +283,5 @@ def branch_records(history: BranchHistory) -> list[dict]:
             "prepared_bloch": node.prepared_state.bloch.tolist(),
             "zero_probability": node.zero_probability,
         }
-        for level, node in enumerate(history.nodes, start=1)
+        for level, node in enumerate(_nodes(history), start=1)
     ]

@@ -107,15 +107,27 @@ def unit_vector(v, name: str = "vector") -> np.ndarray:
     """Validate a unit 3-vector (|v| = 1 within 1e-9); returns it read-only.
 
     A vector this function returned is passed through as is, so each axis is
-    checked once however many layers it crosses.  Any other input is copied
-    and checked in full by ``_vector3``; the norm is ``sqrt(_dot3(v, v))``.
+    checked once however many layers it crosses.  A plain float64 array of
+    shape (3,) whose norm is within the tolerance is accepted after that one
+    test: a NaN, an infinite or an overflowing component makes the norm NaN
+    or infinite, so every component of such an array is finite.  Any other
+    input, and such an array that fails the test, is copied and checked in
+    full by ``_vector3``.  Either way the norm is ``sqrt(_dot3(v, v))``.
     """
     if type(v) is _UnitVector and v._checked:
         return v
-    arr, components = _vector3(v, name)
-    norm = math.sqrt(_dot3(components, components))
-    if abs(norm - 1.0) > UNIT_TOLERANCE:
-        raise ValidationError(f"{name} must be a unit vector, got norm {norm!r}")
+    arr = None
+    if type(v) is np.ndarray and v.dtype is _FLOAT64 and v.shape == (3,):
+        components = v.tolist()
+        if abs(math.sqrt(_dot3(components, components)) - 1.0) <= UNIT_TOLERANCE:
+            arr = v.copy()
+            # read-only before the view, so the view's base is read-only too
+            arr.setflags(write=False)
+    if arr is None:
+        arr, components = _vector3(v, name)
+        norm = math.sqrt(_dot3(components, components))
+        if abs(norm - 1.0) > UNIT_TOLERANCE:
+            raise ValidationError(f"{name} must be a unit vector, got norm {norm!r}")
     unit = arr.view(_UnitVector)
     unit._checked = True
     return unit
@@ -131,7 +143,12 @@ def cosine_between(u: np.ndarray, v: np.ndarray) -> float:
     comparison only; nothing is snapped within a tolerance.  Both arguments
     go through :func:`unit_vector`, which passes checked axes in O(1).
     """
-    u, v = unit_vector(u, "first vector"), unit_vector(v, "second vector")
+    return _cosine(unit_vector(u, "first vector"), unit_vector(v, "second vector"))
+
+
+def _cosine(u: np.ndarray, v: np.ndarray) -> float:
+    # cosine_between's core over two axes unit_vector already checked; callers
+    # that hold checked axes call it directly
     a, b = u.tolist(), v.tolist()
     if a == b:
         return 1.0
@@ -217,7 +234,15 @@ def projector(m) -> HermitianOp:
 
 def expectation(psi: PureState, op: HermitianOp) -> float:
     """<psi| op |psi> = a + b.s; equals (1 + s.m)/2 for a projector on m."""
-    return op.a + _dot3(op.b.tolist(), psi.bloch.tolist())
+    try:
+        a, b = op.a, op.b.tolist()
+    except AttributeError as exc:
+        raise ValidationError("observable must be a HermitianOp") from exc
+    try:
+        s = psi.bloch.tolist()
+    except AttributeError as exc:
+        raise ValidationError(f"psi must be a PureState, got {type(psi).__name__}") from exc
+    return a + _dot3(b, s)
 
 
 def sandwich(outer_axis, inner_axis) -> HermitianOp:
@@ -244,16 +269,16 @@ def conditional_expectation(psi: PureState, observed_axis, condition_axis) -> fl
     A projects on ``observed_axis`` m and B on ``condition_axis`` n.  This
     equals (1 + n.m)/2, the expectation of A in the reduced state, which is
     the axis n itself, independent of the state.  It is evaluated in that
-    closed form, with :func:`cosine_between`, so identical axes give exactly
-    1.0 and opposite ones exactly 0.0; dividing Tr[rho B A B] by Tr[rho B]
-    would amplify the numerator's rounding error by 1 / Tr[rho B].  Raises
-    :class:`ReductionUndefinedError` (from :func:`chain_probability`,
+    closed form, with the core of :func:`cosine_between`, so identical axes
+    give exactly 1.0 and opposite ones exactly 0.0; dividing Tr[rho B A B] by
+    Tr[rho B] would amplify the numerator's rounding error by 1 / Tr[rho B].
+    Raises :class:`ReductionUndefinedError` (from :func:`chain_probability`,
     index 0) when Tr[rho B] falls at or below the orthogonality cutoff.
     """
     m = unit_vector(observed_axis, "observed axis")
     n = unit_vector(condition_axis, "condition axis")
     chain_probability(psi, [n])
-    return 0.5 * (1.0 + cosine_between(n, m))
+    return 0.5 * (1.0 + _cosine(n, m))
 
 
 def chain_probability(psi: PureState, axes: Iterable) -> float:
@@ -273,7 +298,7 @@ def chain_probability(psi: PureState, axes: Iterable) -> float:
     total = 1.0
     for k, a in enumerate(axes):
         axis = unit_vector(a, f"axes[{k}]")
-        step = 0.5 * (1.0 + cosine_between(current, axis))
+        step = 0.5 * (1.0 + _cosine(current, axis))
         if step <= ORTHOGONALITY_CUTOFF:
             raise ReductionUndefinedError(
                 f"chain hits an orthogonal projector at step {k}", index=k

@@ -44,10 +44,10 @@ from .branching import BranchHistory, branch, integrate_in_order, joint_function
 from .errors import ConfigError, HvlabError, ScenarioError, ValidationError
 from .qubit import (
     PureState,
+    _cosine,
     _dot3,
     chain_probability,
     conditional_expectation,
-    cosine_between,
     expectation,
     projector,
     sandwich,
@@ -654,9 +654,19 @@ def _scenario(name: str) -> Scenario:
     return _SCENARIOS[SCENARIO_NAMES.index(name)]
 
 
-def _execute(config: ScenarioConfig) -> ScenarioReport:
+def _config_scenario(config: ScenarioConfig) -> Scenario:
+    # the scenario of a config handed to a public entry point
     try:
-        return _scenario(config.scenario).run(config)
+        name = config.scenario
+    except AttributeError as exc:
+        raise ValidationError(f"config must be a ScenarioConfig, got {type(config).__name__}") from exc
+    return _scenario(name)
+
+
+def _execute(config: ScenarioConfig) -> ScenarioReport:
+    run = _config_scenario(config).run
+    try:
+        return run(config)
     except HvlabError as exc:
         raise ScenarioError(f"scenario {config.scenario!r}: {exc}") from exc
 
@@ -745,8 +755,8 @@ def run_sweep(seed: int, trials: int, tolerance: float = DEFAULT_TOLERANCE) -> d
             if err > tolerance:
                 failures.append(f"route_agreement s={s.tolist()} n={n.tolist()} m={m.tolist()} error={err!r}")
             if (
-                abs(cosine_between(n, m)) < 1.0 - DEGENERACY_MARGIN
-                and abs(cosine_between(n, s)) < 1.0 - DEGENERACY_MARGIN
+                abs(_cosine(n, m)) < 1.0 - DEGENERACY_MARGIN
+                and abs(_cosine(n, s)) < 1.0 - DEGENERACY_MARGIN
                 and disagreement_witness(via_state, via_product).measure > 0.0
             ):
                 disagreeing += 1
@@ -985,7 +995,7 @@ def emit_trace(config: ScenarioConfig, out_dir) -> list[Path]:
     written paths; a scenario without traces (``sandwich``, ``sweep``) returns
     an empty list without being run.
     """
-    if "grid_points" not in _scenario(config.scenario).reads:
+    if "grid_points" not in _config_scenario(config).reads:
         return []
     traces = scenario_traces(config)
     out = Path(out_dir)

@@ -60,10 +60,17 @@ def _is_finite_real(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
 
 
+_EXACT_FLOAT = frozenset((float,))
+
+
 def _floats(items: Iterable) -> tuple[float, ...]:
     # float() takes a numpy complex with only a ComplexWarning and drops its
-    # imaginary part; refuse it first, as qubit._vector3 does
+    # imaginary part; refuse it first, as qubit._vector3 does.  Items that are
+    # all exactly float (the package's own values) need neither the scan nor
+    # float(), which would return each of them unchanged.
     items = tuple(items)
+    if _EXACT_FLOAT.issuperset(map(type, items)):
+        return items
     for item in items:
         if isinstance(item, np.complexfloating):
             raise TypeError(f"got complex value {item!r}")
@@ -168,37 +175,40 @@ class StepFunction:
         return StepFunction(breakpoints, [op(a, b) for a, b in pairs])
 
     def _map(self, op: Callable[[float], float]) -> "StepFunction":
-        return StepFunction(self._breakpoints, tuple(op(v) for v in self._values))
+        return StepFunction(self._breakpoints, tuple(map(op, self._values)))
+
+    # A scalar operand is converted once, into a bound float method: x.__add__(v)
+    # and x.__mul__(v) are v + x and v * x bit for bit, and x.__rsub__(v) is v - x.
 
     def __add__(self, other):
         if isinstance(other, StepFunction):
             return self._combine(other, lambda a, b: a + b)
         if isinstance(other, (int, float)):
-            return self._map(lambda v: v + float(other))
+            return self._map(float(other).__add__)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._map(lambda v: -v)
+        return self._map(float.__neg__)
 
     def __sub__(self, other):
         if isinstance(other, StepFunction):
             return self._combine(other, lambda a, b: a - b)
         if isinstance(other, (int, float)):
-            return self._map(lambda v: v - float(other))
+            return self._map(float(other).__rsub__)
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, (int, float)):
-            return self._map(lambda v: float(other) - v)
+            return self._map(float(other).__sub__)
         return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, StepFunction):
             return self._combine(other, lambda a, b: a * b)
         if isinstance(other, (int, float)):
-            return self._map(lambda v: v * float(other))
+            return self._map(float(other).__mul__)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -338,9 +348,14 @@ def mc_integrate(
         counts = -np.diff([n_samples, *at_or_right, 0])
         values = np.array(fn.values)
     else:
+        try:
+            values = np.array([fn.prefactor])
+        except AttributeError as exc:
+            raise ValidationError(
+                f"fn must be a StepFunction or ProductFunction, got {type(fn).__name__}"
+            ) from exc
         # one index per sample into the cells so far, C order over the levels
         cells = np.zeros(n_samples, np.intp)
-        values = np.array([fn.prefactor])
         for f in fn.factors:
             rng.random(out=omegas)
             omegas += OMEGA_MIN

@@ -11,13 +11,23 @@ from hvlab import (
     PureState,
     ReductionUndefinedError,
     ValidationError,
+    bell_value,
     branch,
+    branch_records,
     chain_probability,
     conditional_expectation,
+    constant,
     cosine_between,
+    disagreement_witness,
+    emit_trace,
     expectation,
+    integrate_in_order,
+    joint_function,
+    mc_integrate,
     projector,
+    qubit,
     repeated_measurement_check,
+    run_scenario,
     sandwich,
     sequence_probability,
     unit_vector,
@@ -92,6 +102,24 @@ def _with_component(k, value):
         ),
         (lambda: branch(None, X), "^history must be a BranchHistory, got NoneType$"),
         (lambda: repeated_measurement_check(None, X), "^psi must be a PureState, got NoneType$"),
+        # None or a plain array where a package object belongs
+        (lambda: bell_value(None, X), "^psi must be a PureState, got NoneType$"),
+        (lambda: expectation(Z, projector(X)), "^psi must be a PureState, got ndarray$"),
+        (lambda: expectation(PureState(Z), None), "^observable must be a HermitianOp$"),
+        (
+            lambda: disagreement_witness(constant(1.0), Z),
+            "^lhs and rhs must be StepFunctions, got StepFunction and ndarray$",
+        ),
+        (lambda: joint_function(None), "^history must be a BranchHistory, got NoneType$"),
+        (lambda: integrate_in_order(Z, [1]), "^history must be a BranchHistory, got ndarray$"),
+        (lambda: branch_records(Z), "^history must be a BranchHistory, got ndarray$"),
+        (
+            lambda: mc_integrate(None, 10, np.random.default_rng(0)),
+            "^fn must be a StepFunction or ProductFunction, got NoneType$",
+        ),
+        (lambda: run_scenario(None), "^config must be a ScenarioConfig, got NoneType$"),
+        # raised before any directory is made
+        (lambda: emit_trace(Z, "unused"), "^config must be a ScenarioConfig, got ndarray$"),
     ],
     ids=[
         "string",
@@ -109,6 +137,16 @@ def _with_component(k, value):
         "sequence-probability-pattern-none",
         "branch-history-none",
         "repeated-measurement-state-none",
+        "bell-value-state-none",
+        "expectation-state-array",
+        "expectation-observable-none",
+        "disagreement-witness-side-array",
+        "joint-function-history-none",
+        "integrate-in-order-history-array",
+        "branch-records-history-array",
+        "mc-integrate-function-none",
+        "run-scenario-config-none",
+        "emit-trace-config-array",
     ],
 )
 def test_non_numeric_vectors_raise_validation_error(build, name):
@@ -137,6 +175,86 @@ def test_unit_vector_passes_its_own_output_through():
     selected, complement = branch(BranchHistory(PureState([0.0, 0.0, 1.0])), u)
     assert selected.nodes[0].axis is u
     assert complement.nodes[0].axis is u
+
+
+def _unit_vector_outcome(v):
+    # the returned bits, or the error's type and message
+    try:
+        u = unit_vector(v, "axis")
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    return type(u), u.dtype, u.tobytes()
+
+
+_ACCEPT_PATH_CASES = {
+    "in-tolerance": [0.6, 0.8, 0.0],
+    "in-tolerance-1-plus-5e-10": [1.0 + 5e-10, 0.0, 0.0],
+    "in-tolerance-1-minus-5e-10": [0.0, 1.0 - 5e-10, 0.0],
+    "norm-1-plus-2e-9": [1.0 + 2e-9, 0.0, 0.0],
+    "norm-1-minus-2e-9": [0.0, 0.0, 1.0 - 2e-9],
+    **{f"{bad}-at-{k}": _with_component(k, bad).tolist() for bad, k in _NON_FINITE},
+    **{f"{bad}-at-{k}-beside-0.6-0.8": [0.6, 0.8][:k] + [bad] + [0.6, 0.8][k:] for bad, k in _NON_FINITE},
+    "overflowing": [1e200, 0.0, 0.0],
+    "underflowing": [1e-160, 0.0, 0.0],
+    "negative-zeros": [-0.0, -0.6, 0.8],
+    "negative-zeros-only-one-nonzero": [-0.0, -0.0, -1.0],
+}
+
+
+@pytest.mark.parametrize("components", _ACCEPT_PATH_CASES.values(), ids=_ACCEPT_PATH_CASES.keys())
+def test_float64_arrays_match_the_full_check(components):
+    # a list takes _vector3's full check; a float64 array of shape (3,) is
+    # accepted after one norm test when that passes, and checked in full otherwise
+    array = np.array(components)
+    assert array.dtype == np.float64
+    assert _unit_vector_outcome(array) == _unit_vector_outcome(list(components))
+    assert _unit_vector_outcome(array[::-1].copy()) == _unit_vector_outcome(list(components)[::-1])
+
+
+def test_float64_arrays_within_tolerance_skip_the_full_check(monkeypatch, rng):
+    calls = []
+    full_check = qubit._vector3
+
+    def counted(v, name):
+        calls.append(name)
+        return full_check(v, name)
+
+    monkeypatch.setattr(qubit, "_vector3", counted)
+    for v in [random_unit(rng) for _ in range(20)] + [X.copy(), np.array([1.0 + 5e-10, 0.0, 0.0])]:
+        unit_vector(v)
+    assert calls == []
+    for v in (np.array([1.0 + 2e-9, 0.0, 0.0]), np.array([np.nan, 0.0, 0.0]), np.array([1e200, 0.0, 0.0])):
+        with pytest.raises(ValidationError):
+            unit_vector(v)
+    assert len(calls) == 3
+    # no norm near 1 sits exactly 1e-9 from it (1e-9 needs 82 fraction bits), so
+    # the boundary is tested at a tolerance one norm can meet: it is accepted there
+    # on the one-pass path, as the full check's ``> tolerance`` test accepts it
+    monkeypatch.setattr(qubit, "UNIT_TOLERANCE", 2.0**-50)
+    at_boundary = np.array([1.0 + 2.0**-50, 0.0, 0.0])
+    assert np.sqrt(at_boundary @ at_boundary) - 1.0 == 2.0**-50
+    del calls[:]
+    assert unit_vector(at_boundary).tobytes() == at_boundary.tobytes()
+    assert calls == []
+    assert unit_vector(at_boundary.tolist()).tobytes() == at_boundary.tobytes()
+    assert calls == ["vector"]
+
+
+@pytest.mark.parametrize("given", [np.array([0.6, 0.8, 0.0]), [0.6, 0.8, 0.0]], ids=["float64-array", "list"])
+def test_checked_vector_and_its_base_reject_writes(given):
+    u = unit_vector(given)
+    assert type(u.base) is np.ndarray
+    for target in (u, u.base):
+        assert not target.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            target[0] = 0.0
+    # a view can be made writeable again only while its base is
+    with pytest.raises(ValueError):
+        u.setflags(write=True)
+    assert not np.shares_memory(u, given)
+    if isinstance(given, np.ndarray):
+        given[0] = 2.0
+        assert u.tolist() == [0.6, 0.8, 0.0]
 
 
 def test_derived_arrays_of_a_checked_vector_are_checked_again():

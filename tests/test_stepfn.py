@@ -96,11 +96,61 @@ _HALF = StepFunction((0.0,), (0.0, 1.0))
         (lambda: indicator_from_sign(np.complex128(0.25 + 1j), 1), "threshold must be a real number"),
         (lambda: _HALF(np.complex128(0.1 + 1j)), "omega must be real"),
         (lambda: _HALF(np.array([0.1 + 1j])), "omega must be real"),
+        # one complex among exact floats is still scanned for
+        (
+            lambda: StepFunction((-0.2,), (0.0, np.complex128(1.0))),
+            "breakpoints and values must be real numbers",
+        ),
     ],
 )
 def test_non_numeric_input_is_a_validation_error(call, message):
     with pytest.raises(ValidationError, match=f"^{message}: "):
         call()
+
+
+class _Float(float):
+    pass
+
+
+_STORED_AS_FLOAT = {
+    "float": ((-0.2, 0.25), (0.0, 1.0, 2.5), (-0.2, 0.25), (0.0, 1.0, 2.5)),
+    "float-merged": ((-0.2, 0.25), (1.0, 1.0, 2.5), (0.25,), (1.0, 2.5)),
+    "float-subclass": ((_Float(-0.2),), (_Float(0.0), _Float(1.0)), (-0.2,), (0.0, 1.0)),
+    "float64": ((np.float64(-0.2),), (np.float64(0.0), np.float64(1.0)), (-0.2,), (0.0, 1.0)),
+    "float-and-float64": ((-0.2,), (0.0, np.float64(1.0)), (-0.2,), (0.0, 1.0)),
+    "float32": ((np.float32(0.1),), (0.0, 1.0), (float(np.float32(0.1)),), (0.0, 1.0)),
+    "int": ((0,), (0, 1), (0.0,), (0.0, 1.0)),
+    "bool": ((False,), (True, False), (0.0,), (1.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize(
+    "breakpoints, values, stored_breakpoints, stored_values",
+    _STORED_AS_FLOAT.values(),
+    ids=_STORED_AS_FLOAT.keys(),
+)
+def test_construction_stores_exact_floats(breakpoints, values, stored_breakpoints, stored_values):
+    # exact floats are kept as given; every other real number goes through float()
+    f = StepFunction(breakpoints, values)
+    assert (f.breakpoints, f.values) == (stored_breakpoints, stored_values)
+    assert all(type(x) is float for x in f.breakpoints + f.values)
+
+
+@pytest.mark.parametrize("scalar", [0.5, _Float(0.5), np.float64(0.5), 3, True], ids=repr)
+def test_scalar_operations_convert_the_scalar_once(scalar):
+    f = StepFunction((-0.2, 0.1), (0.3, -1.0, 2.0))
+    x = float(scalar)
+    results = {
+        "add": (f + scalar, [v + x for v in f.values]),
+        "radd": (scalar + f, [v + x for v in f.values]),
+        "sub": (f - scalar, [v - x for v in f.values]),
+        "rsub": (scalar - f, [x - v for v in f.values]),
+        "mul": (f * scalar, [v * x for v in f.values]),
+        "rmul": (scalar * f, [v * x for v in f.values]),
+    }
+    for name, (got, values) in results.items():
+        assert got == StepFunction(f.breakpoints, values), name
+        assert all(type(v) is float for v in got.values), name
 
 
 def test_right_continuous_evaluation():
