@@ -28,11 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    UndefinedConditionalError,
-    ValidationError,
-    WitnessUndefinedError,
-)
+from .errors import UndefinedConditionalError, ValidationError, WitnessUndefinedError, _require
 from .qubit import (
     ORTHOGONALITY_CUTOFF,
     HermitianOp,
@@ -104,10 +100,7 @@ def bell_value(psi: PureState, m) -> StepFunction:
     takes the polarity p(s) p(m), so the maps for m and -m are complementary.
     """
     axis = unit_vector(m, "measurement axis")
-    try:
-        bloch = psi.bloch
-    except AttributeError as exc:
-        raise ValidationError(f"psi must be a PureState, got {type(psi).__name__}") from exc
+    bloch = _require(psi, PureState, "psi").bloch
     c = _cosine(bloch, axis)
     if c == 0.0:
         # sign(s.m) at the exact tie (either zero) is p(s) p(m)
@@ -123,9 +116,7 @@ def bell_value_operator(psi: PureState, op: HermitianOp) -> StepFunction:
     included, with 1 and 0 relabelled as the eigenvalues a + |b| and a - |b|,
     so it integrates to the expectation a + b.s.  For b = 0 it is constant a.
     """
-    if not isinstance(op, HermitianOp):
-        raise ValidationError("observable must be a HermitianOp")
-    radius = op.b_norm
+    radius = _require(op, HermitianOp, "observable").b_norm
     if radius == 0.0:
         return constant(op.a)
     ind = bell_value(psi, op.b / radius)
@@ -171,12 +162,9 @@ def disagreement_witness(lhs: StepFunction, rhs: StepFunction) -> ConflictWitnes
     segment of the common breakpoint partition on which the sides disagree,
     so both reported values are constant over the sampled interval.
     """
-    try:
-        breakpoints, pairs = _common_segments(lhs, rhs)
-    except AttributeError as exc:
-        raise ValidationError(
-            f"lhs and rhs must be StepFunctions, got {type(lhs).__name__} and {type(rhs).__name__}"
-        ) from exc
+    breakpoints, pairs = _common_segments(
+        _require(lhs, StepFunction, "lhs"), _require(rhs, StepFunction, "rhs")
+    )
     region = StepFunction(breakpoints, [1.0 if a != b else 0.0 for a, b in pairs])
     edges = zip([OMEGA_MIN, *breakpoints], [*breakpoints, OMEGA_MAX])
     samples = tuple(

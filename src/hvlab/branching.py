@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .bell import bell_value
-from .errors import ReductionUndefinedError, ValidationError, ZeroProbabilityError
+from .errors import ReductionUndefinedError, ValidationError, ZeroProbabilityError, _require
 from .qubit import ORTHOGONALITY_CUTOFF, PureState, chain_probability, unit_vector
 from .stepfn import ProductFunction, StepFunction, _is_int_at_least
 
@@ -51,7 +51,7 @@ __all__ = [
 
 
 def _check_outcome(outcome: str) -> None:
-    if outcome not in _OUTCOMES:
+    if not isinstance(outcome, str) or outcome not in _OUTCOMES:
         raise ValidationError(f"outcome must be one of {_OUTCOMES}, got {outcome!r}")
 
 
@@ -76,7 +76,8 @@ class BranchNode:
     def __post_init__(self):
         object.__setattr__(self, "axis", unit_vector(self.axis, "measurement axis"))
         _check_outcome(self.outcome)
-        object.__setattr__(self, "normalizer", self.level_function.integrate())
+        level = _require(self.level_function, StepFunction, "level_function")
+        object.__setattr__(self, "normalizer", level.integrate())
 
     @property
     def prepared_state(self) -> PureState:
@@ -96,16 +97,13 @@ class BranchHistory:
     nodes: tuple[BranchNode, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.initial_state, PureState):
-            raise ValidationError(
-                f"initial_state must be a PureState, got {type(self.initial_state).__name__}"
-            )
-        nodes = tuple(self.nodes)
+        _require(self.initial_state, PureState, "initial_state")
+        try:
+            nodes = tuple(self.nodes)
+        except TypeError as exc:  # nodes is not iterable
+            raise ValidationError(f"BranchHistory nodes must be iterable, got {self.nodes!r}") from exc
         for node in nodes:
-            if not isinstance(node, BranchNode):
-                raise ValidationError(
-                    f"BranchHistory nodes must be BranchNode instances, got {type(node).__name__}"
-                )
+            _require(node, BranchNode, "BranchHistory node")
         object.__setattr__(self, "nodes", nodes)
 
     @property
@@ -135,22 +133,13 @@ def branch(history: BranchHistory, axis) -> tuple[BranchHistory, BranchHistory]:
     not raised, because sibling branches must still sum to probability 1.
     """
     u = unit_vector(axis, "measurement axis")
-    try:
-        state, initial, nodes = history.current_state, history.initial_state, history.nodes
-    except AttributeError as exc:
-        raise ValidationError(f"history must be a BranchHistory, got {type(history).__name__}") from exc
+    _require(history, BranchHistory, "history")
+    state, initial, nodes = history.current_state, history.initial_state, history.nodes
     selected = bell_value(state, u)
     return (
         BranchHistory(initial, nodes + (BranchNode(u, _SELECTED, selected),)),
         BranchHistory(initial, nodes + (BranchNode(u, _COMPLEMENT, 1.0 - selected),)),
     )
-
-
-def _nodes(history: BranchHistory) -> tuple[BranchNode, ...]:
-    try:
-        return history.nodes
-    except AttributeError as exc:
-        raise ValidationError(f"history must be a BranchHistory, got {type(history).__name__}") from exc
 
 
 def _prefactor(nodes: tuple[BranchNode, ...], normalize_all_levels: bool) -> float:
@@ -179,7 +168,7 @@ def joint_function(history: BranchHistory, normalize_all_levels: bool = False) -
     total integral is the conditional probability of the final outcome given
     the earlier ones (or exactly 1).
     """
-    nodes = _nodes(history)
+    nodes = _require(history, BranchHistory, "history").nodes
     prefactor = _prefactor(nodes, normalize_all_levels)
     return ProductFunction(tuple(node.level_function for node in nodes), prefactor)
 
@@ -200,7 +189,7 @@ def integrate_in_order(
     single-level marginals are the two conditional-measurement routes (up to
     the normalization prefactors).
     """
-    nodes = _nodes(history)
+    nodes = _require(history, BranchHistory, "history").nodes
     k = len(nodes)
     try:
         integers = all(_is_int_at_least(level, 1) for level in order)
@@ -283,5 +272,5 @@ def branch_records(history: BranchHistory) -> list[dict]:
             "prepared_bloch": node.prepared_state.bloch.tolist(),
             "zero_probability": node.zero_probability,
         }
-        for level, node in enumerate(_nodes(history), start=1)
+        for level, node in enumerate(_require(history, BranchHistory, "history").nodes, start=1)
     ]

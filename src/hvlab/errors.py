@@ -53,3 +53,17 @@ class ZeroProbabilityError(HvlabError):
 
 class ScenarioError(HvlabError):
     """A lower-level failure surfaced while running a named scenario."""
+
+
+def _require(value, cls, name: str):
+    """Return ``value`` if it is an instance of ``cls`` (a class or a tuple of them).
+
+    Otherwise raise ``ValidationError("<name> must be a <A or B>, got <type>")``.
+    Every public entry point checks an argument's class through this: a
+    package class (``PureState``, ``StepFunction``, ...), a path type or
+    numpy's random generator.
+    """
+    if isinstance(value, cls):
+        return value
+    names = " or ".join(c.__name__ for c in (cls if isinstance(cls, tuple) else (cls,)))
+    raise ValidationError(f"{name} must be a {names}, got {type(value).__name__}")

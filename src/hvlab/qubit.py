@@ -23,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ReductionUndefinedError, ValidationError
+from .errors import ReductionUndefinedError, ValidationError, _require
 
 UNIT_TOLERANCE = 1e-9
 ORTHOGONALITY_CUTOFF = 1e-12
@@ -234,15 +234,9 @@ def projector(m) -> HermitianOp:
 
 def expectation(psi: PureState, op: HermitianOp) -> float:
     """<psi| op |psi> = a + b.s; equals (1 + s.m)/2 for a projector on m."""
-    try:
-        a, b = op.a, op.b.tolist()
-    except AttributeError as exc:
-        raise ValidationError("observable must be a HermitianOp") from exc
-    try:
-        s = psi.bloch.tolist()
-    except AttributeError as exc:
-        raise ValidationError(f"psi must be a PureState, got {type(psi).__name__}") from exc
-    return a + _dot3(b, s)
+    b = _require(op, HermitianOp, "observable").b.tolist()
+    s = _require(psi, PureState, "psi").bloch.tolist()
+    return op.a + _dot3(b, s)
 
 
 def sandwich(outer_axis, inner_axis) -> HermitianOp:
@@ -291,12 +285,13 @@ def chain_probability(psi: PureState, axes: Iterable) -> float:
     :class:`ReductionUndefinedError` (with the failing index) if an
     intermediate conditioning probability hits the cutoff.
     """
+    current = _require(psi, PureState, "psi").bloch
     try:
-        current = psi.bloch
-    except AttributeError as exc:
-        raise ValidationError(f"psi must be a PureState, got {type(psi).__name__}") from exc
+        indexed = enumerate(axes)
+    except TypeError as exc:  # axes is not iterable
+        raise ValidationError(f"axes must be a sequence of unit 3-vectors, got {axes!r}") from exc
     total = 1.0
-    for k, a in enumerate(axes):
+    for k, a in indexed:
         axis = unit_vector(a, f"axes[{k}]")
         step = 0.5 * (1.0 + _cosine(current, axis))
         if step <= ORTHOGONALITY_CUTOFF:

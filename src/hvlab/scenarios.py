@@ -19,6 +19,7 @@ follow from that declaration.
 from __future__ import annotations
 
 import math
+import os
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -41,7 +42,7 @@ from .bell import (
     route_state_update,
 )
 from .branching import BranchHistory, branch, integrate_in_order, joint_function
-from .errors import ConfigError, HvlabError, ScenarioError, ValidationError
+from .errors import ConfigError, HvlabError, ScenarioError, ValidationError, _require
 from .qubit import (
     PureState,
     _cosine,
@@ -104,7 +105,7 @@ class ScenarioConfig:
     tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self):
-        if self.scenario not in SCENARIO_NAMES:
+        if not isinstance(self.scenario, str) or self.scenario not in SCENARIO_NAMES:
             raise ConfigError(
                 f"unknown scenario {self.scenario!r}; expected one of {', '.join(SCENARIO_NAMES)}"
             )
@@ -145,7 +146,7 @@ class ScenarioConfig:
 def load_config(path) -> ScenarioConfig:
     """Parse a flat ``key = value`` scenario config file."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(_require(path, (str, os.PathLike), "config path")).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: config is not UTF-8 text: {exc}") from exc
     entries: dict[str, str] = {}
@@ -656,11 +657,7 @@ def _scenario(name: str) -> Scenario:
 
 def _config_scenario(config: ScenarioConfig) -> Scenario:
     # the scenario of a config handed to a public entry point
-    try:
-        name = config.scenario
-    except AttributeError as exc:
-        raise ValidationError(f"config must be a ScenarioConfig, got {type(config).__name__}") from exc
-    return _scenario(name)
+    return _scenario(_require(config, ScenarioConfig, "config").scenario)
 
 
 def _execute(config: ScenarioConfig) -> ScenarioReport:
@@ -995,10 +992,11 @@ def emit_trace(config: ScenarioConfig, out_dir) -> list[Path]:
     written paths; a scenario without traces (``sandwich``, ``sweep``) returns
     an empty list without being run.
     """
-    if "grid_points" not in _config_scenario(config).reads:
+    reads = _config_scenario(config).reads
+    out = Path(_require(out_dir, (str, os.PathLike), "out_dir"))
+    if "grid_points" not in reads:
         return []
     traces = scenario_traces(config)
-    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
     grid = np.linspace(OMEGA_MIN, OMEGA_MAX, config.grid_points)

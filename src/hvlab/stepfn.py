@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _require
 
 OMEGA_MIN = -0.5
 OMEGA_MAX = 0.5
@@ -289,11 +289,13 @@ class ProductFunction:
     def __post_init__(self):
         if not _is_finite_real(self.prefactor):
             raise ValidationError(f"prefactor must be a finite real number, got {self.prefactor!r}")
-        object.__setattr__(self, "factors", tuple(self.factors))
+        try:
+            object.__setattr__(self, "factors", tuple(self.factors))
+        except TypeError as exc:  # factors is not iterable
+            raise ValidationError(f"ProductFunction factors must be iterable, got {self.factors!r}") from exc
         object.__setattr__(self, "prefactor", float(self.prefactor))
         for f in self.factors:
-            if not isinstance(f, StepFunction):
-                raise ValidationError("ProductFunction factors must be StepFunction instances")
+            _require(f, StepFunction, "ProductFunction factor")
 
     @property
     def levels(self) -> int:
@@ -338,6 +340,8 @@ def mc_integrate(
         raise ValidationError(
             f"need an integer of at least 2 samples for a standard error, got {n_samples!r}"
         )
+    _require(fn, (StepFunction, ProductFunction), "fn")
+    _require(rng, np.random.Generator, "rng")
     # rng.uniform(OMEGA_MIN, OMEGA_MAX, n_samples) draws OMEGA_MIN + 1.0 * u
     # for u from rng.random: the same floats, drawn here into one buffer
     omegas = np.empty(n_samples)
@@ -348,12 +352,7 @@ def mc_integrate(
         counts = -np.diff([n_samples, *at_or_right, 0])
         values = np.array(fn.values)
     else:
-        try:
-            values = np.array([fn.prefactor])
-        except AttributeError as exc:
-            raise ValidationError(
-                f"fn must be a StepFunction or ProductFunction, got {type(fn).__name__}"
-            ) from exc
+        values = np.array([fn.prefactor])
         # one index per sample into the cells so far, C order over the levels
         cells = np.zeros(n_samples, np.intp)
         for f in fn.factors:

@@ -416,10 +416,12 @@ def test_branch_node_validation():
 def test_branch_history_validation():
     # entries that are not nodes used to be accepted, and failed only when used
     psi = PureState(Z)
-    with pytest.raises(ValidationError, match="nodes must be BranchNode instances, got int"):
+    with pytest.raises(ValidationError, match="^BranchHistory node must be a BranchNode, got int$"):
         BranchHistory(psi, (1, 2))
     with pytest.raises(ValidationError, match="initial_state must be a PureState, got ndarray"):
         BranchHistory(Z)
+    with pytest.raises(ValidationError, match="^BranchHistory nodes must be iterable, got None$"):
+        BranchHistory(psi, None)
     assert BranchHistory(psi, list(chain_selected(psi, [X, Y]).nodes)).depth == 2
 
 

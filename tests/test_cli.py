@@ -74,10 +74,46 @@ def test_run_honors_out_env_var(tmp_path, capsys, monkeypatch):
     assert (out / "route_agreement__report.json").exists()
 
 
-def test_run_config_error_exits_two(tmp_path, capsys):
-    config = write(tmp_path, "bad.cfg", "scenario = not_a_thing\n")
-    assert main(["run", str(config)]) == 2
-    assert "error:" in capsys.readouterr().err
+# one file of each kind of malformed config, made at the given path
+MALFORMED_CONFIGS = {
+    "unknown-scenario": lambda path: path.write_text("scenario = not_a_thing\n", encoding="utf-8"),
+    "not-utf8": lambda path: path.write_bytes(b"\xff\xfe"),
+    "empty": lambda path: path.write_bytes(b""),
+    # control bytes and NULs, valid UTF-8 but no 'key = value' line
+    "binary": lambda path: path.write_bytes(bytes(range(32)) * 4),
+    "directory": lambda path: path.mkdir(),
+    "duplicate-key": lambda path: path.write_text(SANDWICH_CFG + "n = 1 0 0\n", encoding="utf-8"),
+    "two-component-vector": lambda path: path.write_text(
+        SANDWICH_CFG.replace("n = 1 0 0", "n = 1 0"), encoding="utf-8"
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", MALFORMED_CONFIGS)
+@pytest.mark.parametrize("command", ["run", "trace"])
+def test_run_config_error_exits_two(tmp_path, capsys, command, kind):
+    config = tmp_path / "bad.cfg"
+    MALFORMED_CONFIGS[kind](config)
+    assert main([command, str(config), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_manifest_of_malformed_configs_reports_each_and_exits_two(tmp_path, capsys):
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    for kind, make in MALFORMED_CONFIGS.items():
+        make(configs / f"{kind}.cfg")
+    assert main(["manifest", str(configs)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == len(MALFORMED_CONFIGS) and all(line.startswith("error: ") for line in lines)
+    assert "Traceback" not in captured.err
+    reports = json.loads(captured.out)["reports"]
+    assert [r["config"] for r in reports] == sorted(f"{kind}.cfg" for kind in MALFORMED_CONFIGS)
+    assert all(r["pass"] is False and "error" in r for r in reports)
 
 
 def test_run_config_that_is_not_utf8_exits_two(tmp_path, capsys):

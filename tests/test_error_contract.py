@@ -1,0 +1,143 @@
+"""Every public callable refuses a wrong argument with a typed error.
+
+``VALID`` holds, for each callable in ``hvlab.__all__``, arguments that make
+the call succeed.  Each required parameter is then given ``None`` and then
+``np.zeros(3)``, the other arguments kept valid, and the call must raise an
+:class:`HvlabError`, never a bare Python error.
+"""
+
+import inspect
+
+import numpy as np
+import pytest
+
+import hvlab
+from hvlab import (
+    BranchHistory,
+    HvlabError,
+    PureState,
+    branch,
+    constant,
+    indicator_from_sign,
+    load_config,
+    projector,
+)
+
+from conftest import X, Y, Z
+
+# the exception classes take any message; the two result records are built
+# by the package, not from user input
+EXEMPT = {
+    "HvlabError",
+    "ValidationError",
+    "ConfigError",
+    "ReductionUndefinedError",
+    "UndefinedConditionalError",
+    "WitnessUndefinedError",
+    "ZeroProbabilityError",
+    "ScenarioError",
+    "ConflictWitness",
+    "ScenarioReport",
+}
+
+ROUTE_CFG = """\
+scenario = route_agreement
+state = 0 0 1
+n = 1 0 0
+m = 0 1 0
+"""
+
+
+def _route_config_file(tmp_path):
+    path = tmp_path / "route.cfg"
+    path.write_text(ROUTE_CFG, encoding="utf-8")
+    return path
+
+
+def _history():
+    return branch(BranchHistory(PureState(Z)), X)[0]
+
+
+# arguments that make each call succeed, built afresh for every call
+VALID = {
+    "StepFunction": lambda tmp: dict(breakpoints=(0.0,), values=(0.0, 1.0)),
+    "ProductFunction": lambda tmp: dict(factors=(constant(1.0),)),
+    "constant": lambda tmp: dict(value=1.0),
+    "indicator_from_sign": lambda tmp: dict(threshold=0.25, polarity=1),
+    "mc_integrate": lambda tmp: dict(fn=constant(1.0), n_samples=10, rng=np.random.default_rng(0)),
+    "unit_vector": lambda tmp: dict(v=X),
+    "cosine_between": lambda tmp: dict(u=X, v=Y),
+    "HermitianOp": lambda tmp: dict(a=0.5, b=0.5 * X),
+    "PureState": lambda tmp: dict(bloch=Z),
+    "projector": lambda tmp: dict(m=X),
+    "expectation": lambda tmp: dict(psi=PureState(Z), op=projector(X)),
+    "sandwich": lambda tmp: dict(outer_axis=X, inner_axis=Y),
+    "conditional_expectation": lambda tmp: dict(psi=PureState(Z), observed_axis=X, condition_axis=Y),
+    "chain_probability": lambda tmp: dict(psi=PureState(Z), axes=[X]),
+    "bell_value": lambda tmp: dict(psi=PureState(Z), m=X),
+    "bell_value_operator": lambda tmp: dict(psi=PureState(Z), op=projector(X)),
+    "route_state_update": lambda tmp: dict(condition_axis=X, observed_axis=Y),
+    "route_operator_product": lambda tmp: dict(psi=PureState(Z), condition_axis=X, observed_axis=Y),
+    "nonuniqueness_witness": lambda tmp: dict(psi=PureState(Z), condition_axis=X, observed_axis=Y),
+    "classical_conditional": lambda tmp: dict(psi=PureState(Z), observed_axis=X, condition_axis=Y),
+    "sum_conflict_witness": lambda tmp: dict(psi=PureState(Z), n_axis=X, m_axis=Y, weight=0.5),
+    "disagreement_witness": lambda tmp: dict(lhs=indicator_from_sign(0.25, 1), rhs=constant(1.0)),
+    "BranchNode": lambda tmp: dict(axis=X, outcome="selected", level_function=constant(1.0)),
+    "BranchHistory": lambda tmp: dict(initial_state=PureState(Z)),
+    "branch": lambda tmp: dict(history=BranchHistory(PureState(Z)), axis=X),
+    "joint_function": lambda tmp: dict(history=_history()),
+    "integrate_in_order": lambda tmp: dict(history=_history(), order=[1]),
+    "repeated_measurement_check": lambda tmp: dict(psi=PureState(Z), axis=X),
+    "sequence_probability": lambda tmp: dict(initial=PureState(Z), axes=[X], pattern=["selected"]),
+    "outcome_probabilities": lambda tmp: dict(initial=PureState(Z), axes=[X]),
+    "branch_records": lambda tmp: dict(history=_history()),
+    "ScenarioConfig": lambda tmp: dict(scenario="sweep"),
+    "load_config": lambda tmp: dict(path=_route_config_file(tmp)),
+    "run_scenario": lambda tmp: dict(config=load_config(_route_config_file(tmp))),
+    "run_sweep": lambda tmp: dict(seed=0, trials=2),
+    "emit_trace": lambda tmp: dict(config=load_config(_route_config_file(tmp)), out_dir=tmp / "traces"),
+}
+
+BAD = {"none": lambda: None, "zeros": lambda: np.zeros(3)}
+
+# the zero vector is a valid operator vector part: 0.5 * identity
+ACCEPTED = {("HermitianOp", "b", "zeros")}
+
+
+def _required(name):
+    parameters = inspect.signature(getattr(hvlab, name)).parameters.values()
+    return [p.name for p in parameters if p.default is inspect.Parameter.empty]
+
+
+CASES = [
+    (name, param, bad)
+    for name in VALID
+    for param in _required(name)
+    for bad in BAD
+    if (name, param, bad) not in ACCEPTED
+]
+
+
+def test_table_covers_every_public_callable_exactly(tmp_path):
+    assert EXEMPT <= set(hvlab.__all__)
+    callables = {name for name in hvlab.__all__ if callable(getattr(hvlab, name))}
+    assert set(VALID) == callables - EXEMPT
+    for name, arguments in VALID.items():
+        assert list(arguments(tmp_path)) == _required(name), name
+
+
+@pytest.mark.parametrize("name", VALID)
+def test_valid_arguments_are_accepted(name, tmp_path):
+    getattr(hvlab, name)(**VALID[name](tmp_path))
+
+
+@pytest.mark.parametrize("name, param, bad", CASES, ids=[f"{n}-{p}-{b}" for n, p, b in CASES])
+def test_wrong_argument_raises_hvlab_error(name, param, bad, tmp_path):
+    arguments = {**VALID[name](tmp_path), param: BAD[bad]()}
+    with pytest.raises(HvlabError):
+        getattr(hvlab, name)(**arguments)
+
+
+def test_accepted_cases_are_valid(tmp_path):
+    for name, param, bad in ACCEPTED:
+        getattr(hvlab, name)(**{**VALID[name](tmp_path), param: BAD[bad]()})

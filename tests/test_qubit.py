@@ -1,4 +1,5 @@
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ from hypothesis import strategies as st
 
 from hvlab import (
     BranchHistory,
+    BranchNode,
     HermitianOp,
     PureState,
     ReductionUndefinedError,
+    ScenarioConfig,
     ValidationError,
     bell_value,
     branch,
@@ -105,11 +108,8 @@ def _with_component(k, value):
         # None or a plain array where a package object belongs
         (lambda: bell_value(None, X), "^psi must be a PureState, got NoneType$"),
         (lambda: expectation(Z, projector(X)), "^psi must be a PureState, got ndarray$"),
-        (lambda: expectation(PureState(Z), None), "^observable must be a HermitianOp$"),
-        (
-            lambda: disagreement_witness(constant(1.0), Z),
-            "^lhs and rhs must be StepFunctions, got StepFunction and ndarray$",
-        ),
+        (lambda: expectation(PureState(Z), None), "^observable must be a HermitianOp, got NoneType$"),
+        (lambda: disagreement_witness(constant(1.0), Z), "^rhs must be a StepFunction, got ndarray$"),
         (lambda: joint_function(None), "^history must be a BranchHistory, got NoneType$"),
         (lambda: integrate_in_order(Z, [1]), "^history must be a BranchHistory, got ndarray$"),
         (lambda: branch_records(Z), "^history must be a BranchHistory, got ndarray$"),
@@ -120,6 +120,18 @@ def _with_component(k, value):
         (lambda: run_scenario(None), "^config must be a ScenarioConfig, got NoneType$"),
         # raised before any directory is made
         (lambda: emit_trace(Z, "unused"), "^config must be a ScenarioConfig, got ndarray$"),
+        # refused also where the scenario has no traces to write
+        (lambda: emit_trace(ScenarioConfig("sweep"), None), "^out_dir must be a str or PathLike, got NoneType$"),
+        # an object with a .bloch attribute is not a state: its vector was never checked
+        (
+            lambda: bell_value(SimpleNamespace(bloch=np.array([2.0, 0, 0])), X),
+            "^psi must be a PureState, got SimpleNamespace$",
+        ),
+        (
+            lambda: chain_probability(SimpleNamespace(bloch=np.array([2.0, 0, 0])), [X]),
+            "^psi must be a PureState, got SimpleNamespace$",
+        ),
+        (lambda: BranchNode(X, "selected", None), "^level_function must be a StepFunction, got NoneType$"),
     ],
     ids=[
         "string",
@@ -147,6 +159,10 @@ def _with_component(k, value):
         "mc-integrate-function-none",
         "run-scenario-config-none",
         "emit-trace-config-array",
+        "emit-trace-out-dir-none-without-traces",
+        "bell-value-state-with-bloch",
+        "chain-probability-state-with-bloch",
+        "branch-node-level-function-none",
     ],
 )
 def test_non_numeric_vectors_raise_validation_error(build, name):
