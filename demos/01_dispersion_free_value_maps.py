@@ -16,7 +16,7 @@ rng = np.random.default_rng(1)
 z = np.array([0.0, 0.0, 1.0])
 psi = PureState(z)
 
-print("state: Bloch vector", psi.bloch.tolist())
+print("state: Bloch vector", list(psi.bloch))
 print()
 
 for label, axis in [

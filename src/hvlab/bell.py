@@ -26,8 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import UndefinedConditionalError, ValidationError, WitnessUndefinedError, _require
 from .qubit import (
     ORTHOGONALITY_CUTOFF,
@@ -86,9 +84,9 @@ class ConflictWitness:
         return self.measure > 0.0
 
 
-def _polarity(v: np.ndarray) -> int:
+def _polarity(v) -> int:
     # sign of the first non-zero component; a unit vector always has one
-    first = next(x for x in v.tolist() if x != 0.0)
+    first = next(x for x in v if x != 0.0)
     return 1 if first > 0.0 else -1
 
 
@@ -119,7 +117,7 @@ def bell_value_operator(psi: PureState, op: HermitianOp) -> StepFunction:
     radius = _require(op, HermitianOp, "observable").b_norm
     if radius == 0.0:
         return constant(op.a)
-    ind = bell_value(psi, op.b / radius)
+    ind = bell_value(psi, tuple(x / radius for x in op.b))
     low, high = op.eigenvalues
     return StepFunction(ind.breakpoints, tuple(high if v == 1.0 else low for v in ind.values))
 
@@ -187,10 +185,10 @@ def nonuniqueness_witness(psi: PureState, condition_axis, observed_axis) -> Conf
     return disagreement_witness(via_state, via_product)
 
 
-def _collinear(n: np.ndarray, m: np.ndarray) -> bool:
+def _collinear(n, m) -> bool:
     # |n x m| at or below the tolerance: the axes (anti-)align and their projectors commute.
     # np.cross's components, from floats: np.cross costs about ten times more on 3-vectors
-    (n1, n2, n3), (m1, m2, m3) = n.tolist(), m.tolist()
+    (n1, n2, n3), (m1, m2, m3) = n, m
     cross = (n2 * m3 - n3 * m2, n3 * m1 - n1 * m3, n1 * m2 - n2 * m1)
     return math.sqrt(_dot3(cross, cross)) <= NONCOLLINEARITY_TOLERANCE
 

@@ -26,8 +26,6 @@ from itertools import product as _outcome_product
 from math import prod
 from typing import Sequence
 
-import numpy as np
-
 from .bell import bell_value
 from .errors import ReductionUndefinedError, ValidationError, ZeroProbabilityError, _require
 from .qubit import ORTHOGONALITY_CUTOFF, PureState, chain_probability, unit_vector
@@ -68,7 +66,7 @@ class BranchNode:
     rather than raised so that outcome trees stay complete.
     """
 
-    axis: np.ndarray
+    axis: tuple[float, float, float]
     outcome: str
     level_function: StepFunction
     normalizer: float = field(init=False)
@@ -82,11 +80,15 @@ class BranchNode:
     @property
     def prepared_state(self) -> PureState:
         """The state handed to the next measurement: +axis if selected, -axis if not."""
-        return PureState(self.axis if self.outcome == _SELECTED else np.negative(self.axis))
+        axis = self.axis
+        return PureState(axis if self.outcome == _SELECTED else (-axis[0], -axis[1], -axis[2]))
 
     @property
     def zero_probability(self) -> bool:
         return self.normalizer <= ORTHOGONALITY_CUTOFF
+
+
+_NODE_TYPE = frozenset((BranchNode,))
 
 
 @dataclass(frozen=True)
@@ -102,8 +104,10 @@ class BranchHistory:
             nodes = tuple(self.nodes)
         except TypeError as exc:  # nodes is not iterable
             raise ValidationError(f"BranchHistory nodes must be iterable, got {self.nodes!r}") from exc
-        for node in nodes:
-            _require(node, BranchNode, "BranchHistory node")
+        # one C-level pass over the node types; the per-node check only when that fails
+        if not _NODE_TYPE.issuperset(map(type, nodes)):
+            for node in nodes:
+                _require(node, BranchNode, "BranchHistory node")
         object.__setattr__(self, "nodes", nodes)
 
     @property
@@ -240,7 +244,7 @@ def sequence_probability(initial: PureState, axes: Sequence, pattern: Sequence[s
     for k, (axis, outcome) in enumerate(zip(axes, pattern)):
         _check_outcome(outcome)
         u = unit_vector(axis, f"axes[{k}]")
-        signed.append(u if outcome == _SELECTED else np.negative(u))
+        signed.append(u if outcome == _SELECTED else (-u[0], -u[1], -u[2]))
     try:
         return chain_probability(initial, signed)
     except ReductionUndefinedError:
@@ -264,12 +268,12 @@ def branch_records(history: BranchHistory) -> list[dict]:
     return [
         {
             "level": level,
-            "axis": node.axis.tolist(),
+            "axis": list(node.axis),
             "outcome": node.outcome,
             "normalizer": node.normalizer,
             "breakpoints": list(node.level_function.breakpoints),
             "values": list(node.level_function.values),
-            "prepared_bloch": node.prepared_state.bloch.tolist(),
+            "prepared_bloch": list(node.prepared_state.bloch),
             "zero_probability": node.zero_probability,
         }
         for level, node in enumerate(_require(history, BranchHistory, "history").nodes, start=1)

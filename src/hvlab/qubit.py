@@ -7,9 +7,10 @@ has a closed form in ``(a, b)``, which removes complex arithmetic from the
 trusted path.  A complex-matrix reference implementation lives in the test
 suite as an independent oracle.
 
-A rank-1 projector (1 + n.sigma)/2 is passed around as its unit axis n, checked
-by :func:`unit_vector`; :class:`HermitianOp` is for general observables such as
-projector mixtures and ``sandwich`` results.
+A rank-1 projector (1 + n.sigma)/2 is passed around as its unit axis n, which
+:func:`unit_vector` checks and returns as a tuple of three Python floats
+(``np.asarray`` of it gives a float64 array); :class:`HermitianOp` is for
+general observables such as projector mixtures and ``sandwich`` results.
 
 Pure states only: the dispersion-free constructions verified here are defined
 for pure states, and mixed states are deliberately unsupported.
@@ -24,6 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ReductionUndefinedError, ValidationError, _require
+from .stepfn import _EXACT_FLOAT
 
 UNIT_TOLERANCE = 1e-9
 ORTHOGONALITY_CUTOFF = 1e-12
@@ -43,39 +45,51 @@ __all__ = [
 ]
 
 
-class _UnitVector(np.ndarray):
-    """Read-only unit 3-vector that :func:`unit_vector` checked.
+class _Triple(tuple):
+    """Three Python floats, immutable; ``np.asarray`` of it is a float64 array.
 
-    Only an instance that ``unit_vector`` marked as checked is trusted and
-    passed through again in O(1).  Ufunc results and indexing give plain
-    arrays, and copies or views of an instance carry no mark, so each of
-    these is checked again like any other input.
+    ``+`` and ``*`` (reflected too) raise ``TypeError`` rather than
+    concatenate or repeat as a plain tuple would; ``u @ v`` is :func:`_dot3`.
     """
 
-    _checked = False
+    __slots__ = ()
 
-    def __array_wrap__(self, array, context=None, return_scalar=False):
-        if return_scalar:
-            return array[()]
-        return array if type(array) is np.ndarray else array.view(np.ndarray)
+    def __add__(self, other):
+        raise TypeError("a 3-vector triple supports neither + nor *; take np.asarray of it first")
 
-    def __getitem__(self, key):
-        return self.view(np.ndarray)[key]
+    __radd__ = __mul__ = __rmul__ = __add__
+
+    def __matmul__(self, other) -> float:
+        return _dot3(self, other)
+
+    __rmatmul__ = __matmul__
+
+
+class _Axis(_Triple):
+    """A checked unit axis: only :func:`unit_vector` builds one, and passes it through in O(1)."""
+
+    __slots__ = ()
 
 
 _FLOAT64 = np.dtype(np.float64)
 
 
-def _vector3(v, name: str) -> tuple[np.ndarray, list[float]]:
-    """A read-only float copy of a real, finite 3-vector and its ``tolist()``, or a ValidationError.
-
-    A plain float64 array of shape (3,) is copied directly; any other input
-    goes through ``np.array`` and a cast.  Both take the same finiteness test
-    and give the same bits.
-    """
+def _floats3(v) -> list | tuple | None:
+    # the components of a plain float64 array of shape (3,) or tuple of three exact floats; else None
     if type(v) is np.ndarray and v.dtype is _FLOAT64 and v.shape == (3,):
-        arr = v.copy()
-    else:
+        return v.tolist()
+    if type(v) is tuple and len(v) == 3 and _EXACT_FLOAT.issuperset(map(type, v)):
+        return v
+    return None
+
+
+def _vector3(v, name: str) -> _Triple:
+    """A real, finite 3-vector as a triple of floats, or a ValidationError.
+
+    Inputs that ``_floats3`` does not take go through ``np.array`` and a cast.
+    """
+    components = _floats3(v)
+    if components is None:
         try:
             arr = np.array(v)
             if arr.dtype.kind == "c":
@@ -86,15 +100,14 @@ def _vector3(v, name: str) -> tuple[np.ndarray, list[float]]:
             raise ValidationError(f"{name} must be a real 3-vector: {exc}") from exc
         if arr.shape != (3,):
             raise ValidationError(f"{name} must be a real 3-vector, got shape {arr.shape}")
-    components = arr.tolist()
+        components = arr.tolist()
     if not all(map(math.isfinite, components)):
         raise ValidationError(f"{name} has non-finite components")
-    arr.setflags(write=False)
-    return arr, components
+    return _Triple(components)
 
 
 def _dot3(a, b) -> float:
-    """``(a0*b0 + a1*b1) + a2*b2`` over two sequences of three floats (``tolist()`` components).
+    """``(a0*b0 + a1*b1) + a2*b2`` over two sequences of three floats.
 
     CPython rounds each operation once and never fuses them, so the result
     does not depend on the CPU, unlike numpy's dot product of 3-vectors,
@@ -103,40 +116,34 @@ def _dot3(a, b) -> float:
     return (a[0] * b[0] + a[1] * b[1]) + a[2] * b[2]
 
 
-def unit_vector(v, name: str = "vector") -> np.ndarray:
-    """Validate a unit 3-vector (|v| = 1 within 1e-9); returns it read-only.
+def unit_vector(v, name: str = "vector") -> _Axis:
+    """Validate a unit 3-vector (|v| = 1 within 1e-9) and return it as a checked axis.
 
-    A vector this function returned is passed through as is, so each axis is
-    checked once however many layers it crosses.  A plain float64 array of
-    shape (3,) whose norm is within the tolerance is accepted after that one
-    test: a NaN, an infinite or an overflowing component makes the norm NaN
-    or infinite, so every component of such an array is finite.  Any other
-    input, and such an array that fails the test, is copied and checked in
-    full by ``_vector3``.  Either way the norm is ``sqrt(_dot3(v, v))``.
+    A checked axis is an immutable tuple of three Python floats, passed
+    through as is when given again.  A plain float64 array of shape (3,) or
+    a plain tuple of three floats is accepted after one norm test: a NaN, an
+    infinite or an overflowing component makes the norm fail it.  Any other
+    input, and one that fails the test, is checked in full by ``_vector3``,
+    so every message and its order stay the same.  Either way the norm is
+    ``sqrt(_dot3(v, v))``.
     """
-    if type(v) is _UnitVector and v._checked:
+    if type(v) is _Axis:
         return v
-    arr = None
-    if type(v) is np.ndarray and v.dtype is _FLOAT64 and v.shape == (3,):
-        components = v.tolist()
-        if abs(math.sqrt(_dot3(components, components)) - 1.0) <= UNIT_TOLERANCE:
-            arr = v.copy()
-            # read-only before the view, so the view's base is read-only too
-            arr.setflags(write=False)
-    if arr is None:
-        arr, components = _vector3(v, name)
-        norm = math.sqrt(_dot3(components, components))
-        if abs(norm - 1.0) > UNIT_TOLERANCE:
-            raise ValidationError(f"{name} must be a unit vector, got norm {norm!r}")
-    unit = arr.view(_UnitVector)
-    unit._checked = True
-    return unit
+    components = _floats3(v)
+    # a NaN norm fails this test, as it must: compared with <=, not >
+    if components is not None and abs(math.sqrt(_dot3(components, components)) - 1.0) <= UNIT_TOLERANCE:
+        return _Axis(components)
+    components = _vector3(v, name)
+    norm = math.sqrt(_dot3(components, components))
+    if abs(norm - 1.0) > UNIT_TOLERANCE:
+        raise ValidationError(f"{name} must be a unit vector, got norm {norm!r}")
+    return _Axis(components)
 
 
-def cosine_between(u: np.ndarray, v: np.ndarray) -> float:
+def cosine_between(u, v) -> float:
     """Dot product of two unit vectors, clipped to [-1, 1].
 
-    Elementwise-identical (or exactly opposite) arrays short-circuit to
+    Elementwise-identical (or exactly opposite) vectors short-circuit to
     exactly +-1.0: for the same float vector the true cosine is 1 even when
     dot(v, v) rounds away from it, and sequential-measurement identities
     (idempotence, zero-probability complements) must hold exactly.  Exact
@@ -146,10 +153,9 @@ def cosine_between(u: np.ndarray, v: np.ndarray) -> float:
     return _cosine(unit_vector(u, "first vector"), unit_vector(v, "second vector"))
 
 
-def _cosine(u: np.ndarray, v: np.ndarray) -> float:
+def _cosine(a: _Axis, b: _Axis) -> float:
     # cosine_between's core over two axes unit_vector already checked; callers
     # that hold checked axes call it directly
-    a, b = u.tolist(), v.tolist()
     if a == b:
         return 1.0
     if a[0] == -b[0] and a[1] == -b[1] and a[2] == -b[2]:
@@ -160,12 +166,12 @@ def _cosine(u: np.ndarray, v: np.ndarray) -> float:
     return 1.0 if c > 1.0 else -1.0 if c < -1.0 else c
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class HermitianOp:
     """Qubit observable ``a*1 + b.sigma``; eigenvalues are ``a +- |b|``."""
 
     a: float
-    b: np.ndarray
+    b: tuple[float, float, float]
 
     def __post_init__(self):
         try:
@@ -174,14 +180,22 @@ class HermitianOp:
             object.__setattr__(self, "a", float(self.a))
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"operator scalar part must be a real number: {exc}") from exc
-        object.__setattr__(self, "b", _vector3(self.b, "operator vector part")[0])
+        object.__setattr__(self, "b", _vector3(self.b, "operator vector part"))
         if not math.isfinite(self.a):
             raise ValidationError("operator scalar part must be finite")
 
     @property
     def b_norm(self) -> float:
-        b = self.b.tolist()
-        return math.sqrt(_dot3(b, b))
+        # sqrt(_dot3(b, b)); where b.b could overflow or underflow (the largest
+        # |b_i| outside [2**-500, 2**500]) b is scaled by an exact power of two
+        # first and the root scaled back (Blue 1978)
+        b = self.b
+        largest = max(map(abs, b))
+        if 2.0**-500 <= largest <= 2.0**500 or largest == 0.0:
+            return math.sqrt(_dot3(b, b))
+        scale = 2.0**-600 if largest > 1.0 else 2.0**600
+        scaled = [x * scale for x in b]
+        return math.sqrt(_dot3(scaled, scaled)) / scale
 
     @property
     def eigenvalues(self) -> tuple[float, float]:
@@ -190,53 +204,37 @@ class HermitianOp:
 
     def __add__(self, other):
         if isinstance(other, HermitianOp):
-            return HermitianOp(self.a + other.a, self.b + other.b)
+            return HermitianOp(self.a + other.a, tuple(x + y for x, y in zip(self.b, other.b)))
         return NotImplemented
 
     def __mul__(self, scalar):
         if isinstance(scalar, (int, float)):
-            return HermitianOp(self.a * float(scalar), self.b * float(scalar))
+            scalar = float(scalar)
+            return HermitianOp(self.a * scalar, tuple(x * scalar for x in self.b))
         return NotImplemented
 
     __rmul__ = __mul__
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HermitianOp):
-            return NotImplemented
-        return self.a == other.a and np.array_equal(self.b, other.b)
 
-    def __repr__(self) -> str:
-        return f"HermitianOp(a={self.a!r}, b={self.b.tolist()!r})"
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PureState:
     """Pure qubit state with unit Bloch vector s; density matrix (1 + s.sigma)/2."""
 
-    bloch: np.ndarray
+    bloch: _Axis
 
     def __post_init__(self):
         object.__setattr__(self, "bloch", unit_vector(self.bloch, "state Bloch vector"))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PureState):
-            return NotImplemented
-        return np.array_equal(self.bloch, other.bloch)
-
-    def __repr__(self) -> str:
-        return f"PureState({self.bloch.tolist()!r})"
-
 
 def projector(m) -> HermitianOp:
     """Rank-1 projector (1 + m.sigma)/2 onto the unit Bloch axis ``m``."""
-    return HermitianOp(0.5, unit_vector(m, "projector axis") * 0.5)
+    return HermitianOp(0.5, tuple(x * 0.5 for x in unit_vector(m, "projector axis")))
 
 
 def expectation(psi: PureState, op: HermitianOp) -> float:
     """<psi| op |psi> = a + b.s; equals (1 + s.m)/2 for a projector on m."""
-    b = _require(op, HermitianOp, "observable").b.tolist()
-    s = _require(psi, PureState, "psi").bloch.tolist()
-    return op.a + _dot3(b, s)
+    b = _require(op, HermitianOp, "observable").b
+    return op.a + _dot3(b, _require(psi, PureState, "psi").bloch)
 
 
 def sandwich(outer_axis, inner_axis) -> HermitianOp:
@@ -247,14 +245,13 @@ def sandwich(outer_axis, inner_axis) -> HermitianOp:
     expansion of B A B, which is real because the cross terms cancel, fed
     with the ``(a, b) = (1/2, axis/2)`` of each projector.
     """
-    b0, bv = 0.5, unit_vector(outer_axis, "outer axis") * 0.5
-    a0, av = 0.5, unit_vector(inner_axis, "inner axis") * 0.5
-    a_list, b_list = av.tolist(), bv.tolist()
-    ab = _dot3(a_list, b_list)
-    bb = _dot3(b_list, b_list)
+    b0, bv = 0.5, [x * 0.5 for x in unit_vector(outer_axis, "outer axis")]
+    a0, av = 0.5, [x * 0.5 for x in unit_vector(inner_axis, "inner axis")]
+    ab = _dot3(av, bv)
+    bb = _dot3(bv, bv)
     scalar = a0 * b0 * b0 + 2.0 * b0 * ab + a0 * bb
-    vector = (b0 * b0 - bb) * av + 2.0 * (a0 * b0 + ab) * bv
-    return HermitianOp(scalar, vector)
+    k1, k2 = b0 * b0 - bb, 2.0 * (a0 * b0 + ab)
+    return HermitianOp(scalar, tuple(k1 * a + k2 * b for a, b in zip(av, bv)))
 
 
 def conditional_expectation(psi: PureState, observed_axis, condition_axis) -> float:

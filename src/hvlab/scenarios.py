@@ -82,7 +82,7 @@ __all__ = [
 ]
 
 
-def _config_vector(key: str, value) -> np.ndarray:
+def _config_vector(key: str, value) -> tuple[float, float, float]:
     # the one check of every config vector, read from a file or built in code
     try:
         return unit_vector(value, f"vector {key!r}")
@@ -95,8 +95,8 @@ class ScenarioConfig:
     """Inputs of one named scenario (parsed from a config file or built in code)."""
 
     scenario: str
-    state: np.ndarray | None = None
-    axes: Mapping[str, np.ndarray] = field(default_factory=dict)
+    state: tuple[float, float, float] | None = None
+    axes: Mapping[str, tuple[float, float, float]] = field(default_factory=dict)
     lam: float | None = None
     seed: int | None = None
     trials: int | None = None
@@ -139,7 +139,7 @@ class ScenarioConfig:
                 f"scenario {self.scenario!r} is missing required keys: {', '.join(missing)}"
             )
 
-    def axis(self, name: str) -> np.ndarray:
+    def axis(self, name: str) -> tuple[float, float, float]:
         return self.axes[name]
 
 
@@ -149,6 +149,8 @@ def load_config(path) -> ScenarioConfig:
         text = Path(_require(path, (str, os.PathLike), "config path")).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: config is not UTF-8 text: {exc}") from exc
+    except OSError as exc:  # a missing file, a directory, no permission
+        raise ConfigError(f"{path}: cannot read config: {exc.strerror or exc}") from exc
     entries: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -168,20 +170,19 @@ def load_config(path) -> ScenarioConfig:
     if "scenario" not in entries:
         raise ConfigError(f"{path}: missing required key 'scenario'")
 
-    def parse_vector(key: str) -> np.ndarray:
+    def parse_vector(key: str) -> tuple[float, float, float]:
         parts = entries[key].split()
         if len(parts) != 3:
             raise ConfigError(f"{path}: vector {key!r} needs three components, got {entries[key]!r}")
         try:
-            floats = [float(p) for p in parts]
+            floats = tuple(float(p) for p in parts)
         except ValueError as exc:
             raise ConfigError(f"{path}: vector {key!r} has a non-numeric component") from exc
         if not all(map(math.isfinite, floats)):
             raise ConfigError(f"{path}: vector {key!r} has a non-finite component")
-        raw = np.array(floats)
         try:
             # the one check of a unit vector; ScenarioConfig passes it through
-            return unit_vector(raw, f"vector {key!r}")
+            return unit_vector(floats, f"vector {key!r}")
         except ValidationError:
             pass
         # off unit norm: only a file vector is rescaled, and only within NORMALIZE_LIMIT
@@ -191,7 +192,7 @@ def load_config(path) -> ScenarioConfig:
                 f"vector {key!r} has norm {norm!r}; beyond the auto-normalization limit {NORMALIZE_LIMIT}"
             )
         warnings.warn(f"vector {key!r} has norm {norm!r}; normalizing", stacklevel=2)
-        return raw / norm
+        return tuple(x / norm for x in floats)
 
     state = parse_vector("state") if "state" in entries else None
     axes = {key: parse_vector(key) for key in _AXIS_KEYS if key in entries}
@@ -349,8 +350,8 @@ def _inputs_echo(config: ScenarioConfig) -> dict:
     # axes it reads, and a scenario that reads any axis requires one
     reads = _scenario(config.scenario).reads
     echo = {
-        "state": None if config.state is None else config.state.tolist(),
-        "axes": {name: vec.tolist() for name, vec in sorted(config.axes.items()) if name in reads},
+        "state": None if config.state is None else list(config.state),
+        "axes": {name: list(vec) for name, vec in sorted(config.axes.items()) if name in reads},
         "lambda": config.lam,
         "seed": config.seed,
         "trials": config.trials,
@@ -427,7 +428,7 @@ def _run_sandwich(config: ScenarioConfig) -> ScenarioReport:
     product = sandwich(n, m)
     coefficient = 2.0 * product.a
     expected = conditional_expectation(PureState(n), m, n)
-    axis_deviation = float(np.max(np.abs(product.b - coefficient * 0.5 * n)))
+    axis_deviation = max(abs(b - coefficient * 0.5 * x) for b, x in zip(product.b, n))
     err = max(abs(coefficient - expected), axis_deviation)
     return ScenarioReport(
         qm_values={"coefficient": coefficient, "expected_coefficient": expected},
@@ -542,9 +543,7 @@ def _run_sum_conflict(config: ScenarioConfig) -> ScenarioReport:
 
 def _run_branching_chain(config: ScenarioConfig) -> ScenarioReport:
     psi = PureState(config.state)
-    axes = [config.axes["n"], config.axes["m"]]
-    if "c" in config.axes:
-        axes.append(config.axes["c"])
+    axes = [config.axes[key] for key in _AXIS_KEYS if key in config.axes]  # n, m and maybe c
     history = BranchHistory(psi)
     for axis in axes:
         history, _ = branch(history, axis)
@@ -688,7 +687,7 @@ def scenario_traces(config: ScenarioConfig) -> dict[str, StepFunction]:
 # ---------------------------------------------------------------------------
 
 
-def _random_units(rng: np.random.Generator, count: int) -> Iterator[np.ndarray]:
+def _random_units(rng: np.random.Generator, count: int) -> Iterator[tuple[float, float, float]]:
     """``count`` random unit axes: rows of ``rng.normal(size=(k, 3))`` over their norms.
 
     Rows with a norm at or below ``DEGENERACY_MARGIN`` are skipped and only
@@ -697,14 +696,15 @@ def _random_units(rng: np.random.Generator, count: int) -> Iterator[np.ndarray]:
     """
     while count:
         rows = rng.normal(size=(count, 3))
-        for row, components in zip(rows, rows.tolist()):
+        for components in rows.tolist():
             norm = math.sqrt(_dot3(components, components))
             if norm > DEGENERACY_MARGIN:
                 count -= 1
-                yield unit_vector(row / norm, "random axis")
+                x, y, z = components
+                yield unit_vector((x / norm, y / norm, z / norm), "random axis")
 
 
-def _random_unit(rng: np.random.Generator) -> np.ndarray:
+def _random_unit(rng: np.random.Generator) -> tuple[float, float, float]:
     return next(_random_units(rng, 1))
 
 
@@ -735,7 +735,7 @@ def run_sweep(seed: int, trials: int, tolerance: float = DEFAULT_TOLERANCE) -> d
         err = _measure_check(PureState(s), m)[2]
         max_measure_error = max(max_measure_error, err)
         if err > tolerance:
-            failures.append(f"measure_reproduction s={s.tolist()} m={m.tolist()} error={err!r}")
+            failures.append(f"measure_reproduction s={list(s)} m={list(m)} error={err!r}")
 
     max_route_error = 0.0
     disagreeing = 0
@@ -744,13 +744,13 @@ def run_sweep(seed: int, trials: int, tolerance: float = DEFAULT_TOLERANCE) -> d
         # one draw of three axes per remaining trial; a skipped trial is drawn again
         draws = _random_units(rng, 3 * (trials - route_trials))
         for s, n, m in zip(draws, draws, draws):
-            if 1.0 + _dot3(n.tolist(), s.tolist()) <= DEGENERACY_MARGIN:
+            if 1.0 + _dot3(n, s) <= DEGENERACY_MARGIN:
                 continue
             route_trials += 1
             _, _, err, via_state, via_product = _route_check(PureState(s), n, m)
             max_route_error = max(max_route_error, err)
             if err > tolerance:
-                failures.append(f"route_agreement s={s.tolist()} n={n.tolist()} m={m.tolist()} error={err!r}")
+                failures.append(f"route_agreement s={list(s)} n={list(n)} m={list(m)} error={err!r}")
             if (
                 abs(_cosine(n, m)) < 1.0 - DEGENERACY_MARGIN
                 and abs(_cosine(n, s)) < 1.0 - DEGENERACY_MARGIN
@@ -777,16 +777,16 @@ def run_sweep(seed: int, trials: int, tolerance: float = DEFAULT_TOLERANCE) -> d
             spread = _order_check(history)[1]
             max_order_spread = max(max_order_spread, spread)
             if spread > tolerance:
-                failures.append(f"order_independence s={s.tolist()} spread={spread!r}")
+                failures.append(f"order_independence s={list(s)} spread={spread!r}")
 
     idempotence_failures = 0
     draws = _random_units(rng, 2 * order_trials)
     for s, axis in zip(draws, draws):
-        if 1.0 + _dot3(s.tolist(), axis.tolist()) <= DEGENERACY_MARGIN:
+        if 1.0 + _dot3(s, axis) <= DEGENERACY_MARGIN:
             continue
         if _idempotence_check(PureState(s), axis)[1] != 0.0:
             idempotence_failures += 1
-            failures.append(f"idempotence s={s.tolist()} axis={axis.tolist()}")
+            failures.append(f"idempotence s={list(s)} axis={list(axis)}")
 
     tree_trials = min(trials, 100)
     max_tree_error = 0.0
@@ -798,7 +798,7 @@ def run_sweep(seed: int, trials: int, tolerance: float = DEFAULT_TOLERANCE) -> d
         err = abs(sum(table.values()) - 1.0)
         max_tree_error = max(max_tree_error, err)
         if err > tolerance:
-            failures.append(f"tree_conservation s={s.tolist()} depth={depth} error={err!r}")
+            failures.append(f"tree_conservation s={list(s)} depth={depth} error={err!r}")
 
     disagreement_fraction = disagreeing / route_trials if route_trials else 1.0
     if disagreement_fraction < 0.99:

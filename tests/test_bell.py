@@ -197,14 +197,29 @@ def test_operator_map_of_identity_is_constant_one():
     assert assignment.values == (1.0,)
 
 
-def test_operator_map_rejects_a_non_unit_axis_as_the_measurement_axis():
-    # b.b underflows to a subnormal, so b/|b| is about 1 + 5.6e-6 long
-    op = HermitianOp(0.5, [1e-160, 0.0, 0.0])
-    with pytest.raises(
-        ValidationError,
-        match=r"^measurement axis must be a unit vector, got norm 1\.0000055664551362$",
-    ):
-        bell_value_operator(PureState(Z), op)
+@pytest.mark.parametrize(
+    "b, direction",
+    [
+        ([1e200, 0.0, 0.0], X),
+        ([1e-160, 0.0, 0.0], X),
+        ([6e199, 0.0, 8e199], [0.6, 0.0, 0.8]),
+        ([6e-161, 0.0, 8e-161], [0.6, 0.0, 0.8]),
+    ],
+    ids=["overflowing", "underflowing", "overflowing-tilted", "underflowing-tilted"],
+)
+def test_operator_map_of_an_extreme_b_matches_the_matrix_oracle(b, direction):
+    # b.b overflows to inf or underflows to a subnormal; b_norm scales b by a
+    # power of two first, so |b| is exact and b/|b| is the unit direction
+    op = HermitianOp(0.0, b)
+    matrix = oracle.operator_matrix(0.0, b)
+    np.testing.assert_allclose(op.eigenvalues, oracle.eigenvalues_matrix(matrix), rtol=1e-14)
+    s = [0.0, 0.6, 0.8]
+    assignment = bell_value_operator(PureState(s), op)
+    low, high = op.eigenvalues
+    unit_map = bell_value(PureState(s), direction)
+    assert assignment.breakpoints == unit_map.breakpoints
+    assert assignment.values == tuple(high if v == 1.0 else low for v in unit_map.values)
+    assert assignment.integrate() == pytest.approx(oracle.expectation_matrix(s, matrix), rel=1e-14)
 
 
 def test_operator_map_mixture_against_eigendecomposition_oracle(rng):

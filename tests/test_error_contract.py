@@ -7,6 +7,7 @@ the call succeed.  Each required parameter is then given ``None`` and then
 """
 
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import pytest
 import hvlab
 from hvlab import (
     BranchHistory,
+    ConfigError,
     HvlabError,
     PureState,
     branch,
@@ -22,6 +24,7 @@ from hvlab import (
     load_config,
     projector,
 )
+from hvlab.cli import main
 
 from conftest import X, Y, Z
 
@@ -141,3 +144,15 @@ def test_wrong_argument_raises_hvlab_error(name, param, bad, tmp_path):
 def test_accepted_cases_are_valid(tmp_path):
     for name, param, bad in ACCEPTED:
         getattr(hvlab, name)(**{**VALID[name](tmp_path), param: BAD[bad]()})
+
+
+@pytest.mark.parametrize("kind", ["missing-file", "directory"])
+def test_unreadable_config_path_raises_config_error_naming_it(kind, tmp_path, capsys):
+    # not the bare FileNotFoundError or IsADirectoryError of the read
+    path = tmp_path / "missing.cfg" if kind == "missing-file" else tmp_path
+    reason = "No such file or directory" if kind == "missing-file" else "Is a directory"
+    message = f"{path}: cannot read config: {reason}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        load_config(path)
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

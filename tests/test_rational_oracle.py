@@ -152,7 +152,7 @@ def test_conditioning_against_exact_rationals():
         nm, weight = PAIR_DOTS[i, j]
         # the first state that is not orthogonal to n; the value does not depend on it
         opposite = np.negative(axes[i]).tolist()
-        psi = next(state for state in states if state.bloch.tolist() != opposite)
+        psi = next(state for state in states if np.asarray(state.bloch).tolist() != opposite)
         got = Fraction(conditional_expectation(psi, axes[j], axes[i]))
         if INTEGER[i] and INTEGER[j]:
             assert got == (1 + nm) / 2
@@ -164,7 +164,7 @@ def test_conditioning_against_exact_rationals():
     for k, i in product(STATES, range(len(AXES))):
         s_float, n_float = axes[k], axes[i]
         psi = PureState(s_float)
-        if s_float.tolist() == np.negative(n_float).tolist():
+        if np.asarray(s_float).tolist() == np.negative(n_float).tolist():
             # Tr[rho B] = 0: no other pair of these axes comes near the cutoff
             for m_float in axes:
                 with pytest.raises(ReductionUndefinedError):

@@ -360,8 +360,8 @@ def test_random_units_yield_the_axes_of_one_at_a_time_draws(shrunk_row):
     block, single, reference = (_ShrunkRowRng(5, shrunk_row) for _ in range(3))
     axes = list(scenarios._random_units(block, count))
     assert all(unit_vector(axis) is axis for axis in axes)
-    assert [axis.tolist() for axis in axes] == [scenarios._random_unit(single).tolist() for _ in range(count)]
-    assert [axis.tolist() for axis in axes] == [random_unit(reference).tolist() for _ in range(count)]
+    assert [list(axis) for axis in axes] == [list(scenarios._random_unit(single)) for _ in range(count)]
+    assert [list(axis) for axis in axes] == [random_unit(reference).tolist() for _ in range(count)]
     states = {json.dumps(g.rng.bit_generator.state) for g in (block, single, reference)}
     assert len(states) == 1
     assert block.rows_drawn == single.rows_drawn == count + (shrunk_row is not None)
