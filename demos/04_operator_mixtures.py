@@ -11,6 +11,8 @@ E's eigenvalues (both strictly between 0 and 1), while the mixed map takes
 import numpy as np
 
 from hvlab import (
+    OMEGA_MAX,
+    OMEGA_MIN,
     PureState,
     bell_value,
     bell_value_operator,
@@ -43,7 +45,8 @@ print(f"integrals: {direct.integrate():.6f} vs {mixed.integrate():.6f}"
 print()
 
 both_zero = (1.0 - map_x) * (1.0 - map_y)
-region = [(left, right) for left, right, value in both_zero.segments() if value == 1.0]
+edges = (OMEGA_MIN, *both_zero.breakpoints, OMEGA_MAX)
+region = [(left, right) for left, right, value in zip(edges, edges[1:], both_zero.values) if value == 1.0]
 print(f"both projector maps vanish on {region} (measure {both_zero.integrate():.6f});")
 print(f"there the mixed map is 0 but the direct map is {low:.6f} > 0:")
 print("a single operator carries two incompatible definite-value stories.")

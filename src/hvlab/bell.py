@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import UndefinedConditionalError, ValidationError, WitnessUndefinedError, _require
+from .errors import UndefinedConditionalError, ValidationError, WitnessUndefinedError, _real, _require
 from .qubit import (
     ORTHOGONALITY_CUTOFF,
     HermitianOp,
@@ -226,10 +226,7 @@ def _sum_conflict_maps(psi: PureState, n_axis, m_axis, weight: float):
     mixture of the projector maps, and the maps of P_n and P_m in ``psi``.
     Raises for a weight outside (0, 1) and for collinear axes.
     """
-    try:
-        weight = float(weight)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"mixture weight must be a real number, got {weight!r}") from exc
+    weight = _real(weight, "mixture weight")
     if not 0.0 < weight < 1.0:
         raise ValidationError(f"mixture weight must lie strictly in (0, 1), got {weight!r}")
     n = unit_vector(n_axis, "first mixture axis")

@@ -27,9 +27,9 @@ from math import prod
 from typing import Sequence
 
 from .bell import bell_value
-from .errors import ReductionUndefinedError, ValidationError, ZeroProbabilityError, _require
+from .errors import ReductionUndefinedError, ValidationError, ZeroProbabilityError, _integer, _require
 from .qubit import ORTHOGONALITY_CUTOFF, PureState, chain_probability, unit_vector
-from .stepfn import ProductFunction, StepFunction, _is_int_at_least
+from .stepfn import ProductFunction, StepFunction
 
 _SELECTED = "selected"
 _COMPLEMENT = "complement"
@@ -150,9 +150,7 @@ def _prefactor(nodes: tuple[BranchNode, ...], normalize_all_levels: bool) -> flo
     # the joint function's prefactor: 1 over each normalized level's normalizer
     if not nodes:
         raise ValidationError("empty history has no joint function")
-    if not isinstance(normalize_all_levels, bool):
-        raise ValidationError(f"normalize_all_levels must be a bool, got {normalize_all_levels!r}")
-    normalized = nodes if normalize_all_levels else nodes[:-1]
+    normalized = nodes if _require(normalize_all_levels, bool, "normalize_all_levels") else nodes[:-1]
     prefactor = 1.0
     for level, node in enumerate(normalized, start=1):
         if node.zero_probability:
@@ -196,13 +194,13 @@ def integrate_in_order(
     nodes = _require(history, BranchHistory, "history").nodes
     k = len(nodes)
     try:
-        integers = all(_is_int_at_least(level, 1) for level in order)
-    except TypeError:  # order is not iterable
-        integers = False
-    if not integers or sorted(order) != list(range(1, k + 1)):
+        levels = [_integer(level, "order level", 1) for level in order]
+    except (TypeError, ValidationError):  # order is not iterable, or a level not an integer
+        levels = None
+    if levels is None or sorted(levels) != list(range(1, k + 1)):
         raise ValidationError(f"order {order!r} is not a permutation of 1..{k}")
     total = _prefactor(nodes, normalize_all_levels)
-    for level in order:
+    for level in levels:
         total *= nodes[level - 1].normalizer
     return total
 

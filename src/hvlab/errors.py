@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import numbers
+
 __all__ = [
     "HvlabError",
     "ValidationError",
@@ -67,3 +70,23 @@ def _require(value, cls, name: str):
         return value
     names = " or ".join(c.__name__ for c in (cls if isinstance(cls, tuple) else (cls,)))
     raise ValidationError(f"{name} must be a {names}, got {type(value).__name__}")
+
+
+def _real(value, name: str) -> float:
+    """A finite real number (numpy's too, not a bool) as a float, or a ValidationError."""
+    real = type(value) is float or (not isinstance(value, bool) and isinstance(value, numbers.Real))
+    try:
+        if real and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise ValidationError(f"{name} must be a finite real number, got {value!r}")
+
+
+def _integer(value, name: str, minimum: int) -> int:
+    """An integer (numpy's too, not a bool) of at least ``minimum`` as an int, or a ValidationError."""
+    # a plain int skips the slower abstract-base-class test
+    integral = type(value) is int or (not isinstance(value, bool) and isinstance(value, numbers.Integral))
+    if integral and value >= minimum:
+        return int(value)
+    raise ValidationError(f"{name} must be an integer of at least {minimum}, got {value!r}")

@@ -24,7 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ReductionUndefinedError, ValidationError, _require
+from .errors import ReductionUndefinedError, ValidationError, _real, _require
 from .stepfn import _EXACT_FLOAT
 
 UNIT_TOLERANCE = 1e-9
@@ -48,11 +48,13 @@ __all__ = [
 class _Triple(tuple):
     """Three Python floats, immutable; ``np.asarray`` of it is a float64 array.
 
-    ``+`` and ``*`` (reflected too) raise ``TypeError`` rather than
-    concatenate or repeat as a plain tuple would; ``u @ v`` is :func:`_dot3`.
+    ``+`` and ``*`` (reflected too) raise ``TypeError`` rather than concatenate
+    or repeat as a plain tuple would, as numpy arithmetic on it does (no ufunc
+    converts it to an array); ``u @ v`` is :func:`_dot3`.
     """
 
     __slots__ = ()
+    __array_ufunc__ = None
 
     def __add__(self, other):
         raise TypeError("a 3-vector triple supports neither + nor *; take np.asarray of it first")
@@ -174,15 +176,8 @@ class HermitianOp:
     b: tuple[float, float, float]
 
     def __post_init__(self):
-        try:
-            if isinstance(self.a, (complex, np.complexfloating)):
-                raise TypeError(f"got complex value {self.a!r}")
-            object.__setattr__(self, "a", float(self.a))
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"operator scalar part must be a real number: {exc}") from exc
+        object.__setattr__(self, "a", _real(self.a, "operator scalar part"))
         object.__setattr__(self, "b", _vector3(self.b, "operator vector part"))
-        if not math.isfinite(self.a):
-            raise ValidationError("operator scalar part must be finite")
 
     @property
     def b_norm(self) -> float:

@@ -42,7 +42,7 @@ from .bell import (
     route_state_update,
 )
 from .branching import BranchHistory, branch, integrate_in_order, joint_function
-from .errors import ConfigError, HvlabError, ScenarioError, ValidationError, _require
+from .errors import ConfigError, HvlabError, ScenarioError, ValidationError, _integer, _real, _require
 from .qubit import (
     PureState,
     _cosine,
@@ -54,7 +54,7 @@ from .qubit import (
     sandwich,
     unit_vector,
 )
-from .stepfn import OMEGA_MAX, OMEGA_MIN, StepFunction, _is_finite_real, _is_int_at_least
+from .stepfn import OMEGA_MAX, OMEGA_MIN, StepFunction
 
 DEFAULT_TOLERANCE = 1e-12
 DEFAULT_GRID_POINTS = 2001
@@ -82,12 +82,10 @@ __all__ = [
 ]
 
 
-def _config_vector(key: str, value) -> tuple[float, float, float]:
-    # the one check of every config vector, read from a file or built in code
-    try:
-        return unit_vector(value, f"vector {key!r}")
-    except ValidationError as exc:
-        raise ConfigError(str(exc)) from exc
+def _check_tolerance(tolerance) -> None:
+    # the one tolerance rule of ScenarioConfig and run_sweep
+    if _real(tolerance, "tolerance") <= 0.0:
+        raise ValidationError(f"tolerance must be positive, got {tolerance!r}")
 
 
 @dataclass(frozen=True)
@@ -115,22 +113,22 @@ class ScenarioConfig:
             raise ConfigError(f"axes must map axis names to vectors, got {self.axes!r}") from exc
         if not set(axes) <= set(_AXIS_KEYS):
             raise ConfigError(f"axis names must be among n, m, c, got {list(axes)!r}")
-        object.__setattr__(self, "axes", {key: _config_vector(key, v) for key, v in axes.items()})
-        if self.state is not None:
-            object.__setattr__(self, "state", _config_vector("state", self.state))
-        if self.lam is not None and not _is_finite_real(self.lam):
-            raise ConfigError(f"lambda must be a finite real number, got {self.lam!r}")
-        if not isinstance(self.normalize_all_levels, bool):
-            raise ConfigError(f"normalize_all_levels must be a bool, got {self.normalize_all_levels!r}")
-        if not _is_int_at_least(self.grid_points, 2):
-            raise ConfigError(f"grid_points must be at least 2 (an integer), got {self.grid_points!r}")
-        tol = self.tolerance
-        if not (_is_finite_real(tol) and tol > 0):
-            raise ConfigError(f"tolerance must be positive and finite (a real number), got {tol!r}")
-        if self.seed is not None and not _is_int_at_least(self.seed, 0):
-            raise ConfigError(f"seed must be non-negative (an integer), got {self.seed!r}")
-        if self.trials is not None and not _is_int_at_least(self.trials, 1):
-            raise ConfigError(f"trials must be an integer of at least 1, got {self.trials!r}")
+        try:  # each vector and scalar by the package's one rule for it, as a ConfigError
+            axes = {key: unit_vector(v, f"vector {key!r}") for key, v in axes.items()}
+            object.__setattr__(self, "axes", axes)
+            if self.state is not None:
+                object.__setattr__(self, "state", unit_vector(self.state, "vector 'state'"))
+            if self.lam is not None:
+                _real(self.lam, "lambda")
+            _require(self.normalize_all_levels, bool, "normalize_all_levels")
+            _integer(self.grid_points, "grid_points", 2)
+            _check_tolerance(self.tolerance)
+            if self.seed is not None:
+                _integer(self.seed, "seed", 0)
+            if self.trials is not None:
+                _integer(self.trials, "trials", 1)
+        except ValidationError as exc:
+            raise ConfigError(str(exc)) from exc
         given = {"state": self.state, "lambda": self.lam, **self.axes}
         reads = _scenario(self.scenario).reads
         missing = [key for key in _REQUIRED if key in reads and given.get(key) is None]
@@ -720,12 +718,9 @@ def run_sweep(seed: int, trials: int, tolerance: float = DEFAULT_TOLERANCE) -> d
     ``DEGENERACY_MARGIN`` of a degenerate case.  Reports counts, worst-case
     errors, and any failing inputs verbatim.
     """
-    if not _is_int_at_least(seed, 0):
-        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
-    if not _is_int_at_least(trials, 1):
-        raise ValidationError(f"trials must be an integer of at least 1, got {trials!r}")
-    if not (_is_finite_real(tolerance) and tolerance > 0):
-        raise ValidationError(f"tolerance must be positive and finite (a real number), got {tolerance!r}")
+    _integer(seed, "seed", 0)
+    _integer(trials, "trials", 1)
+    _check_tolerance(tolerance)
     rng = np.random.default_rng(seed)
     failures: list[str] = []
 

@@ -24,15 +24,14 @@ Conventions
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, _require
+from .errors import ValidationError, _integer, _real, _require
 
 OMEGA_MIN = -0.5
 OMEGA_MAX = 0.5
@@ -44,20 +43,7 @@ __all__ = [
     "ProductFunction",
     "constant",
     "indicator_from_sign",
-    "mc_integrate",
 ]
-
-
-def _is_int_at_least(value, minimum: int) -> bool:
-    # an integer (numpy's too) but not a bool, at least ``minimum``; a plain
-    # int skips the slower abstract-base-class test
-    integral = type(value) is int or (not isinstance(value, bool) and isinstance(value, numbers.Integral))
-    return integral and value >= minimum
-
-
-def _is_finite_real(value) -> bool:
-    # a real number (numpy's too) but not a bool, and finite
-    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 _EXACT_FLOAT = frozenset((float,))
@@ -162,14 +148,6 @@ class StepFunction:
         total += self._values[-1] * (OMEGA_MAX - left)
         return total
 
-    def segments(self) -> Iterator[tuple[float, float, float]]:
-        """Yield (omega_left, omega_right, value) for each maximal segment."""
-        left = OMEGA_MIN
-        for b, v in zip(self._breakpoints, self._values):
-            yield (left, b, v)
-            left = b
-        yield (left, OMEGA_MAX, self._values[-1])
-
     def _combine(self, other: "StepFunction", op: Callable[[float, float], float]) -> "StepFunction":
         breakpoints, pairs = _common_segments(self, other)
         return StepFunction(breakpoints, [op(a, b) for a, b in pairs])
@@ -243,7 +221,7 @@ def _common_segments(
 
 def constant(value: float) -> StepFunction:
     """The constant function on [-1/2, 1/2]."""
-    return StepFunction((), (value,))
+    return StepFunction((), (_real(value, "constant value"),))
 
 
 def indicator_from_sign(threshold: float, polarity: int) -> StepFunction:
@@ -254,18 +232,17 @@ def indicator_from_sign(threshold: float, polarity: int) -> StepFunction:
     breakpoint is the right-hand one, consistent with right-continuous
     evaluation.  A threshold of exactly 1/2 yields a constant function.
     """
-    try:
-        if isinstance(threshold, np.complexfloating):
-            raise TypeError(f"got complex value {threshold!r}")
-        threshold = float(threshold)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"threshold must be a real number: {exc}") from exc
+    threshold = _real(threshold, "threshold")
     if not 0.0 <= threshold <= 0.5:
         raise ValidationError(f"threshold {threshold!r} outside [0, 1/2]")
-    if not (_is_int_at_least(polarity, -1) and polarity in (1, -1)):
+    try:
+        sign = _integer(polarity, "polarity", -1)
+    except ValidationError:
+        sign = 0
+    if sign not in (1, -1):
         raise ValidationError(f"polarity must be +1 or -1, got {polarity!r}")
-    high = 0.5 * (1 + polarity)
-    low = 0.5 * (1 - polarity)
+    high = 0.5 * (1 + sign)
+    low = 0.5 * (1 - sign)
     if threshold == 0.5:
         # sign(omega + 1/2) >= 0 everywhere on Lambda under sign(0) = +1
         return StepFunction((), (high,))
@@ -287,13 +264,11 @@ class ProductFunction:
     prefactor: float = 1.0
 
     def __post_init__(self):
-        if not _is_finite_real(self.prefactor):
-            raise ValidationError(f"prefactor must be a finite real number, got {self.prefactor!r}")
+        object.__setattr__(self, "prefactor", _real(self.prefactor, "prefactor"))
         try:
             object.__setattr__(self, "factors", tuple(self.factors))
         except TypeError as exc:  # factors is not iterable
             raise ValidationError(f"ProductFunction factors must be iterable, got {self.factors!r}") from exc
-        object.__setattr__(self, "prefactor", float(self.prefactor))
         for f in self.factors:
             _require(f, StepFunction, "ProductFunction factor")
 
@@ -317,57 +292,7 @@ class ProductFunction:
 
     def integrate_level(self, index: int) -> "ProductFunction":
         """Integrate out one level, folding its integral into the prefactor."""
-        if not 0 <= index < len(self.factors):
+        if _integer(index, "level index", 0) >= len(self.factors):
             raise ValidationError(f"level index {index} out of range for {len(self.factors)} factors")
         rest = self.factors[:index] + self.factors[index + 1 :]
         return ProductFunction(rest, self.prefactor * self.factors[index].integrate())
-
-
-def mc_integrate(
-    fn: Union[StepFunction, ProductFunction],
-    n_samples: int,
-    rng: np.random.Generator,
-) -> tuple[float, float]:
-    """Monte Carlo estimate (mean, standard error) of an integral over Lambda^k.
-
-    Draws ``n_samples`` uniform points per level from ``rng``; intended as an
-    independent cross-check of the exact integrals, not as a primary route.
-    The mean and the ``ddof=1`` standard error of the sampled values come
-    from how many samples fall in each cell, a cell being one segment per
-    level; a sample on a breakpoint counts to its right, as evaluation does.
-    """
-    if not _is_int_at_least(n_samples, 2):
-        raise ValidationError(
-            f"need an integer of at least 2 samples for a standard error, got {n_samples!r}"
-        )
-    _require(fn, (StepFunction, ProductFunction), "fn")
-    _require(rng, np.random.Generator, "rng")
-    # rng.uniform(OMEGA_MIN, OMEGA_MAX, n_samples) draws OMEGA_MIN + 1.0 * u
-    # for u from rng.random: the same floats, drawn here into one buffer
-    omegas = np.empty(n_samples)
-    if isinstance(fn, StepFunction):
-        rng.random(out=omegas)
-        omegas += OMEGA_MIN
-        at_or_right = [np.count_nonzero(omegas >= b) for b in fn.breakpoints]
-        counts = -np.diff([n_samples, *at_or_right, 0])
-        values = np.array(fn.values)
-    else:
-        values = np.array([fn.prefactor])
-        # one index per sample into the cells so far, C order over the levels
-        cells = np.zeros(n_samples, np.intp)
-        for f in fn.factors:
-            rng.random(out=omegas)
-            omegas += OMEGA_MIN
-            cells *= len(f.values)
-            for b in f.breakpoints:
-                cells += omegas >= b
-            values = np.multiply.outer(values, f.values).ravel()
-            if len(values) > n_samples:
-                # renumber the occupied cells, so the index stays below n_samples
-                occupied, cells = np.unique(cells, return_inverse=True)
-                values = values[occupied]
-        counts = np.bincount(cells, minlength=len(values))
-    estimate = float(counts @ values) / n_samples
-    variance = float(counts @ (values - estimate) ** 2) / (n_samples - 1)
-    return estimate, math.sqrt(variance) / math.sqrt(n_samples)
-

@@ -19,7 +19,6 @@ from hvlab import (
     constant,
     integrate_in_order,
     joint_function,
-    mc_integrate,
     nonuniqueness_witness,
     outcome_probabilities,
     projector,
@@ -30,6 +29,7 @@ from hvlab import (
 )
 
 from conftest import X, Y, Z, random_unit
+from monte_carlo import mc_integrate
 
 TOL = 1e-12
 
@@ -66,7 +66,7 @@ def test_criterion_2_sandwich_identity():
         coefficient = 0.5 * (1.0 + float(np.dot(n, m)))
         err = max(
             abs(2.0 * got.a - coefficient),
-            float(np.max(np.abs(got.b - coefficient * 0.5 * n))),
+            float(np.max(np.abs(np.asarray(got.b) - coefficient * 0.5 * n))),
         )
         worst = max(worst, err)
     report(2, f"sandwich identity over 10^4 pairs (worst {worst:.2e})", worst <= TOL)

@@ -65,7 +65,8 @@ def intersect_intervals(first, second):
 
 
 def support_intervals(step):
-    return [(left, right) for left, right, value in step.segments() if value == 1.0]
+    edges = (-0.5, *step.breakpoints, 0.5)
+    return [(left, right) for left, right, value in zip(edges, edges[1:], step.values) if value == 1.0]
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +523,7 @@ def test_sum_conflict_collinear_and_weight_validation():
         sum_conflict_witness(psi, X, Y, 0.0)
     with pytest.raises(ValidationError):
         sum_conflict_witness(psi, X, Y, 1.0)
-    with pytest.raises(ValidationError, match="mixture weight must be a real number, got 'a'"):
+    with pytest.raises(ValidationError, match="mixture weight must be a finite real number, got 'a'"):
         sum_conflict_witness(psi, X, Y, "a")
 
 

@@ -142,14 +142,14 @@ def test_negative_seed_exits_two(tmp_path, capsys):
     config = write(tmp_path, "sweep.cfg", "scenario = sweep\nseed = -1\ntrials = 10\n")
     assert main(["run", str(config)]) == 2
     assert main(["sweep", "--seed", "-1", "--trials", "10"]) == 2
-    assert "seed must be non-negative" in capsys.readouterr().err
+    assert "seed must be an integer of at least 0" in capsys.readouterr().err
 
 
 def test_nan_tolerance_exits_two(tmp_path, capsys):
     config = write(tmp_path, "route.cfg", ROUTE_CFG)
     for value in ("nan", "inf"):
         assert main(["run", str(config), "--tolerance", value]) == 2
-        assert "tolerance must be positive and finite" in capsys.readouterr().err
+        assert "tolerance must be a finite real number" in capsys.readouterr().err
 
 
 def test_non_finite_vector_component_exits_two_with_path(tmp_path, capsys):

@@ -16,13 +16,17 @@ import hvlab
 from hvlab import (
     BranchHistory,
     ConfigError,
+    HermitianOp,
     HvlabError,
+    ProductFunction,
     PureState,
+    ValidationError,
     branch,
     constant,
     indicator_from_sign,
     load_config,
     projector,
+    sum_conflict_witness,
 )
 from hvlab.cli import main
 
@@ -67,7 +71,6 @@ VALID = {
     "ProductFunction": lambda tmp: dict(factors=(constant(1.0),)),
     "constant": lambda tmp: dict(value=1.0),
     "indicator_from_sign": lambda tmp: dict(threshold=0.25, polarity=1),
-    "mc_integrate": lambda tmp: dict(fn=constant(1.0), n_samples=10, rng=np.random.default_rng(0)),
     "unit_vector": lambda tmp: dict(v=X),
     "cosine_between": lambda tmp: dict(u=X, v=Y),
     "HermitianOp": lambda tmp: dict(a=0.5, b=0.5 * X),
@@ -144,6 +147,25 @@ def test_wrong_argument_raises_hvlab_error(name, param, bad, tmp_path):
 def test_accepted_cases_are_valid(tmp_path):
     for name, param, bad in ACCEPTED:
         getattr(hvlab, name)(**{**VALID[name](tmp_path), param: BAD[bad]()})
+
+
+# a scalar that float() takes (a string, a bool, or a numpy complex, whose
+# imaginary part it drops with only a ComplexWarning), or a float for an integer
+SCALAR_PROBES = {
+    "weight-str": lambda: sum_conflict_witness(PureState(Z), X, Y, "0.5"),
+    "weight-complex": lambda: sum_conflict_witness(PureState(Z), X, Y, np.complex128(0.5 + 1j)),
+    "threshold-str": lambda: indicator_from_sign("0.25", 1),
+    "scalar-part-str": lambda: HermitianOp("0.5", X),
+    "scalar-part-bool": lambda: HermitianOp(True, X),
+    "constant-str": lambda: constant("1.0"),
+    "level-index-float": lambda: ProductFunction((constant(1.0),)).integrate_level(0.0),
+}
+
+
+@pytest.mark.parametrize("probe", SCALAR_PROBES)
+def test_wrong_scalar_raises_validation_error(probe):
+    with pytest.raises(ValidationError):
+        SCALAR_PROBES[probe]()
 
 
 @pytest.mark.parametrize("kind", ["missing-file", "directory"])

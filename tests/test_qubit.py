@@ -26,7 +26,6 @@ from hvlab import (
     expectation,
     integrate_in_order,
     joint_function,
-    mc_integrate,
     projector,
     qubit,
     repeated_measurement_check,
@@ -37,6 +36,7 @@ from hvlab import (
 )
 
 import matrix_oracle as oracle
+from monte_carlo import mc_integrate
 from conftest import X, Y, Z, random_unit, rational_axes
 
 
@@ -177,7 +177,8 @@ def test_complement_prepares_the_checked_negation(rng):
         _, complement = branch(BranchHistory(PureState(Z)), axis)
         node = complement.nodes[0]
         bloch = node.prepared_state.bloch
-        assert np.asarray(bloch).tobytes() == np.asarray(unit_vector(np.negative(node.axis))).tobytes()
+        negated = unit_vector(np.negative(np.asarray(node.axis)))
+        assert np.asarray(bloch).tobytes() == np.asarray(negated).tobytes()
         assert unit_vector(bloch) is bloch
 
 
@@ -212,6 +213,15 @@ def test_checked_axis_neither_repeats_nor_concatenates():
         ):
             with pytest.raises(TypeError):
                 attempt()
+
+
+def test_numpy_arithmetic_on_a_triple_raises():
+    # numpy would convert the triple on the right of an array or numpy scalar
+    u = unit_vector([0.6, 0.8, 0.0])
+    op = HermitianOp(0.5, [0.1, 0.2, 0.3])
+    for attempt in (lambda: np.zeros(3) + op.b, lambda: np.asarray(u) + u, lambda: np.float64(2.0) * u):
+        with pytest.raises(TypeError):
+            attempt()
 
 
 def test_checked_axis_matmul_is_the_fixed_order_dot_product(rng):
@@ -335,10 +345,11 @@ def test_checked_vector_and_its_base_reject_writes(given):
 
 def test_derived_arrays_of_a_checked_vector_are_checked_again():
     u = unit_vector([0.6, 0.8, 0.0])
-    for derived in (0.5 * np.asarray(u), np.negative(u), np.multiply(u, 2.0)):
+    array = np.asarray(u)
+    for derived in (0.5 * array, np.negative(array), np.multiply(array, 2.0)):
         assert type(derived) is np.ndarray
     assert type(u[:2]) is tuple and type(u[0]) is float
-    for bad in (np.multiply(u, 2.0), u[:2], np.asarray(u).imag):
+    for bad in (np.multiply(array, 2.0), u[:2], array.imag):
         with pytest.raises(ValidationError):
             unit_vector(bad)
     # a plain copy is not the vector that was checked, so it is checked again
@@ -348,7 +359,7 @@ def test_derived_arrays_of_a_checked_vector_are_checked_again():
     copy[0] = 2.0
     with pytest.raises(ValidationError):
         unit_vector(copy)
-    negated = unit_vector(np.negative(u))
+    negated = unit_vector(np.negative(array))
     assert unit_vector(negated) is negated
 
 
@@ -380,7 +391,7 @@ def _array_comparison_cosine(u, v):
     # the dot product is written out in the fixed order cosine_between uses
     if np.array_equal(u, v):
         return 1.0
-    if np.array_equal(u, np.negative(v)):
+    if np.array_equal(u, np.negative(np.asarray(v))):
         return -1.0
     (u0, u1, u2), (v0, v1, v2) = np.asarray(u).tolist(), np.asarray(v).tolist()
     return min(1.0, max(-1.0, (u0 * v0 + u1 * v1) + u2 * v2))

@@ -79,7 +79,7 @@ def sandwich_bound(weight, nn, outer, inner, got_a, got_b) -> tuple[Fraction, Fr
     c1, c2 = Fraction(0.25 - bb), Fraction(2.0 * (0.25 + ab))
     c1_err = bb_err + U * abs(c1)
     c2_err = 2 * ab_err + U * abs(c2)
-    largest = Fraction(float(np.max(np.abs(got_b))))
+    largest = Fraction(float(np.max(np.abs(np.asarray(got_b)))))
     vector_err = (c1_err + c2_err + U * (abs(c1) + abs(c2))) / 2 + U * largest
     return scalar_err, vector_err
 
@@ -151,7 +151,7 @@ def test_conditioning_against_exact_rationals():
     for i, j in PAIRS:
         nm, weight = PAIR_DOTS[i, j]
         # the first state that is not orthogonal to n; the value does not depend on it
-        opposite = np.negative(axes[i]).tolist()
+        opposite = np.negative(np.asarray(axes[i])).tolist()
         psi = next(state for state in states if np.asarray(state.bloch).tolist() != opposite)
         got = Fraction(conditional_expectation(psi, axes[j], axes[i]))
         if INTEGER[i] and INTEGER[j]:
@@ -164,7 +164,7 @@ def test_conditioning_against_exact_rationals():
     for k, i in product(STATES, range(len(AXES))):
         s_float, n_float = axes[k], axes[i]
         psi = PureState(s_float)
-        if np.asarray(s_float).tolist() == np.negative(n_float).tolist():
+        if np.asarray(s_float).tolist() == np.negative(np.asarray(n_float)).tolist():
             # Tr[rho B] = 0: no other pair of these axes comes near the cutoff
             for m_float in axes:
                 with pytest.raises(ReductionUndefinedError):
