@@ -224,10 +224,17 @@ def test_indicator_validation():
         with pytest.raises(ValidationError, match=r"polarity must be \+1 or -1"):
             indicator_from_sign(0.25, polarity)
     assert indicator_from_sign(0.25, np.int64(-1)) == indicator_from_sign(0.25, -1)
-    # float() would take the string and the bool, and the complex with only a ComplexWarning
-    for threshold in ("a", "0.25", True, np.complex128(0.25 + 1j), math.nan):
-        with pytest.raises(ValidationError, match="^threshold must be a finite real number, got "):
-            indicator_from_sign(threshold, 1)
+
+
+# float() would take the strings and the bool, and the complex with only a ComplexWarning
+@pytest.mark.parametrize(
+    "threshold",
+    ["a", "0.25", True, np.complex128(0.25 + 1j), math.nan],
+    ids=["str", "numeric-str", "bool", "complex", "nan"],
+)
+def test_non_real_threshold_is_a_validation_error(threshold):
+    with pytest.raises(ValidationError, match="^threshold must be a finite real number, got "):
+        indicator_from_sign(threshold, 1)
 
 
 @given(
