@@ -25,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ReductionUndefinedError, ValidationError, _real, _require
-from .stepfn import _EXACT_FLOAT
+from .stepfn import _EXACT_FLOAT, _operand
 
 UNIT_TOLERANCE = 1e-9
 ORTHOGONALITY_CUTOFF = 1e-12
@@ -142,6 +142,25 @@ def unit_vector(v, name: str = "vector") -> _Axis:
     return _Axis(components)
 
 
+def _unit_rows(rows: np.ndarray, name: str) -> list[_Axis]:
+    """``[unit_vector(row, name) for row in rows]`` for a float64 array of shape (k, 3).
+
+    The norm test runs on all rows at once, in ``_dot3``'s order as numpy
+    columns: each elementwise ufunc rounds once and none is fused, so every
+    norm has the bits of ``unit_vector``'s.  When a row fails it (a NaN, an
+    infinite or an overflowing component fails it too) the block goes
+    through ``unit_vector`` row by row, so the first failing row raises the
+    same error with the same message.
+    """
+    x, y, z = rows.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt((x * x + y * y) + z * z)
+        passed = bool((np.abs(norms - 1.0) <= UNIT_TOLERANCE).all())
+    if passed:
+        return list(map(_Axis, rows.tolist()))
+    return [unit_vector(row, name) for row in rows]
+
+
 def cosine_between(u, v) -> float:
     """Dot product of two unit vectors, clipped to [-1, 1].
 
@@ -203,10 +222,10 @@ class HermitianOp:
         return NotImplemented
 
     def __mul__(self, scalar):
-        if isinstance(scalar, (int, float)):
-            scalar = float(scalar)
-            return HermitianOp(self.a * scalar, tuple(x * scalar for x in self.b))
-        return NotImplemented
+        x = _operand(scalar)
+        if x is None:
+            return NotImplemented
+        return HermitianOp(self.a * x, tuple(c * x for c in self.b))
 
     __rmul__ = __mul__
 
@@ -284,7 +303,8 @@ def chain_probability(psi: PureState, axes: Iterable) -> float:
         raise ValidationError(f"axes must be a sequence of unit 3-vectors, got {axes!r}") from exc
     total = 1.0
     for k, a in indexed:
-        axis = unit_vector(a, f"axes[{k}]")
+        # the name is needed only in an error, so a checked axis skips building it
+        axis = a if type(a) is _Axis else unit_vector(a, f"axes[{k}]")
         step = 0.5 * (1.0 + _cosine(current, axis))
         if step <= ORTHOGONALITY_CUTOFF:
             raise ReductionUndefinedError(

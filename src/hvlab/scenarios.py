@@ -45,8 +45,10 @@ from .branching import BranchHistory, branch, integrate_in_order, joint_function
 from .errors import ConfigError, HvlabError, ScenarioError, ValidationError, _integer, _real, _require
 from .qubit import (
     PureState,
+    _Axis,
     _cosine,
     _dot3,
+    _unit_rows,
     chain_probability,
     conditional_expectation,
     expectation,
@@ -685,25 +687,43 @@ def scenario_traces(config: ScenarioConfig) -> dict[str, StepFunction]:
 # ---------------------------------------------------------------------------
 
 
-def _random_units(rng: np.random.Generator, count: int) -> Iterator[tuple[float, float, float]]:
-    """``count`` random unit axes: rows of ``rng.normal(size=(k, 3))`` over their norms.
+def _random_units(rng: np.random.Generator, count: int) -> Iterator[_Axis]:
+    """Iterate over ``count`` random unit axes: rows of ``rng.normal(size=(k, 3))`` over their norms.
 
-    Rows with a norm at or below ``DEGENERACY_MARGIN`` are skipped and only
-    they are drawn again, so this yields the axes of ``count`` draws of
-    ``size=3`` (the same stream) and leaves ``rng`` where they would.
+    The norms are numpy columns in ``_dot3``'s order, so each has the bits of
+    the row's ``sqrt(_dot3(row, row))``, and ``qubit._unit_rows`` checks the
+    divided block at once.  Rows with a norm at or below ``DEGENERACY_MARGIN``
+    are skipped and only they are drawn again, so the axes are those of
+    ``count`` draws of ``size=3`` (the same stream, as :func:`_random_unit`
+    takes it) and ``rng`` is left where they would leave it.  Every row is
+    drawn before this returns.
     """
+    axes: list[_Axis] = []
     while count:
         rows = rng.normal(size=(count, 3))
-        for components in rows.tolist():
-            norm = math.sqrt(_dot3(components, components))
-            if norm > DEGENERACY_MARGIN:
-                count -= 1
-                x, y, z = components
-                yield unit_vector((x / norm, y / norm, z / norm), "random axis")
+        x, y, z = rows.T
+        norms = np.sqrt((x * x + y * y) + z * z)
+        kept = norms > DEGENERACY_MARGIN
+        if not kept.all():
+            rows, norms = rows[kept], norms[kept]
+        axes += _unit_rows(rows / norms[:, np.newaxis], "random axis")
+        count -= len(rows)
+    return iter(axes)
 
 
-def _random_unit(rng: np.random.Generator) -> tuple[float, float, float]:
-    return next(_random_units(rng, 1))
+def _random_unit(rng: np.random.Generator) -> _Axis:
+    """One random unit axis, the one ``_random_units(rng, 1)`` draws, in Python floats.
+
+    The order and tree phases of :func:`run_sweep` interleave ``rng.integers``
+    with these draws, so they cannot be drawn in blocks; for a single row this
+    loop over ``rng.normal(size=3)`` is faster than the block's numpy path.
+    """
+    while True:
+        components = rng.normal(size=3).tolist()
+        norm = math.sqrt(_dot3(components, components))
+        if norm > DEGENERACY_MARGIN:
+            x, y, z = components
+            return unit_vector((x / norm, y / norm, z / norm), "random axis")
 
 
 def run_sweep(seed: int, trials: int, tolerance: float = DEFAULT_TOLERANCE) -> dict:

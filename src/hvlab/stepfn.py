@@ -49,18 +49,36 @@ __all__ = [
 _EXACT_FLOAT = frozenset((float,))
 
 
+def _refuse_non_real(value) -> None:
+    # float() takes a str, a bytes and a bool (numpy's too), and a numpy complex
+    # with only a ComplexWarning, dropping its imaginary part; none of them is a
+    # real number, so each raises a TypeError here.  A numpy scalar or 0-d
+    # array is judged by its dtype.
+    dtype = getattr(value, "dtype", None)
+    kind = dtype.kind if isinstance(dtype, np.dtype) else None
+    if kind == "c":
+        raise TypeError(f"got complex value {value!r}")
+    if isinstance(value, (str, bytes, bool)) or kind in ("b", "S", "U"):
+        raise TypeError(f"got {type(value).__name__} {value!r}")
+
+
 def _floats(items: Iterable) -> tuple[float, ...]:
-    # float() takes a numpy complex with only a ComplexWarning and drops its
-    # imaginary part; refuse it first, as qubit._vector3 does.  Items that are
-    # all exactly float (the package's own values) need neither the scan nor
-    # float(), which would return each of them unchanged.
+    # Items that are all exactly float (the package's own values) need neither
+    # the scan nor float(), which would return each of them unchanged.
     items = tuple(items)
     if _EXACT_FLOAT.issuperset(map(type, items)):
         return items
     for item in items:
-        if isinstance(item, np.complexfloating):
-            raise TypeError(f"got complex value {item!r}")
+        _refuse_non_real(item)
     return tuple(map(float, items))
+
+
+def _operand(other) -> float | None:
+    # a scalar operand of the arithmetic operators, converted once: an int or
+    # a float, not a bool; None for any other operand
+    if isinstance(other, (int, float)) and type(other) is not bool:
+        return float(other)
+    return None
 
 
 class StepFunction:
@@ -123,10 +141,15 @@ class StepFunction:
         """Evaluate at a scalar or array of omega values (right-continuous)."""
         scalar = np.ndim(omega) == 0
         try:
-            # as in _floats; a Python float, the common case, skips the test
-            if type(omega) is not float and np.iscomplexobj(omega):
-                raise TypeError(f"got complex values {omega!r}")
-            x = float(omega) if scalar else np.asarray(omega, dtype=float)
+            # a scalar is refused as in _floats, except a Python float, the common case
+            if not scalar:
+                if np.iscomplexobj(omega):
+                    raise TypeError(f"got complex values {omega!r}")
+                x = np.asarray(omega, dtype=float)
+            else:
+                if type(omega) is not float:
+                    _refuse_non_real(omega)
+                x = float(omega)
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"omega must be real: {exc}") from exc
         if scalar:
@@ -161,9 +184,8 @@ class StepFunction:
     def __add__(self, other):
         if isinstance(other, StepFunction):
             return self._combine(other, lambda a, b: a + b)
-        if isinstance(other, (int, float)):
-            return self._map(float(other).__add__)
-        return NotImplemented
+        x = _operand(other)
+        return NotImplemented if x is None else self._map(x.__add__)
 
     __radd__ = __add__
 
@@ -173,21 +195,18 @@ class StepFunction:
     def __sub__(self, other):
         if isinstance(other, StepFunction):
             return self._combine(other, lambda a, b: a - b)
-        if isinstance(other, (int, float)):
-            return self._map(float(other).__rsub__)
-        return NotImplemented
+        x = _operand(other)
+        return NotImplemented if x is None else self._map(x.__rsub__)
 
     def __rsub__(self, other):
-        if isinstance(other, (int, float)):
-            return self._map(float(other).__sub__)
-        return NotImplemented
+        x = _operand(other)
+        return NotImplemented if x is None else self._map(x.__sub__)
 
     def __mul__(self, other):
         if isinstance(other, StepFunction):
             return self._combine(other, lambda a, b: a * b)
-        if isinstance(other, (int, float)):
-            return self._map(float(other).__mul__)
-        return NotImplemented
+        x = _operand(other)
+        return NotImplemented if x is None else self._map(x.__mul__)
 
     __rmul__ = __mul__
 

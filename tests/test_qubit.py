@@ -1,4 +1,5 @@
 import struct
+from itertools import chain
 from types import SimpleNamespace
 
 import numpy as np
@@ -331,6 +332,58 @@ def test_float64_arrays_within_tolerance_skip_the_full_check(monkeypatch, rng):
     assert calls == ["vector"]
 
 
+def _rows_outcome(build):
+    # the type of each axis and the bits of all components, or the error's type and message
+    try:
+        axes = build()
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    return [type(u) for u in axes], np.fromiter(chain.from_iterable(axes), float, 3 * len(axes)).tobytes()
+
+
+def _seeded_unit_rows(count):
+    rows = np.random.default_rng(23).normal(size=(count, 3))
+    return rows / np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, np.newaxis]
+
+
+def _with_row(row, at=2, count=5):
+    rows = _seeded_unit_rows(count)
+    rows[at] = row
+    return rows
+
+
+_UNIT_ROW_BLOCKS = {
+    "seeded-1e5": _seeded_unit_rows(10**5),
+    "seeded-scaled-within-tolerance": _seeded_unit_rows(1000) * np.linspace(1 - 9e-10, 1 + 9e-10, 1000)[:, np.newaxis],
+    "empty": np.zeros((0, 3)),
+    "one-row": np.array([[0.6, 0.8, 0.0]]),
+    "norm-1-plus-2e-9": _with_row([1.0 + 2e-9, 0.0, 0.0]),
+    "norm-1-minus-2e-9": _with_row([0.0, 0.0, 1.0 - 2e-9]),
+    "norm-1-plus-2e-9-last-of-1000": _with_row([0.0, 1.0 + 2e-9, 0.0], at=999, count=1000),
+    "two-failing-rows": np.array([[0.6, 0.8, 0.0], [1.0 + 2e-9, 0.0, 0.0], [np.nan, 0.0, 0.0]]),
+    **{f"{bad}-at-{k}": _with_row(_with_component(k, bad)) for bad, k in _NON_FINITE},
+    "overflowing": _with_row([1e200, 0.0, 0.0]),
+    "underflowing": _with_row([1e-160, 0.0, 0.0]),
+    "signed-zeros": np.array([[-0.0, -0.6, 0.8], [0.0, -0.0, 1.0], [-0.0, -0.0, -1.0], [0.6, -0.0, -0.8]]),
+}
+
+
+@pytest.mark.parametrize("rows", _UNIT_ROW_BLOCKS.values(), ids=_UNIT_ROW_BLOCKS.keys())
+def test_unit_rows_match_unit_vector_row_by_row(monkeypatch, rows):
+    # each row, as a tuple of floats, goes through unit_vector; the block is tested at once
+    # and goes through unit_vector only when a row fails the test
+    expected = _rows_outcome(lambda: [unit_vector(tuple(row), "axis") for row in rows.tolist()])
+    calls = []
+
+    def counted(v, name="vector"):
+        calls.append(name)
+        return unit_vector(v, name)
+
+    monkeypatch.setattr(qubit, "unit_vector", counted)
+    assert _rows_outcome(lambda: qubit._unit_rows(rows, "axis")) == expected
+    assert (calls == []) == (expected[0] is not ValidationError)
+
+
 @pytest.mark.parametrize("given", [np.array([0.6, 0.8, 0.0]), [0.6, 0.8, 0.0]], ids=["float64-array", "list"])
 def test_checked_vector_and_its_base_reject_writes(given):
     u = unit_vector(given)
@@ -470,6 +523,17 @@ def test_hermitian_op_basics():
     assert (op + -1.0 * op).b_norm == 0.0
     assert op == HermitianOp(0.3, [0.1, 0.2, 0.2])
     assert ops_close(op, HermitianOp(0.3 + 1e-14, [0.1, 0.2, 0.2]), tol=1e-12)
+
+
+def test_hermitian_op_scalar_product_refuses_a_bool():
+    # a bool is refused as a str is: __mul__ returns NotImplemented
+    op = projector(X)
+    assert op * 2 == 2.0 * op == HermitianOp(1.0, [1.0, 0.0, 0.0])
+    for scalar in (True, False, "2"):
+        assert op.__mul__(scalar) is NotImplemented
+    for attempt in (lambda: op * True, lambda: False * op):
+        with pytest.raises(TypeError):
+            attempt()
 
 
 # ---------------------------------------------------------------------------
@@ -635,6 +699,21 @@ def test_chain_probability_examples():
     # |n| - 1 = 1.6e-9 is outside the unit-vector tolerance
     with pytest.raises(ValidationError, match=r"axes\[1\] must be a unit vector"):
         chain_probability(psi, [X, [1.0 + 1.6e-9, 0.0, 0.0]])
+
+
+def test_chain_probability_names_only_an_unchecked_axis(monkeypatch):
+    # a checked axis is used as it is, so its error name is never built
+    psi, checked = PureState(Z), [unit_vector(X), unit_vector(Z)]
+    names = []
+    full_check = qubit.unit_vector
+
+    def counted(v, name="vector"):
+        names.append(name)
+        return full_check(v, name)
+
+    monkeypatch.setattr(qubit, "unit_vector", counted)
+    assert chain_probability(psi, [*checked, Y]) == 0.125  # three orthogonal steps of 1/2
+    assert names == ["axes[2]"]
 
 
 def test_chain_probability_idempotent_step(rng):

@@ -357,12 +357,17 @@ class _ShrunkRowRng:
         return draws
 
 
-@pytest.mark.parametrize("shrunk_row", [None, 0, 4, 9])
-def test_random_units_yield_the_axes_of_one_at_a_time_draws(shrunk_row):
+@pytest.mark.parametrize(
+    "count, shrunk_row",
+    [
+        *(pytest.param(10, row, id=str(row)) for row in (None, 0, 4, 9)),
+        pytest.param(1001, 500, id="1001-rows-shrunk-500"),
+    ],
+)
+def test_random_units_yield_the_axes_of_one_at_a_time_draws(count, shrunk_row):
     # a block of k rows is the stream of k draws of three: the same axes, and
     # the generator left in the same state, also when a row is rejected and
     # drawn again; conftest.random_unit is the one-at-a-time draw
-    count = 10
     block, single, reference = (_ShrunkRowRng(5, shrunk_row) for _ in range(3))
     axes = list(scenarios._random_units(block, count))
     assert all(unit_vector(axis) is axis for axis in axes)

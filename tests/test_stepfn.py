@@ -119,7 +119,7 @@ _STORED_AS_FLOAT = {
     "float-and-float64": ((-0.2,), (0.0, np.float64(1.0)), (-0.2,), (0.0, 1.0)),
     "float32": ((np.float32(0.1),), (0.0, 1.0), (float(np.float32(0.1)),), (0.0, 1.0)),
     "int": ((0,), (0, 1), (0.0,), (0.0, 1.0)),
-    "bool": ((False,), (True, False), (0.0,), (1.0, 0.0)),
+    "numpy-int-and-0-d-arrays": ((np.array(-0.2),), (np.int64(0), np.array(1)), (-0.2,), (0.0, 1.0)),
 }
 
 
@@ -135,7 +135,42 @@ def test_construction_stores_exact_floats(breakpoints, values, stored_breakpoint
     assert all(type(x) is float for x in f.breakpoints + f.values)
 
 
-@pytest.mark.parametrize("scalar", [0.5, _Float(0.5), np.float64(0.5), 3, True], ids=repr)
+_NOT_REAL = {
+    "bool": ((False,), (True, False)),
+    "numpy-bool": ((), (np.True_,)),
+    "0-d-bool-array": ((), (np.array(False),)),
+    "str-breakpoint": (("0.1",), (0.0, 1.0)),
+    "str-value": ((0.1,), (0.0, "1")),
+    "bytes": ((), (b"1",)),
+    "numpy-str": ((), (np.str_("1"),)),
+}
+
+
+@pytest.mark.parametrize("breakpoints, values", _NOT_REAL.values(), ids=_NOT_REAL.keys())
+def test_breakpoints_and_values_refuse_text_and_bools(breakpoints, values):
+    # float() would take each of these as a number
+    with pytest.raises(ValidationError, match="^breakpoints and values must be real numbers: got "):
+        StepFunction(breakpoints, values)
+
+
+@pytest.mark.parametrize(
+    "omega", ["0.1", b"0.1", False, np.True_, np.array(True), np.str_("0.1"), np.array("0.1")], ids=repr
+)
+def test_scalar_omega_refuses_text_and_bools(omega):
+    with pytest.raises(ValidationError, match="^omega must be real: got "):
+        _HALF(omega)
+
+
+@pytest.mark.parametrize(
+    "omega, expected",
+    [(0, 1.0), (-0.1, 0.0), (np.float32(0.25), 1.0), (np.int64(0), 1.0), (np.array(-0.25), 0.0), (np.array(0), 1.0)],
+    ids=repr,
+)
+def test_scalar_omega_accepts_ints_numpy_reals_and_0_d_arrays(omega, expected):
+    assert _HALF(omega) == expected
+
+
+@pytest.mark.parametrize("scalar", [0.5, _Float(0.5), np.float64(0.5), 3], ids=repr)
 def test_scalar_operations_convert_the_scalar_once(scalar):
     f = StepFunction((-0.2, 0.1), (0.3, -1.0, 2.0))
     x = float(scalar)
@@ -150,6 +185,18 @@ def test_scalar_operations_convert_the_scalar_once(scalar):
     for name, (got, values) in results.items():
         assert got == StepFunction(f.breakpoints, values), name
         assert all(type(v) is float for v in got.values), name
+
+
+@pytest.mark.parametrize("scalar", [True, False], ids=repr)
+def test_scalar_operations_refuse_a_bool(scalar):
+    # a bool is refused as a str is: every operator returns NotImplemented
+    f = StepFunction((-0.2, 0.1), (0.3, -1.0, 2.0))
+    for method in (f.__add__, f.__radd__, f.__sub__, f.__rsub__, f.__mul__, f.__rmul__):
+        assert method(scalar) is NotImplemented
+        assert method("0.5") is NotImplemented
+    for attempt in (lambda: f + scalar, lambda: scalar - f, lambda: f * scalar, lambda: scalar * f):
+        with pytest.raises(TypeError):
+            attempt()
 
 
 def test_right_continuous_evaluation():
