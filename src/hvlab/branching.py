@@ -28,7 +28,7 @@ from typing import Sequence
 
 from .bell import bell_value
 from .errors import ReductionUndefinedError, ValidationError, ZeroProbabilityError, _integer, _require
-from .qubit import ORTHOGONALITY_CUTOFF, PureState, chain_probability, unit_vector
+from .qubit import ORTHOGONALITY_CUTOFF, PureState, _set, chain_probability, unit_vector
 from .stepfn import ProductFunction, StepFunction
 
 _SELECTED = "selected"
@@ -53,7 +53,7 @@ def _check_outcome(outcome: str) -> None:
         raise ValidationError(f"outcome must be one of {_OUTCOMES}, got {outcome!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BranchNode:
     """One level of a measurement history.
 
@@ -71,11 +71,12 @@ class BranchNode:
     level_function: StepFunction
     normalizer: float = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "axis", unit_vector(self.axis, "measurement axis"))
-        _check_outcome(self.outcome)
-        level = _require(self.level_function, StepFunction, "level_function")
-        object.__setattr__(self, "normalizer", level.integrate())
+    def __init__(self, axis: tuple[float, float, float], outcome: str, level_function: StepFunction) -> None:
+        _set(self, "axis", unit_vector(axis, "measurement axis"))
+        _check_outcome(outcome)
+        _set(self, "outcome", outcome)
+        _set(self, "level_function", _require(level_function, StepFunction, "level_function"))
+        _set(self, "normalizer", level_function.integrate())
 
     @property
     def prepared_state(self) -> PureState:
@@ -89,26 +90,27 @@ class BranchNode:
 
 
 _NODE_TYPE = frozenset((BranchNode,))
+_EXACT_INT = frozenset((int,))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BranchHistory:
     """An initial state plus an ordered tuple of branch nodes (immutable)."""
 
     initial_state: PureState
     nodes: tuple[BranchNode, ...] = ()
 
-    def __post_init__(self):
-        _require(self.initial_state, PureState, "initial_state")
+    def __init__(self, initial_state: PureState, nodes: tuple[BranchNode, ...] = ()) -> None:
+        _set(self, "initial_state", _require(initial_state, PureState, "initial_state"))
         try:
-            nodes = tuple(self.nodes)
+            checked = tuple(nodes)
         except TypeError as exc:  # nodes is not iterable
-            raise ValidationError(f"BranchHistory nodes must be iterable, got {self.nodes!r}") from exc
+            raise ValidationError(f"BranchHistory nodes must be iterable, got {nodes!r}") from exc
         # one C-level pass over the node types; the per-node check only when that fails
-        if not _NODE_TYPE.issuperset(map(type, nodes)):
-            for node in nodes:
+        if not _NODE_TYPE.issuperset(map(type, checked)):
+            for node in checked:
                 _require(node, BranchNode, "BranchHistory node")
-        object.__setattr__(self, "nodes", nodes)
+        _set(self, "nodes", checked)
 
     @property
     def depth(self) -> int:
@@ -124,7 +126,12 @@ class BranchHistory:
 
     @property
     def zero_probability(self) -> bool:
-        return any(node.zero_probability for node in self.nodes)
+        # a plain loop: the sweep reads this once per branch step, and any() over
+        # a generator of node properties costs several times as much
+        for node in self.nodes:
+            if node.normalizer <= ORTHOGONALITY_CUTOFF:
+                return True
+        return False
 
 
 def branch(history: BranchHistory, axis) -> tuple[BranchHistory, BranchHistory]:
@@ -153,7 +160,7 @@ def _prefactor(nodes: tuple[BranchNode, ...], normalize_all_levels: bool) -> flo
     normalized = nodes if _require(normalize_all_levels, bool, "normalize_all_levels") else nodes[:-1]
     prefactor = 1.0
     for level, node in enumerate(normalized, start=1):
-        if node.zero_probability:
+        if node.normalizer <= ORTHOGONALITY_CUTOFF:
             raise ZeroProbabilityError(
                 f"level {level} has normalizer {node.normalizer!r}; "
                 "cannot divide by a zero-probability branch"
@@ -194,7 +201,10 @@ def integrate_in_order(
     nodes = _require(history, BranchHistory, "history").nodes
     k = len(nodes)
     try:
-        levels = [_integer(level, "order level", 1) for level in order]
+        levels = list(order)
+        # a plain int needs no _integer call: one below 1 fails the permutation test
+        if not _EXACT_INT.issuperset(map(type, levels)):
+            levels = [_integer(level, "order level", 1) for level in levels]
     except (TypeError, ValidationError):  # order is not iterable, or a level not an integer
         levels = None
     if levels is None or sorted(levels) != list(range(1, k + 1)):
@@ -250,15 +260,26 @@ def sequence_probability(initial: PureState, axes: Sequence, pattern: Sequence[s
 
 
 def outcome_probabilities(initial: PureState, axes: Sequence) -> dict[tuple[str, ...], float]:
-    """Probabilities of all 2^k outcome patterns for a fixed axis sequence."""
+    """Probabilities of all 2^k outcome patterns for a fixed axis sequence.
+
+    Each entry is :func:`sequence_probability` of its pattern: the chain rule
+    over the signed axes, 0.0 where a step has zero probability.  Each axis
+    and its negation are checked once, not once per pattern.
+    """
     try:
         units = [unit_vector(a, "measurement axis") for a in axes]
     except TypeError as exc:  # axes is not iterable
         raise ValidationError(f"axes must be a sequence of unit 3-vectors, got {axes!r}") from exc
-    return {
-        pattern: sequence_probability(initial, units, pattern)
-        for pattern in _outcome_product(_OUTCOMES, repeat=len(units))
-    }
+    signed = [
+        {_SELECTED: u, _COMPLEMENT: unit_vector((-u[0], -u[1], -u[2]), "measurement axis")} for u in units
+    ]
+    table = {}
+    for pattern in _outcome_product(_OUTCOMES, repeat=len(units)):
+        try:
+            table[pattern] = chain_probability(initial, [s[o] for s, o in zip(signed, pattern)])
+        except ReductionUndefinedError:
+            table[pattern] = 0.0
+    return table
 
 
 def branch_records(history: BranchHistory) -> list[dict]:

@@ -75,6 +75,12 @@ class _Axis(_Triple):
 
 _FLOAT64 = np.dtype(np.float64)
 
+# The checked value types (PureState, HermitianOp, BranchNode, BranchHistory)
+# are frozen dataclasses with init=False: their own __init__ checks each
+# argument and stores it once through this, where a generated __init__ would
+# store it raw and a __post_init__ store the checked value again.
+_set = object.__setattr__
+
 
 def _floats3(v) -> list | tuple | None:
     # the components of a plain float64 array of shape (3,) or tuple of three exact floats; else None
@@ -187,16 +193,16 @@ def _cosine(a: _Axis, b: _Axis) -> float:
     return 1.0 if c > 1.0 else -1.0 if c < -1.0 else c
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HermitianOp:
     """Qubit observable ``a*1 + b.sigma``; eigenvalues are ``a +- |b|``."""
 
     a: float
     b: tuple[float, float, float]
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", _real(self.a, "operator scalar part"))
-        object.__setattr__(self, "b", _vector3(self.b, "operator vector part"))
+    def __init__(self, a: float, b: tuple[float, float, float]) -> None:
+        _set(self, "a", _real(a, "operator scalar part"))
+        _set(self, "b", _vector3(b, "operator vector part"))
 
     @property
     def b_norm(self) -> float:
@@ -230,14 +236,14 @@ class HermitianOp:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PureState:
     """Pure qubit state with unit Bloch vector s; density matrix (1 + s.sigma)/2."""
 
     bloch: _Axis
 
-    def __post_init__(self):
-        object.__setattr__(self, "bloch", unit_vector(self.bloch, "state Bloch vector"))
+    def __init__(self, bloch: _Axis) -> None:
+        _set(self, "bloch", unit_vector(bloch, "state Bloch vector"))
 
 
 def projector(m) -> HermitianOp:

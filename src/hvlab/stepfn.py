@@ -53,9 +53,11 @@ def _refuse_non_real(value) -> None:
     # float() takes a str, a bytes and a bool (numpy's too), and a numpy complex
     # with only a ComplexWarning, dropping its imaginary part; none of them is a
     # real number, so each raises a TypeError here.  A numpy scalar or 0-d
-    # array is judged by its dtype.
+    # array is judged by its dtype, a 0-d object array by the object it holds.
     dtype = getattr(value, "dtype", None)
     kind = dtype.kind if isinstance(dtype, np.dtype) else None
+    if kind == "O" and np.ndim(value) == 0:
+        return _refuse_non_real(value.item())
     if kind == "c":
         raise TypeError(f"got complex value {value!r}")
     if isinstance(value, (str, bytes, bool)) or kind in ("b", "S", "U"):
@@ -94,7 +96,7 @@ class StepFunction:
         try:
             bps = _floats(breakpoints)
             vals = _floats(values)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"breakpoints and values must be real numbers: {exc}") from exc
         if len(vals) != len(bps) + 1:
             raise ValidationError(
@@ -145,12 +147,19 @@ class StepFunction:
             if not scalar:
                 if np.iscomplexobj(omega):
                     raise TypeError(f"got complex values {omega!r}")
-                x = np.asarray(omega, dtype=float)
+                # a numeric array holds only real samples; any other input is
+                # judged sample by sample as a scalar omega is, since a list may
+                # hold a bool or text among numbers that np.asarray would convert
+                x = omega if type(omega) is np.ndarray else np.asarray(omega, dtype=object)
+                if x.dtype.kind not in "fiu":
+                    for item in x.flat:
+                        _refuse_non_real(item)
+                x = x.astype(float, copy=False)
             else:
                 if type(omega) is not float:
                     _refuse_non_real(omega)
                 x = float(omega)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"omega must be real: {exc}") from exc
         if scalar:
             if not OMEGA_MIN <= x <= OMEGA_MAX:
@@ -251,15 +260,21 @@ def indicator_from_sign(threshold: float, polarity: int) -> StepFunction:
     breakpoint is the right-hand one, consistent with right-continuous
     evaluation.  A threshold of exactly 1/2 yields a constant function.
     """
-    threshold = _real(threshold, "threshold")
-    if not 0.0 <= threshold <= 0.5:
-        raise ValidationError(f"threshold {threshold!r} outside [0, 1/2]")
-    try:
-        sign = _integer(polarity, "polarity", -1)
-    except ValidationError:
-        sign = 0
-    if sign not in (1, -1):
-        raise ValidationError(f"polarity must be +1 or -1, got {polarity!r}")
+    # a float already in range and an int polarity of +-1 need no checker; a
+    # NaN fails the range test, so it meets _real
+    if type(threshold) is not float or not 0.0 <= threshold <= 0.5:
+        threshold = _real(threshold, "threshold")
+        if not 0.0 <= threshold <= 0.5:
+            raise ValidationError(f"threshold {threshold!r} outside [0, 1/2]")
+    if type(polarity) is int and (polarity == 1 or polarity == -1):
+        sign = polarity
+    else:
+        try:
+            sign = _integer(polarity, "polarity", -1)
+        except ValidationError:
+            sign = 0
+        if sign not in (1, -1):
+            raise ValidationError(f"polarity must be +1 or -1, got {polarity!r}")
     high = 0.5 * (1 + sign)
     low = 0.5 * (1 - sign)
     if threshold == 0.5:
@@ -296,7 +311,13 @@ class ProductFunction:
         return len(self.factors)
 
     def __call__(self, point: Sequence[float]) -> float:
-        if len(point) != len(self.factors):
+        try:
+            mismatch = len(point) != len(self.factors)
+        except TypeError as exc:  # point has no length
+            raise ValidationError(
+                f"point must be a sequence of {len(self.factors)} coordinates, got {point!r}"
+            ) from exc
+        if mismatch:
             raise ValidationError(f"expected {len(self.factors)} coordinates, got {len(point)}")
         out = self.prefactor
         for f, omega in zip(self.factors, point):

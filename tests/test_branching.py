@@ -1,4 +1,5 @@
 import json
+import math
 from itertools import permutations
 
 import numpy as np
@@ -393,6 +394,37 @@ def test_outcome_probabilities_match_matrix_oracle(rng):
         for pattern, got in outcome_probabilities(PureState(s), axes).items():
             signed = [a if outcome == "selected" else -a for a, outcome in zip(axes, pattern)]
             assert abs(oracle.chain_probability_matrix(s, signed) - got) <= 1e-14
+
+
+def _related_axes(rng, s, depth):
+    # each axis drawn, or equal or opposite to the state or to an earlier axis,
+    # so that some patterns meet a zero-probability step
+    axes = []
+    for _ in range(depth):
+        kind = rng.integers(4)
+        if kind == 0 or not axes:
+            base = s if kind else random_unit(rng)
+        else:
+            base = axes[rng.integers(len(axes))] if kind > 1 else s
+        axes.append(-base if rng.integers(2) else base)
+    return axes
+
+
+def test_outcome_probabilities_equal_sequence_probability_bit_for_bit(rng):
+    # the table holds, for every pattern, the number sequence_probability gives
+    # for it alone, down to the sign of a zero
+    zeros = 0
+    for depth in range(5):
+        for trial in range(40):
+            s = random_unit(rng)
+            axes = _related_axes(rng, s, depth) if trial % 2 else [random_unit(rng) for _ in range(depth)]
+            table = outcome_probabilities(PureState(s), axes)
+            assert len(table) == 2**depth
+            for pattern, got in table.items():
+                want = sequence_probability(PureState(s), axes, pattern)
+                assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want)), pattern
+                zeros += want == 0.0
+    assert zeros > 0
 
 
 def test_branch_node_validation():

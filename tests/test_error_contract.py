@@ -168,6 +168,13 @@ def test_wrong_scalar_raises_validation_error(probe):
         SCALAR_PROBES[probe]()
 
 
+@pytest.mark.parametrize("point", [5, None], ids=repr)
+def test_product_function_point_without_length_raises_validation_error(point):
+    # len() of it used to raise a bare TypeError
+    with pytest.raises(ValidationError, match=rf"^point must be a sequence of 1 coordinates, got {point}$"):
+        ProductFunction((constant(1.0),))(point)
+
+
 @pytest.mark.parametrize("kind", ["missing-file", "directory"])
 def test_unreadable_config_path_raises_config_error_naming_it(kind, tmp_path, capsys):
     # not the bare FileNotFoundError or IsADirectoryError of the read

@@ -143,6 +143,7 @@ _NOT_REAL = {
     "str-value": ((0.1,), (0.0, "1")),
     "bytes": ((), (b"1",)),
     "numpy-str": ((), (np.str_("1"),)),
+    "0-d-object-array-of-str": ((), (np.array("1", dtype=object),)),
 }
 
 
@@ -154,7 +155,9 @@ def test_breakpoints_and_values_refuse_text_and_bools(breakpoints, values):
 
 
 @pytest.mark.parametrize(
-    "omega", ["0.1", b"0.1", False, np.True_, np.array(True), np.str_("0.1"), np.array("0.1")], ids=repr
+    "omega",
+    ["0.1", b"0.1", False, np.True_, np.array(True), np.str_("0.1"), np.array("0.1"), np.array("0.2", dtype=object)],
+    ids=repr,
 )
 def test_scalar_omega_refuses_text_and_bools(omega):
     with pytest.raises(ValidationError, match="^omega must be real: got "):
@@ -210,6 +213,60 @@ def test_right_continuous_evaluation():
         f(0.6)
     with pytest.raises(ValidationError):
         f(np.array([0.0, 0.7]))
+
+
+@pytest.mark.parametrize(
+    "call, prefix",
+    [
+        (lambda: _HALF(2**2000), "omega must be real: "),
+        (lambda: _HALF([0.0, 2**2000]), "omega must be real: "),
+        (lambda: StepFunction((), [2**2000]), "breakpoints and values must be real numbers: "),
+    ],
+    ids=["scalar-omega", "array-omega", "value"],
+)
+def test_int_beyond_the_float_range_is_a_validation_error(call, prefix):
+    # float() of it raises OverflowError, which used to escape bare
+    with pytest.raises(ValidationError, match=f"^{prefix}int too large to convert to float$"):
+        call()
+
+
+_NOT_REAL_SAMPLES = {
+    "str-list": ["0.2", "0.0"],
+    "bool-list": [False, False],
+    "bool-among-floats": [0.1, True],
+    "numpy-bool-among-floats": [np.True_, -0.1],
+    "str-among-floats": [0.1, "0.2"],
+    "nested-bool": [[0.1], [False]],
+    "bool-array": np.array([True, False]),
+    "str-array": np.array(["0.1"]),
+    "bytes-array": np.array([b"0.1"]),
+    "object-array-with-str": np.array([0.1, "0.2"], dtype=object),
+    "list-of-0-d-object-array": [np.array("0.2", dtype=object)],
+}
+
+
+@pytest.mark.parametrize("omega", _NOT_REAL_SAMPLES.values(), ids=_NOT_REAL_SAMPLES.keys())
+def test_array_omega_refuses_text_and_bools(omega):
+    # np.asarray(omega, dtype=float) would take each of these as numbers
+    with pytest.raises(ValidationError, match="^omega must be real: got "):
+        _HALF(omega)
+
+
+@pytest.mark.parametrize(
+    "omega",
+    [
+        [0, -0.1],
+        (0.25, np.float64(-0.3)),
+        [[0.1], [-0.1]],
+        np.array([0, 0]),
+        np.array([0.1, -0.1], dtype=object),
+        np.array([0.1, -0.1], dtype=np.float32),
+    ],
+    ids=repr,
+)
+def test_array_omega_accepts_numbers(omega):
+    # each is evaluated as its float64 array is
+    assert _HALF(omega).tolist() == _HALF(np.asarray(omega, dtype=float)).tolist()
 
 
 def test_array_evaluation_matches_scalar():
@@ -271,6 +328,19 @@ def test_indicator_validation():
         with pytest.raises(ValidationError, match=r"polarity must be \+1 or -1"):
             indicator_from_sign(0.25, polarity)
     assert indicator_from_sign(0.25, np.int64(-1)) == indicator_from_sign(0.25, -1)
+
+
+@pytest.mark.parametrize(
+    "threshold, polarity",
+    [(np.float64(0.25), np.int64(1)), (_Float(0.25), 1), (1 / 4, -1), (0, 1), (np.float32(0.5), -1), (-0.0, 1)],
+    ids=repr,
+)
+def test_indicator_takes_every_real_threshold_as_its_float(threshold, polarity):
+    # a float in range and an int polarity of +-1 skip the checkers; the rest meet them
+    f = indicator_from_sign(threshold, polarity)
+    want = indicator_from_sign(float(threshold), int(polarity))
+    assert (f.breakpoints, f.values) == (want.breakpoints, want.values)
+    assert all(type(x) is float for x in f.breakpoints + f.values)
 
 
 # float() would take the strings and the bool, and the complex with only a ComplexWarning
