@@ -25,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ReductionUndefinedError, ValidationError, _real, _require
-from .stepfn import _EXACT_FLOAT, _operand
+from .stepfn import _EXACT_FLOAT, _floats, _operand
 
 UNIT_TOLERANCE = 1e-9
 ORTHOGONALITY_CUTOFF = 1e-12
@@ -73,8 +73,6 @@ class _Axis(_Triple):
     __slots__ = ()
 
 
-_FLOAT64 = np.dtype(np.float64)
-
 # The checked value types (PureState, HermitianOp, BranchNode, BranchHistory)
 # are frozen dataclasses with init=False: their own __init__ checks each
 # argument and stores it once through this, where a generated __init__ would
@@ -82,10 +80,8 @@ _FLOAT64 = np.dtype(np.float64)
 _set = object.__setattr__
 
 
-def _floats3(v) -> list | tuple | None:
-    # the components of a plain float64 array of shape (3,) or tuple of three exact floats; else None
-    if type(v) is np.ndarray and v.dtype is _FLOAT64 and v.shape == (3,):
-        return v.tolist()
+def _floats3(v) -> tuple | None:
+    # v itself when it is a plain tuple of three exact floats; else None
     if type(v) is tuple and len(v) == 3 and _EXACT_FLOAT.issuperset(map(type, v)):
         return v
     return None
@@ -94,21 +90,18 @@ def _floats3(v) -> list | tuple | None:
 def _vector3(v, name: str) -> _Triple:
     """A real, finite 3-vector as a triple of floats, or a ValidationError.
 
-    Inputs that ``_floats3`` does not take go through ``np.array`` and a cast.
+    An input that ``_floats3`` does not take must have ``np.shape`` (3,); its
+    components go through ``stepfn._floats``, the one rule for real numbers.
     """
     components = _floats3(v)
     if components is None:
         try:
-            arr = np.array(v)
-            if arr.dtype.kind == "c":
-                # casting to float would drop the imaginary part with only a warning
-                raise TypeError("got complex components")
-            arr = arr.astype(float, copy=False)
-        except (TypeError, ValueError) as exc:
+            shape = np.shape(v)
+            components = _floats(v) if shape == (3,) else None
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"{name} must be a real 3-vector: {exc}") from exc
-        if arr.shape != (3,):
-            raise ValidationError(f"{name} must be a real 3-vector, got shape {arr.shape}")
-        components = arr.tolist()
+        if components is None:
+            raise ValidationError(f"{name} must be a real 3-vector, got shape {shape}")
     if not all(map(math.isfinite, components)):
         raise ValidationError(f"{name} has non-finite components")
     return _Triple(components)
@@ -128,12 +121,11 @@ def unit_vector(v, name: str = "vector") -> _Axis:
     """Validate a unit 3-vector (|v| = 1 within 1e-9) and return it as a checked axis.
 
     A checked axis is an immutable tuple of three Python floats, passed
-    through as is when given again.  A plain float64 array of shape (3,) or
-    a plain tuple of three floats is accepted after one norm test: a NaN, an
-    infinite or an overflowing component makes the norm fail it.  Any other
-    input, and one that fails the test, is checked in full by ``_vector3``,
-    so every message and its order stay the same.  Either way the norm is
-    ``sqrt(_dot3(v, v))``.
+    through as is when given again.  A plain tuple of three exact floats is
+    accepted after one norm test: a NaN, an infinite or an overflowing
+    component makes the norm fail it.  Any other input, and one that fails
+    the test, is checked in full by ``_vector3``, so every message and its
+    order stay the same.  Either way the norm is ``sqrt(_dot3(v, v))``.
     """
     if type(v) is _Axis:
         return v
@@ -148,20 +140,24 @@ def unit_vector(v, name: str = "vector") -> _Axis:
     return _Axis(components)
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    # sqrt(_dot3(row, row)) of each row of a (k, 3) float64 array in numpy columns: each
+    # elementwise ufunc rounds once and none is fused, so the bits are _dot3's
+    x, y, z = rows.T
+    return np.sqrt((x * x + y * y) + z * z)
+
+
 def _unit_rows(rows: np.ndarray, name: str) -> list[_Axis]:
     """``[unit_vector(row, name) for row in rows]`` for a float64 array of shape (k, 3).
 
-    The norm test runs on all rows at once, in ``_dot3``'s order as numpy
-    columns: each elementwise ufunc rounds once and none is fused, so every
-    norm has the bits of ``unit_vector``'s.  When a row fails it (a NaN, an
+    The norm test runs on all rows at once, on ``_row_norms``, so every norm
+    has the bits of ``unit_vector``'s.  When a row fails it (a NaN, an
     infinite or an overflowing component fails it too) the block goes
     through ``unit_vector`` row by row, so the first failing row raises the
     same error with the same message.
     """
-    x, y, z = rows.T
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.sqrt((x * x + y * y) + z * z)
-        passed = bool((np.abs(norms - 1.0) <= UNIT_TOLERANCE).all())
+        passed = bool((np.abs(_row_norms(rows) - 1.0) <= UNIT_TOLERANCE).all())
     if passed:
         return list(map(_Axis, rows.tolist()))
     return [unit_vector(row, name) for row in rows]

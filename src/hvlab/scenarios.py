@@ -48,6 +48,7 @@ from .qubit import (
     _Axis,
     _cosine,
     _dot3,
+    _row_norms,
     _unit_rows,
     chain_probability,
     conditional_expectation,
@@ -65,6 +66,8 @@ NORMALIZE_LIMIT = 1e-6
 # run_sweep skips or leaves uncounted draws this close to a degenerate case:
 # a near-zero normal vector, orthogonal conditioning or (anti-)collinear axes
 DEGENERACY_MARGIN = 1e-6
+# the most rows _random_units draws at once; each default sweep call takes one block
+_DRAW_BLOCK_ROWS = 4096
 
 _AXIS_KEYS = ("n", "m", "c")
 _KEYS = ("scenario", "state", *_AXIS_KEYS, "lambda", "seed", "trials", "grid_points")
@@ -147,6 +150,7 @@ def load_config(path) -> ScenarioConfig:
     """Parse a flat ``key = value`` scenario config file."""
     try:
         text = Path(_require(path, (str, os.PathLike), "config path")).read_text(encoding="utf-8")
+        text = text.removeprefix("\ufeff")  # the byte-order mark some editors write
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: config is not UTF-8 text: {exc}") from exc
     except OSError as exc:  # a missing file, a directory, no permission
@@ -688,27 +692,25 @@ def scenario_traces(config: ScenarioConfig) -> dict[str, StepFunction]:
 
 
 def _random_units(rng: np.random.Generator, count: int) -> Iterator[_Axis]:
-    """Iterate over ``count`` random unit axes: rows of ``rng.normal(size=(k, 3))`` over their norms.
+    """Yield ``count`` random unit axes: rows of ``rng.normal(size=(k, 3))`` over their norms.
 
-    The norms are numpy columns in ``_dot3``'s order, so each has the bits of
-    the row's ``sqrt(_dot3(row, row))``, and ``qubit._unit_rows`` checks the
-    divided block at once.  Rows with a norm at or below ``DEGENERACY_MARGIN``
-    are skipped and only they are drawn again, so the axes are those of
+    The norms are ``qubit._row_norms``, so each has the bits of the row's
+    ``sqrt(_dot3(row, row))``, and ``qubit._unit_rows`` checks the divided
+    block at once.  Rows with a norm at or below ``DEGENERACY_MARGIN`` are
+    skipped and only they are drawn again, so the axes are those of
     ``count`` draws of ``size=3`` (the same stream, as :func:`_random_unit`
-    takes it) and ``rng`` is left where they would leave it.  Every row is
-    drawn before this returns.
+    takes it) and ``rng`` is left where they would leave it.  Blocks of at
+    most ``_DRAW_BLOCK_ROWS`` rows are drawn as the axes are taken, so memory
+    does not grow with ``count``; callers draw nothing else in between.
     """
-    axes: list[_Axis] = []
     while count:
-        rows = rng.normal(size=(count, 3))
-        x, y, z = rows.T
-        norms = np.sqrt((x * x + y * y) + z * z)
+        rows = rng.normal(size=(min(count, _DRAW_BLOCK_ROWS), 3))
+        norms = _row_norms(rows)
         kept = norms > DEGENERACY_MARGIN
         if not kept.all():
             rows, norms = rows[kept], norms[kept]
-        axes += _unit_rows(rows / norms[:, np.newaxis], "random axis")
         count -= len(rows)
-    return iter(axes)
+        yield from _unit_rows(rows / norms[:, np.newaxis], "random axis")
 
 
 def _random_unit(rng: np.random.Generator) -> _Axis:

@@ -141,24 +141,17 @@ class StepFunction:
 
     def __call__(self, omega):
         """Evaluate at a scalar or array of omega values (right-continuous)."""
-        scalar = np.ndim(omega) == 0
         try:
-            # a scalar is refused as in _floats, except a Python float, the common case
-            if not scalar:
-                if np.iscomplexobj(omega):
-                    raise TypeError(f"got complex values {omega!r}")
-                # a numeric array holds only real samples; any other input is
-                # judged sample by sample as a scalar omega is, since a list may
-                # hold a bool or text among numbers that np.asarray would convert
+            scalar = np.ndim(omega) == 0
+            if scalar:
+                x = _floats((omega,))[0]
+            else:
+                # a numeric ndarray holds only real samples; any other input is judged
+                # sample by sample, as a list may hold a bool or text among numbers
                 x = omega if type(omega) is np.ndarray else np.asarray(omega, dtype=object)
                 if x.dtype.kind not in "fiu":
-                    for item in x.flat:
-                        _refuse_non_real(item)
+                    x = np.reshape(_floats(x.flat), x.shape)
                 x = x.astype(float, copy=False)
-            else:
-                if type(omega) is not float:
-                    _refuse_non_real(omega)
-                x = float(omega)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"omega must be real: {exc}") from exc
         if scalar:

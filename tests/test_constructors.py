@@ -149,7 +149,7 @@ _SEVERAL_FAULTS = {
     ),
     "state-text": (
         lambda: PureState("abc"),
-        "state Bloch vector must be a real 3-vector: could not convert string to float: np.str_('abc')",
+        "state Bloch vector must be a real 3-vector, got shape ()",
     ),
     "op-scalar-and-vector": (
         lambda: HermitianOp("x", None),

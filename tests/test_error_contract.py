@@ -8,6 +8,8 @@ the call succeed.  Each required parameter is then given ``None`` and then
 
 import inspect
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from hvlab import (
     HvlabError,
     ProductFunction,
     PureState,
+    ScenarioConfig,
+    StepFunction,
     ValidationError,
     branch,
     constant,
@@ -27,6 +31,7 @@ from hvlab import (
     load_config,
     projector,
     sum_conflict_witness,
+    unit_vector,
 )
 from hvlab.cli import main
 
@@ -185,3 +190,88 @@ def test_unreadable_config_path_raises_config_error_naming_it(kind, tmp_path, ca
         load_config(path)
     assert main(["run", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# components that are no real numbers, or that no float holds; a numpy cast
+# took the first four as numbers, and met the last with a bare OverflowError
+BAD_COMPONENTS = {
+    "text": ["1", "0", "0"],
+    "numpy-text": np.array(["1", "0", "0"]),
+    "bool": [True, False, False],
+    "numpy-bool": np.array([True, False, False]),
+    "int-beyond-float": [10**400, 0, 0],
+}
+VECTOR_TAKERS = {
+    "unit_vector": unit_vector,
+    "PureState": PureState,
+    "HermitianOp": lambda v: HermitianOp(0.5, v),
+    "ScenarioConfig-axis": lambda v: ScenarioConfig("sandwich", axes={"n": v, "m": [0, 1, 0]}),
+}
+
+
+@pytest.mark.parametrize("taker", VECTOR_TAKERS)
+@pytest.mark.parametrize("component", BAD_COMPONENTS)
+def test_vector_refuses_components_that_are_no_real_numbers(taker, component):
+    error = ConfigError if taker.startswith("ScenarioConfig") else ValidationError
+    with pytest.raises(error, match=r"must be a real 3-vector: "):
+        VECTOR_TAKERS[taker](BAD_COMPONENTS[component])
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda omega: StepFunction((0.1,), (0.0, 1.0))(omega),
+        lambda omega: ProductFunction((StepFunction((0.1,), (0.0, 1.0)),))((omega,)),
+    ],
+    ids=["StepFunction", "ProductFunction"],
+)
+def test_ragged_omega_raises_validation_error(evaluate):
+    # np.ndim of it used to raise a bare numpy ValueError
+    with pytest.raises(ValidationError, match=r"^omega must be real: setting an array element with a sequence"):
+        evaluate([[0.2], 0.0])
+
+
+# one of each kind of input: Python, numpy and exact reals and a 0-d array are
+# taken; bools, text, complex numbers, an int beyond the float range and None are not
+REALS = {
+    "float": 0.25,
+    "int": 0,
+    "numpy-float32": np.float32(0.25),
+    "numpy-int64": np.int64(0),
+    "fraction": Fraction(1, 4),
+    "decimal": Decimal("0.25"),
+    "0-d-array": np.array(0.25),
+}
+NON_REALS = {
+    "bool": True,
+    "numpy-bool": np.True_,
+    "str": "0.25",
+    "bytes": b"0.25",
+    "complex": 1j,
+    "numpy-complex": np.complex128(0.25),
+    "int-beyond-float": 10**400,
+    "none": None,
+}
+
+
+@pytest.mark.parametrize("name", [*REALS, *NON_REALS])
+def test_every_entry_point_takes_the_same_real_numbers(name):
+    item = {**REALS, **NON_REALS}[name]
+    # a value, a vector component, a scalar omega and an omega sample each
+    # meet stepfn._floats, so each item is taken by all four or by none
+    f = StepFunction((0.1,), (0.0, 1.0))
+    calls = [
+        lambda: StepFunction((), [item]),
+        lambda: HermitianOp(0.0, [item, 0.0, 0.0]),
+        lambda: f(item),
+        lambda: f([item, 0.0]),
+    ]
+    outcomes = []
+    for call in calls:
+        try:
+            call()
+        except ValidationError:
+            outcomes.append("refused")
+        else:
+            outcomes.append("taken")
+    assert outcomes == ["taken" if name in REALS else "refused"] * 4

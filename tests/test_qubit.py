@@ -84,7 +84,7 @@ def _with_component(k, value):
         (lambda: HermitianOp("x", [0, 0, 0]), "operator scalar part"),
         (lambda: HermitianOp(np.complex128(0.5 + 1j), [0, 0, 0]), "operator scalar part"),
         (lambda: HermitianOp(0.5, [0, 0, "y"]), "operator vector part"),
-        # a float64 array of shape (3,) skips the cast, not the finiteness test
+        # a float64 array of shape (3,) meets the finiteness test as a list does
         *[
             (lambda bad=bad, k=k: unit_vector(_with_component(k, bad)), "^vector has non-finite components$")
             for bad, k in _NON_FINITE
@@ -295,15 +295,16 @@ _ACCEPT_PATH_CASES = {
 
 @pytest.mark.parametrize("components", _ACCEPT_PATH_CASES.values(), ids=_ACCEPT_PATH_CASES.keys())
 def test_float64_arrays_match_the_full_check(components):
-    # a list takes _vector3's full check; a float64 array of shape (3,) is
-    # accepted after one norm test when that passes, and checked in full otherwise
+    # a float64 array of shape (3,) and a list both take _vector3's full check
     array = np.array(components)
     assert array.dtype == np.float64
     assert _unit_vector_outcome(array) == _unit_vector_outcome(list(components))
     assert _unit_vector_outcome(array[::-1].copy()) == _unit_vector_outcome(list(components)[::-1])
 
 
-def test_float64_arrays_within_tolerance_skip_the_full_check(monkeypatch, rng):
+def test_float_tuples_within_tolerance_skip_the_full_check(monkeypatch, rng):
+    # a plain tuple of three exact floats is the one input accepted after one
+    # norm test; any other input, and such a tuple that fails it, meets _vector3
     calls = []
     full_check = qubit._vector3
 
@@ -312,23 +313,27 @@ def test_float64_arrays_within_tolerance_skip_the_full_check(monkeypatch, rng):
         return full_check(v, name)
 
     monkeypatch.setattr(qubit, "_vector3", counted)
-    for v in [random_unit(rng) for _ in range(20)] + [X.copy(), np.array([1.0 + 5e-10, 0.0, 0.0])]:
-        unit_vector(v)
+    for v in [random_unit(rng) for _ in range(20)] + [X, np.array([1.0 + 5e-10, 0.0, 0.0])]:
+        unit_vector(tuple(v.tolist()))
     assert calls == []
-    for v in (np.array([1.0 + 2e-9, 0.0, 0.0]), np.array([np.nan, 0.0, 0.0]), np.array([1e200, 0.0, 0.0])):
+    for v in ((1.0 + 2e-9, 0.0, 0.0), (np.nan, 0.0, 0.0), (1e200, 0.0, 0.0)):
         with pytest.raises(ValidationError):
             unit_vector(v)
     assert len(calls) == 3
+    del calls[:]
+    for v in (X.copy(), [1.0, 0.0, 0.0], (np.float64(1.0), 0.0, 0.0), (1, 0.0, 0.0)):
+        unit_vector(v)
+    assert len(calls) == 4
     # no norm near 1 sits exactly 1e-9 from it (1e-9 needs 82 fraction bits), so
     # the boundary is tested at a tolerance one norm can meet: it is accepted there
     # on the one-pass path, as the full check's ``> tolerance`` test accepts it
     monkeypatch.setattr(qubit, "UNIT_TOLERANCE", 2.0**-50)
-    at_boundary = np.array([1.0 + 2.0**-50, 0.0, 0.0])
-    assert np.sqrt(at_boundary @ at_boundary) - 1.0 == 2.0**-50
+    at_boundary = (1.0 + 2.0**-50, 0.0, 0.0)
+    assert np.sqrt(np.dot(at_boundary, at_boundary)) - 1.0 == 2.0**-50
     del calls[:]
-    assert np.asarray(unit_vector(at_boundary)).tobytes() == at_boundary.tobytes()
+    assert np.asarray(unit_vector(at_boundary)).tobytes() == np.array(at_boundary).tobytes()
     assert calls == []
-    assert np.asarray(unit_vector(at_boundary.tolist())).tobytes() == at_boundary.tobytes()
+    assert np.asarray(unit_vector(list(at_boundary))).tobytes() == np.array(at_boundary).tobytes()
     assert calls == ["vector"]
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -103,6 +104,14 @@ def test_load_config_round_trip(tmp_path):
     for vector in (config.state, *config.axes.values()):
         assert unit_vector(vector) is vector
     assert config.grid_points == 2001
+
+
+def test_load_config_skips_a_utf8_byte_order_mark(tmp_path):
+    # the mark some editors write: one leading U+FEFF is dropped, a second is a key's text
+    plain = load_config(write_config(tmp_path, ROUTE_CFG))
+    assert load_config(write_config(tmp_path, "\ufeff" + ROUTE_CFG, "bom.cfg")) == plain
+    with pytest.raises(ConfigError, match=r"unknown key '\\ufeffscenario'"):
+        load_config(write_config(tmp_path, "\ufeff\ufeffscenario = sweep\n", "two.cfg"))
 
 
 def test_load_config_rejects_unknown_and_duplicate_keys(tmp_path):
@@ -362,6 +371,7 @@ class _ShrunkRowRng:
     [
         *(pytest.param(10, row, id=str(row)) for row in (None, 0, 4, 9)),
         pytest.param(1001, 500, id="1001-rows-shrunk-500"),
+        pytest.param(9000, scenarios._DRAW_BLOCK_ROWS - 1, id="9000-rows-shrunk-last-of-first-block"),
     ],
 )
 def test_random_units_yield_the_axes_of_one_at_a_time_draws(count, shrunk_row):
@@ -376,6 +386,19 @@ def test_random_units_yield_the_axes_of_one_at_a_time_draws(count, shrunk_row):
     states = {json.dumps(g.rng.bit_generator.state) for g in (block, single, reference)}
     assert len(states) == 1
     assert block.rows_drawn == single.rows_drawn == count + (shrunk_row is not None)
+
+
+def test_random_units_taken_one_at_a_time_hold_one_block():
+    # blocks are drawn as the axes are taken, so memory does not grow with the count
+    rng = np.random.default_rng(5)
+    tracemalloc.start()
+    try:
+        taken = sum(1 for _ in scenarios._random_units(rng, 50_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert taken == 50_000
+    assert peak < 3_000_000
 
 
 ZERO = StepFunction((), (0.0,))
