@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import math
 import numbers
+from typing import Iterable
+
+import numpy as np
 
 __all__ = [
     "HvlabError",
@@ -72,21 +75,53 @@ def _require(value, cls, name: str):
     raise ValidationError(f"{name} must be a {names}, got {type(value).__name__}")
 
 
+# A bool is an int, and numpy registers its timedelta64 as an Integral; neither
+# is a number here.
+_NOT_NUMBERS = (bool, np.timedelta64)
+_EXACT_FLOAT = frozenset((float,))
+
+
+def _as_float(value) -> float:
+    """The package's one rule for a real number: ``value`` as a float, or a TypeError.
+
+    An int beyond the float range meets ``float()``'s OverflowError; finiteness
+    is the caller's test.  README "Input rules" lists what is taken.
+    """
+    if type(value) is float:  # the package's own values, returned at once
+        return value
+    if isinstance(value, np.ndarray) and value.ndim == 0:
+        value = value[()]
+    if isinstance(value, numbers.Real) and not isinstance(value, _NOT_NUMBERS):
+        return float(value)
+    raise TypeError(f"got {type(value).__name__} {value!r}")
+
+
+def _reals(items: Iterable) -> tuple[float, ...]:
+    """Each item by ``_as_float``, as a tuple of floats; its error for the first that fails."""
+    items = tuple(items)
+    # items that are all exactly float need no call: the rule returns each unchanged
+    if _EXACT_FLOAT.issuperset(map(type, items)):
+        return items
+    return tuple(map(_as_float, items))
+
+
 def _real(value, name: str) -> float:
-    """A finite real number (numpy's too, not a bool) as a float, or a ValidationError."""
-    real = type(value) is float or (not isinstance(value, bool) and isinstance(value, numbers.Real))
+    """A finite real number by ``_as_float``, as a float, or a ValidationError."""
     try:
-        if real and math.isfinite(value):
-            return float(value)
-    except OverflowError:  # an int beyond the float range
+        x = _as_float(value)
+        if math.isfinite(x):
+            return x
+    except (TypeError, OverflowError):  # no real number, or an int beyond the float range
         pass
     raise ValidationError(f"{name} must be a finite real number, got {value!r}")
 
 
 def _integer(value, name: str, minimum: int) -> int:
-    """An integer (numpy's too, not a bool) of at least ``minimum`` as an int, or a ValidationError."""
+    """An integer (not a bool or timedelta) of at least ``minimum`` as an int, or a ValidationError."""
     # a plain int skips the slower abstract-base-class test
-    integral = type(value) is int or (not isinstance(value, bool) and isinstance(value, numbers.Integral))
+    integral = type(value) is int or (
+        not isinstance(value, _NOT_NUMBERS) and isinstance(value, numbers.Integral)
+    )
     if integral and value >= minimum:
         return int(value)
     raise ValidationError(f"{name} must be an integer of at least {minimum}, got {value!r}")

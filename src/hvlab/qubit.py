@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sized
 
 import numpy as np
 
-from .errors import ReductionUndefinedError, ValidationError, _real, _require
-from .stepfn import _EXACT_FLOAT, _floats, _operand
+from .errors import _EXACT_FLOAT, ReductionUndefinedError, ValidationError, _real, _reals, _require
+from .stepfn import _operand
 
 UNIT_TOLERANCE = 1e-9
 ORTHOGONALITY_CUTOFF = 1e-12
@@ -91,13 +91,17 @@ def _vector3(v, name: str) -> _Triple:
     """A real, finite 3-vector as a triple of floats, or a ValidationError.
 
     An input that ``_floats3`` does not take must have ``np.shape`` (3,); its
-    components go through ``stepfn._floats``, the one rule for real numbers.
+    components go through ``errors._reals``, the one rule for real numbers.
+    A sized input of another length, not an array or text, is refused by its
+    length before ``np.shape`` copies it into an array.
     """
     components = _floats3(v)
     if components is None:
+        if isinstance(v, Sized) and not isinstance(v, (np.ndarray, str, bytes)) and len(v) != 3:
+            raise ValidationError(f"{name} must be a real 3-vector, got length {len(v)}")
         try:
             shape = np.shape(v)
-            components = _floats(v) if shape == (3,) else None
+            components = _reals(v) if shape == (3,) else None
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"{name} must be a real 3-vector: {exc}") from exc
         if components is None:
@@ -195,6 +199,7 @@ class HermitianOp:
 
     a: float
     b: tuple[float, float, float]
+    __array_ufunc__ = None  # numpy operands defer to the operators below, and so to the one rule
 
     def __init__(self, a: float, b: tuple[float, float, float]) -> None:
         _set(self, "a", _real(a, "operator scalar part"))

@@ -49,6 +49,7 @@ from .qubit import (
     _cosine,
     _dot3,
     _row_norms,
+    _set,
     _unit_rows,
     chain_probability,
     conditional_expectation,
@@ -87,10 +88,12 @@ __all__ = [
 ]
 
 
-def _check_tolerance(tolerance) -> None:
+def _check_tolerance(tolerance) -> float:
     # the one tolerance rule of ScenarioConfig and run_sweep
-    if _real(tolerance, "tolerance") <= 0.0:
+    value = _real(tolerance, "tolerance")
+    if value <= 0.0:
         raise ValidationError(f"tolerance must be positive, got {tolerance!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -118,20 +121,19 @@ class ScenarioConfig:
             raise ConfigError(f"axes must map axis names to vectors, got {self.axes!r}") from exc
         if not set(axes) <= set(_AXIS_KEYS):
             raise ConfigError(f"axis names must be among n, m, c, got {list(axes)!r}")
-        try:  # each vector and scalar by the package's one rule for it, as a ConfigError
-            axes = {key: unit_vector(v, f"vector {key!r}") for key, v in axes.items()}
-            object.__setattr__(self, "axes", axes)
+        try:  # each vector and scalar by its one rule, stored as it returns it; failures as ConfigError
+            _set(self, "axes", {key: unit_vector(v, f"vector {key!r}") for key, v in axes.items()})
             if self.state is not None:
-                object.__setattr__(self, "state", unit_vector(self.state, "vector 'state'"))
+                _set(self, "state", unit_vector(self.state, "vector 'state'"))
             if self.lam is not None:
-                _real(self.lam, "lambda")
+                _set(self, "lam", _real(self.lam, "lambda"))
             _require(self.normalize_all_levels, bool, "normalize_all_levels")
-            _integer(self.grid_points, "grid_points", 2)
-            _check_tolerance(self.tolerance)
+            _set(self, "grid_points", _integer(self.grid_points, "grid_points", 2))
+            _set(self, "tolerance", _check_tolerance(self.tolerance))
             if self.seed is not None:
-                _integer(self.seed, "seed", 0)
+                _set(self, "seed", _integer(self.seed, "seed", 0))
             if self.trials is not None:
-                _integer(self.trials, "trials", 1)
+                _set(self, "trials", _integer(self.trials, "trials", 1))
         except ValidationError as exc:
             raise ConfigError(str(exc)) from exc
         given = {"state": self.state, "lambda": self.lam, **self.axes}
@@ -740,9 +742,9 @@ def run_sweep(seed: int, trials: int, tolerance: float = DEFAULT_TOLERANCE) -> d
     ``DEGENERACY_MARGIN`` of a degenerate case.  Reports counts, worst-case
     errors, and any failing inputs verbatim.
     """
-    _integer(seed, "seed", 0)
-    _integer(trials, "trials", 1)
-    _check_tolerance(tolerance)
+    seed = _integer(seed, "seed", 0)
+    trials = _integer(trials, "trials", 1)
+    tolerance = _check_tolerance(tolerance)
     rng = np.random.default_rng(seed)
     failures: list[str] = []
 

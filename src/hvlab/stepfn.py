@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, _integer, _real, _require
+from .errors import ValidationError, _as_float, _integer, _real, _reals, _require
 
 OMEGA_MIN = -0.5
 OMEGA_MAX = 0.5
@@ -46,41 +46,15 @@ __all__ = [
 ]
 
 
-_EXACT_FLOAT = frozenset((float,))
-
-
-def _refuse_non_real(value) -> None:
-    # float() takes a str, a bytes and a bool (numpy's too), and a numpy complex
-    # with only a ComplexWarning, dropping its imaginary part; none of them is a
-    # real number, so each raises a TypeError here.  A numpy scalar or 0-d
-    # array is judged by its dtype, a 0-d object array by the object it holds.
-    dtype = getattr(value, "dtype", None)
-    kind = dtype.kind if isinstance(dtype, np.dtype) else None
-    if kind == "O" and np.ndim(value) == 0:
-        return _refuse_non_real(value.item())
-    if kind == "c":
-        raise TypeError(f"got complex value {value!r}")
-    if isinstance(value, (str, bytes, bool)) or kind in ("b", "S", "U"):
-        raise TypeError(f"got {type(value).__name__} {value!r}")
-
-
-def _floats(items: Iterable) -> tuple[float, ...]:
-    # Items that are all exactly float (the package's own values) need neither
-    # the scan nor float(), which would return each of them unchanged.
-    items = tuple(items)
-    if _EXACT_FLOAT.issuperset(map(type, items)):
-        return items
-    for item in items:
-        _refuse_non_real(item)
-    return tuple(map(float, items))
-
-
 def _operand(other) -> float | None:
-    # a scalar operand of the arithmetic operators, converted once: an int or
-    # a float, not a bool; None for any other operand
-    if isinstance(other, (int, float)) and type(other) is not bool:
-        return float(other)
-    return None
+    # a scalar operand of the arithmetic operators, converted once by the one
+    # rule; None for any other operand
+    try:
+        return _as_float(other)
+    except TypeError:
+        return None
+    except OverflowError as exc:  # an int beyond the float range
+        raise ValidationError(f"scalar operand must be a real number: {exc}") from exc
 
 
 class StepFunction:
@@ -92,10 +66,12 @@ class StepFunction:
     identity of functions up to measure zero.
     """
 
+    __array_ufunc__ = None  # numpy operands defer to the operators below, and so to the one rule
+
     def __init__(self, breakpoints: Iterable[float], values: Iterable[float]):
         try:
-            bps = _floats(breakpoints)
-            vals = _floats(values)
+            bps = _reals(breakpoints)
+            vals = _reals(values)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"breakpoints and values must be real numbers: {exc}") from exc
         if len(vals) != len(bps) + 1:
@@ -144,13 +120,13 @@ class StepFunction:
         try:
             scalar = np.ndim(omega) == 0
             if scalar:
-                x = _floats((omega,))[0]
+                x = _as_float(omega)
             else:
                 # a numeric ndarray holds only real samples; any other input is judged
                 # sample by sample, as a list may hold a bool or text among numbers
                 x = omega if type(omega) is np.ndarray else np.asarray(omega, dtype=object)
                 if x.dtype.kind not in "fiu":
-                    x = np.reshape(_floats(x.flat), x.shape)
+                    x = np.reshape(_reals(x.flat), x.shape)
                 x = x.astype(float, copy=False)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"omega must be real: {exc}") from exc

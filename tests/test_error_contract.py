@@ -6,10 +6,13 @@ the call succeed.  Each required parameter is then given ``None`` and then
 :class:`HvlabError`, never a bare Python error.
 """
 
+import ast
 import inspect
 import re
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +33,8 @@ from hvlab import (
     indicator_from_sign,
     load_config,
     projector,
+    run_scenario,
+    run_sweep,
     sum_conflict_witness,
     unit_vector,
 )
@@ -231,17 +236,29 @@ def test_ragged_omega_raises_validation_error(evaluate):
         evaluate([[0.2], 0.0])
 
 
-# one of each kind of input: Python, numpy and exact reals and a 0-d array are
-# taken; bools, text, complex numbers, an int beyond the float range and None are not
+class _FloatOnly:
+    # defines __float__ but is no numbers.Real, so float() would take it
+    def __float__(self):
+        return 0.25
+
+    def __repr__(self):
+        return "_FloatOnly()"
+
+
+# one of each kind of real number, each a converter of an in-range value:
+# Python, numpy and exact reals and a 0-d array are taken, and "int" and
+# "numpy-int64" get a site's integer value.  Text, bools, complex numbers,
+# Decimal, __float__-only objects, timedeltas, an int beyond the float range
+# and None are not.
 REALS = {
-    "float": 0.25,
-    "int": 0,
-    "numpy-float32": np.float32(0.25),
-    "numpy-int64": np.int64(0),
-    "fraction": Fraction(1, 4),
-    "decimal": Decimal("0.25"),
-    "0-d-array": np.array(0.25),
+    "float": float,
+    "int": int,
+    "numpy-float32": np.float32,
+    "numpy-int64": np.int64,
+    "fraction": Fraction,
+    "0-d-array": np.array,
 }
+INTEGER_KINDS = {"int", "numpy-int64"}
 NON_REALS = {
     "bool": True,
     "numpy-bool": np.True_,
@@ -249,29 +266,175 @@ NON_REALS = {
     "bytes": b"0.25",
     "complex": 1j,
     "numpy-complex": np.complex128(0.25),
+    "decimal": Decimal("0.25"),
+    "float-only": _FloatOnly(),
+    "numpy-timedelta": np.timedelta64(1),
+    "numpy-timedelta-seconds": np.timedelta64(1, "s"),
     "int-beyond-float": 10**400,
     "none": None,
+}
+
+_F = StepFunction((0.1,), (0.0, 1.0))
+# every site that takes a real number: (call, in-range value, in-range integer).
+# An integer of None means the site's range holds none, so integer kinds skip it.
+REAL_SITES = {
+    "StepFunction-value": (lambda x: StepFunction((), [x]), 0.25, 2),
+    "vector-component": (lambda x: HermitianOp(0.0, [x, 0.0, 0.0]), 0.25, 2),
+    "omega": (_F, 0.25, 0),
+    "omega-sample": (lambda x: _F([x, 0.0]), 0.25, 0),
+    "constant": (constant, 0.25, 2),
+    "threshold": (lambda x: indicator_from_sign(x, 1), 0.25, 0),
+    "HermitianOp-scalar-part": (lambda x: HermitianOp(x, X), 0.25, 2),
+    "ProductFunction-prefactor": (lambda x: ProductFunction((), x), 0.25, 2),
+    # the weight, and lambda, which is that weight in sum_conflict, lie strictly in (0, 1)
+    "mixture-weight": (lambda x: sum_conflict_witness(PureState(Z), X, Y, x), 0.25, None),
+    "ScenarioConfig-lambda": (
+        lambda x: ScenarioConfig("sum_conflict", state=Z, axes={"n": X, "m": Y}, lam=x),
+        0.25,
+        None,
+    ),
+    "ScenarioConfig-tolerance": (lambda x: ScenarioConfig("sweep", tolerance=x), 0.25, 1),
+    "run_sweep-tolerance": (lambda x: run_sweep(0, 1, tolerance=x), 0.25, 1),
+    "StepFunction-operand": (lambda x: _F * x, 0.25, 2),
+    "HermitianOp-operand": (lambda x: projector(X) * x, 0.25, 2),
 }
 
 
 @pytest.mark.parametrize("name", [*REALS, *NON_REALS])
 def test_every_entry_point_takes_the_same_real_numbers(name):
-    item = {**REALS, **NON_REALS}[name]
-    # a value, a vector component, a scalar omega and an omega sample each
-    # meet stepfn._floats, so each item is taken by all four or by none
-    f = StepFunction((0.1,), (0.0, 1.0))
-    calls = [
-        lambda: StepFunction((), [item]),
-        lambda: HermitianOp(0.0, [item, 0.0, 0.0]),
-        lambda: f(item),
-        lambda: f([item, 0.0]),
-    ]
-    outcomes = []
-    for call in calls:
-        try:
-            call()
-        except ValidationError:
-            outcomes.append("refused")
+    # every site meets errors._as_float, so each kind is taken by all or by none.
+    # An operator refuses an operand that is no number by Python's TypeError.
+    outcomes = {}
+    for site, (call, value, integer) in REAL_SITES.items():
+        if name in NON_REALS:
+            item = NON_REALS[name]
+        elif name in INTEGER_KINDS:
+            if integer is None:
+                continue
+            item = REALS[name](integer)
         else:
-            outcomes.append("taken")
-    assert outcomes == ["taken" if name in REALS else "refused"] * 4
+            item = REALS[name](value)
+        refusals = (ValidationError, TypeError) if site.endswith("operand") else ValidationError
+        try:
+            call(item)
+        except refusals:
+            outcomes[site] = "refused"
+        else:
+            outcomes[site] = "taken"
+    expected = "taken" if name in REALS else "refused"
+    assert outcomes == dict.fromkeys(outcomes, expected)
+
+
+def _report_json(config):
+    report = run_scenario(config)
+    report.runtime_ms = 0.0
+    return report.to_json()
+
+
+# config fields given as numpy integers or a Fraction, each beside the same value as a plain int or float
+CONVERTED_CONFIGS = {
+    "sweep-numpy-ints": (
+        lambda: ScenarioConfig("sweep", seed=np.int64(3), trials=np.int64(2), tolerance=np.float32(0.25)),
+        lambda: ScenarioConfig("sweep", seed=3, trials=2, tolerance=0.25),
+    ),
+    "sum-conflict-fraction": (
+        lambda: ScenarioConfig("sum_conflict", state=Z, axes={"n": X, "m": Y}, lam=Fraction(1, 3)),
+        lambda: ScenarioConfig("sum_conflict", state=Z, axes={"n": X, "m": Y}, lam=1 / 3),
+    ),
+    "trace-numpy-grid-points": (
+        lambda: ScenarioConfig("idempotence", state=Z, axes={"n": X}, grid_points=np.int64(5)),
+        lambda: ScenarioConfig("idempotence", state=Z, axes={"n": X}, grid_points=5),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CONVERTED_CONFIGS)
+def test_config_stores_scalars_as_its_checkers_return_them(case):
+    # a numpy integer or a Fraction used to reach the report, whose to_json()
+    # raised a bare TypeError for it
+    given, plain = CONVERTED_CONFIGS[case]
+    assert _report_json(given()) == _report_json(plain())
+
+
+def test_run_sweep_reports_its_arguments_as_plain_numbers():
+    summary = run_sweep(np.int64(3), np.int64(2), tolerance=Fraction(1, 4))
+    assert summary == run_sweep(3, 2, tolerance=0.25)
+    assert type(summary["seed"]) is int and type(summary["trials"]) is int
+
+
+# numpy registers its timedelta64 as an Integral, and float() takes one of no
+# unit; the real-number sites are in test_every_entry_point_takes_the_same_real_numbers
+TIMEDELTA_PROBES = {
+    "omega-array": lambda: StepFunction((0.1,), (0.0, 1.0))(np.array([0, 0], "m8")),
+    "run_sweep-seed": lambda: run_sweep(np.timedelta64(3), 2),
+    "ScenarioConfig-seed": lambda: ScenarioConfig("sweep", seed=np.timedelta64(3)),
+}
+
+
+@pytest.mark.parametrize("probe", TIMEDELTA_PROBES)
+def test_timedelta_is_refused_with_a_typed_error(probe):
+    error = ConfigError if probe.startswith("ScenarioConfig") else ValidationError
+    with pytest.raises(error):
+        TIMEDELTA_PROBES[probe]()
+
+
+BIG = 10**400
+OVERFLOWING_OPERANDS = {
+    "StepFunction-times-int": lambda: StepFunction((0.1,), (0.0, 1.0)) * BIG,
+    "int-minus-StepFunction": lambda: BIG - StepFunction((0.1,), (0.0, 1.0)),
+    "HermitianOp-times-int": lambda: projector(X) * BIG,
+}
+
+
+@pytest.mark.parametrize("case", OVERFLOWING_OPERANDS)
+def test_operand_beyond_the_float_range_raises_validation_error(case):
+    # it was the bare OverflowError of float()
+    message = "scalar operand must be a real number: int too large to convert to float"
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        OVERFLOWING_OPERANDS[case]()
+
+
+def test_operators_take_a_fraction_operand():
+    # StepFunction((), [Fraction(1, 2)]) was taken, but f * Fraction(1, 2) was a TypeError
+    f = StepFunction((0.1,), (0.0, 1.0))
+    assert f * Fraction(1, 2) == Fraction(1, 2) * f == f * 0.5
+    assert Fraction(1, 2) - f == 0.5 - f
+    assert projector(X) * Fraction(1, 2) == Fraction(1, 2) * projector(X) == projector(X) * 0.5
+
+
+def test_vector_of_the_wrong_length_is_refused_before_an_array_is_built():
+    # np.shape of it used to copy all of its items into an array first
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=r"^vector must be a real 3-vector, got length 1000000$"):
+            unit_vector(range(10**6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def _float_calls():
+    """(module, top-level definition) of each call of the builtin float in src/hvlab.
+
+    ``float(x)`` and ``map(float, xs)`` count; ``float.__repr__``, type tests
+    and annotations do not.
+    """
+    for path in sorted(Path(hvlab.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+                    continue
+                callee = node.args[0] if node.func.id == "map" else node.func
+                if isinstance(callee, ast.Name) and callee.id == "float":
+                    yield path.stem, getattr(top, "name", None)
+
+
+def test_only_the_one_rule_converts_to_float():
+    # errors._as_float decides what a real number is; load_config parses its
+    # text with float(), and the trace-row formatter writes a float64 it made
+    assert set(_float_calls()) == {
+        ("errors", "_as_float"),
+        ("scenarios", "load_config"),
+        ("scenarios", "_format_rows"),
+    }
