@@ -37,7 +37,15 @@ from .qubit import (
     projector,
     unit_vector,
 )
-from .stepfn import OMEGA_MAX, OMEGA_MIN, StepFunction, _common_segments, constant, indicator_from_sign
+from .stepfn import (
+    OMEGA_MAX,
+    OMEGA_MIN,
+    StepFunction,
+    _canonical,
+    _common_segments,
+    constant,
+    indicator_from_sign,
+)
 
 NONCOLLINEARITY_TOLERANCE = 1e-9
 
@@ -119,7 +127,8 @@ def bell_value_operator(psi: PureState, op: HermitianOp) -> StepFunction:
         return constant(op.a)
     ind = bell_value(psi, tuple(x / radius for x in op.b))
     low, high = op.eigenvalues
-    return StepFunction(ind.breakpoints, tuple(high if v == 1.0 else low for v in ind.values))
+    values = tuple([high if v == 1.0 else low for v in ind.values])
+    return StepFunction._from_canonical(*_canonical(ind.breakpoints, values))
 
 
 def route_state_update(condition_axis, observed_axis) -> StepFunction:
@@ -163,7 +172,9 @@ def disagreement_witness(lhs: StepFunction, rhs: StepFunction) -> ConflictWitnes
     breakpoints, pairs = _common_segments(
         _require(lhs, StepFunction, "lhs"), _require(rhs, StepFunction, "rhs")
     )
-    region = StepFunction(breakpoints, [1.0 if a != b else 0.0 for a, b in pairs])
+    region = StepFunction._from_canonical(
+        *_canonical(breakpoints, tuple([1.0 if a != b else 0.0 for a, b in pairs]))
+    )
     edges = zip([OMEGA_MIN, *breakpoints], [*breakpoints, OMEGA_MAX])
     samples = tuple(
         _WitnessSample(left, right, a, b)

@@ -28,7 +28,7 @@ from typing import Sequence
 
 from .bell import bell_value
 from .errors import ReductionUndefinedError, ValidationError, ZeroProbabilityError, _integer, _require
-from .qubit import ORTHOGONALITY_CUTOFF, PureState, _set, chain_probability, unit_vector
+from .qubit import ORTHOGONALITY_CUTOFF, PureState, _Axis, _set, chain_probability, unit_vector
 from .stepfn import ProductFunction, StepFunction
 
 _SELECTED = "selected"
@@ -148,9 +148,32 @@ def branch(history: BranchHistory, axis) -> tuple[BranchHistory, BranchHistory]:
     state, initial, nodes = history.current_state, history.initial_state, history.nodes
     selected = bell_value(state, u)
     return (
-        BranchHistory(initial, nodes + (BranchNode(u, _SELECTED, selected),)),
-        BranchHistory(initial, nodes + (BranchNode(u, _COMPLEMENT, 1.0 - selected),)),
+        _history(initial, nodes + (_node(u, _SELECTED, selected),)),
+        _history(initial, nodes + (_node(u, _COMPLEMENT, 1.0 - selected),)),
     )
+
+
+# branch's own constructions.  Their inputs are already checked: the axis by
+# unit_vector, the outcome is one of the module's two, the level function a
+# StepFunction branch just built, and the nodes those of a checked history
+# plus one more node.  So they store them as the checking __init__s would,
+# without the checks.
+
+
+def _node(axis: _Axis, outcome: str, level_function: StepFunction) -> BranchNode:
+    node = object.__new__(BranchNode)
+    _set(node, "axis", axis)
+    _set(node, "outcome", outcome)
+    _set(node, "level_function", level_function)
+    _set(node, "normalizer", level_function.integrate())
+    return node
+
+
+def _history(initial_state: PureState, nodes: tuple[BranchNode, ...]) -> BranchHistory:
+    history = object.__new__(BranchHistory)
+    _set(history, "initial_state", initial_state)
+    _set(history, "nodes", nodes)
+    return history
 
 
 def _prefactor(nodes: tuple[BranchNode, ...], normalize_all_levels: bool) -> float:

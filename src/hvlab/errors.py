@@ -117,11 +117,13 @@ def _real(value, name: str) -> float:
 
 
 def _integer(value, name: str, minimum: int) -> int:
-    """An integer (not a bool or timedelta) of at least ``minimum`` as an int, or a ValidationError."""
+    """An integer (not a bool or timedelta) of at least ``minimum`` as an int, or a ValidationError.
+
+    A 0-d array is judged by the scalar it holds, as ``_as_float`` judges one.
+    """
+    x = value[()] if isinstance(value, np.ndarray) and value.ndim == 0 else value
     # a plain int skips the slower abstract-base-class test
-    integral = type(value) is int or (
-        not isinstance(value, _NOT_NUMBERS) and isinstance(value, numbers.Integral)
-    )
-    if integral and value >= minimum:
-        return int(value)
+    integral = type(x) is int or (not isinstance(x, _NOT_NUMBERS) and isinstance(x, numbers.Integral))
+    if integral and x >= minimum:
+        return int(x)
     raise ValidationError(f"{name} must be an integer of at least {minimum}, got {value!r}")

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sized
+from collections.abc import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -92,12 +93,13 @@ def _vector3(v, name: str) -> _Triple:
 
     An input that ``_floats3`` does not take must have ``np.shape`` (3,); its
     components go through ``errors._reals``, the one rule for real numbers.
-    A sized input of another length, not an array or text, is refused by its
-    length before ``np.shape`` copies it into an array.
+    A sequence of another length, not text, is refused by its length before
+    ``np.shape`` copies it into an array.  A set or dict is no sequence, and
+    ``np.shape`` reads it as shape ().
     """
     components = _floats3(v)
     if components is None:
-        if isinstance(v, Sized) and not isinstance(v, (np.ndarray, str, bytes)) and len(v) != 3:
+        if isinstance(v, Sequence) and not isinstance(v, (str, bytes)) and len(v) != 3:
             raise ValidationError(f"{name} must be a real 3-vector, got length {len(v)}")
         try:
             shape = np.shape(v)

@@ -19,6 +19,21 @@ Conventions
   Endpoint conventions affect only measure-zero sets, never integrals.
 * Step functions are canonicalized on construction: adjacent segments with
   exactly equal values are merged.
+* ``StepFunction(breakpoints, values)`` runs the whole input rule: each item
+  through the real-number rule, the count, the range and order scan, then
+  ``_canonical`` (the finiteness test and the merge).  Step functions the
+  package builds from values it has already checked skip what those values
+  cannot fail, through ``StepFunction._from_canonical``:
+
+  - ``_combine`` and ``_map`` (the arithmetic), ``bell_value_operator`` and
+    ``disagreement_witness``'s region skip the conversion and the range and
+    order scan: their breakpoints are those of canonical operands, or the
+    sorted union of them.  They keep ``_canonical``: arithmetic can overflow
+    to ``inf`` or make ``inf - inf``, rounding can make two eigenvalues
+    equal, and adjacent cells of a 0/1 region can carry the same value.
+  - ``constant`` and ``indicator_from_sign`` skip all of it after their own
+    tests: one finite value, or the two distinct values 0.0 and 1.0 beside a
+    breakpoint in the open interval.
 """
 
 from __future__ import annotations
@@ -91,21 +106,22 @@ class StepFunction:
                         f"breakpoint {b!r} outside open interval ({OMEGA_MIN}, {OMEGA_MAX})"
                     )
             raise ValidationError("breakpoints must be strictly increasing")
-        if not all(map(math.isfinite, vals)):
-            bad = next(v for v in vals if not math.isfinite(v))
-            raise ValidationError(f"non-finite segment value {bad!r}")
-        if any(map(operator.eq, vals, vals[1:])):
-            # canonical form: drop breakpoints between exactly equal values
-            merged_b: list[float] = []
-            merged_v: list[float] = [vals[0]]
-            for b, v in zip(bps, vals[1:]):
-                if v == merged_v[-1]:
-                    continue
-                merged_b.append(b)
-                merged_v.append(v)
-            bps, vals = tuple(merged_b), tuple(merged_v)
-        self._breakpoints = bps
-        self._values = vals
+        self._breakpoints, self._values = _canonical(bps, vals)
+
+    @classmethod
+    def _from_canonical(cls, breakpoints: tuple[float, ...], values: tuple[float, ...]) -> "StepFunction":
+        """A step function of two tuples the package built, stored as given, unchecked.
+
+        The caller guarantees what ``__init__`` would otherwise establish: both
+        are tuples of exact floats, there is one more value than breakpoints,
+        the breakpoints increase strictly inside (-1/2, 1/2), and the values are
+        finite with no two neighbours equal.  The module docstring lists the
+        callers and why each may.
+        """
+        f = cls.__new__(cls)
+        f._breakpoints = breakpoints
+        f._values = values
+        return f
 
     @property
     def breakpoints(self) -> tuple[float, ...]:
@@ -151,10 +167,10 @@ class StepFunction:
 
     def _combine(self, other: "StepFunction", op: Callable[[float, float], float]) -> "StepFunction":
         breakpoints, pairs = _common_segments(self, other)
-        return StepFunction(breakpoints, [op(a, b) for a, b in pairs])
+        return StepFunction._from_canonical(*_canonical(breakpoints, tuple([op(a, b) for a, b in pairs])))
 
     def _map(self, op: Callable[[float], float]) -> "StepFunction":
-        return StepFunction(self._breakpoints, tuple(map(op, self._values)))
+        return StepFunction._from_canonical(*_canonical(self._breakpoints, tuple(map(op, self._values))))
 
     # A scalar operand is converted once, into a bound float method: x.__add__(v)
     # and x.__mul__(v) are v + x and v * x bit for bit, and x.__rsub__(v) is v - x.
@@ -200,15 +216,38 @@ class StepFunction:
         return f"StepFunction(breakpoints={self._breakpoints!r}, values={self._values!r})"
 
 
+def _canonical(
+    breakpoints: tuple[float, ...], values: tuple[float, ...]
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The canonical form of finite values: breakpoints between exactly equal values dropped.
+
+    Raises ``ValidationError("non-finite segment value <v>")`` for the first
+    NaN or infinite value.
+    """
+    if not all(map(math.isfinite, values)):
+        bad = next(v for v in values if not math.isfinite(v))
+        raise ValidationError(f"non-finite segment value {bad!r}")
+    if not any(map(operator.eq, values, values[1:])):
+        return breakpoints, values
+    merged_b: list[float] = []
+    merged_v: list[float] = [values[0]]
+    for b, v in zip(breakpoints, values[1:]):
+        if v == merged_v[-1]:
+            continue
+        merged_b.append(b)
+        merged_v.append(v)
+    return tuple(merged_b), tuple(merged_v)
+
+
 def _common_segments(
     f: StepFunction, g: StepFunction
-) -> tuple[list[float], list[tuple[float, float]]]:
+) -> tuple[tuple[float, ...], list[tuple[float, float]]]:
     """Breakpoints of the common partition and the (f value, g value) pair on each cell.
 
     The partition's breakpoints are the union of both functions'; each cell
     carries the (constant) value of either function on it.
     """
-    bps = sorted({*f._breakpoints, *g._breakpoints})
+    bps = tuple(sorted({*f._breakpoints, *g._breakpoints}))
     pairs = [
         (f._values[bisect_right(f._breakpoints, left)], g._values[bisect_right(g._breakpoints, left)])
         for left in [OMEGA_MIN, *bps]
@@ -218,7 +257,7 @@ def _common_segments(
 
 def constant(value: float) -> StepFunction:
     """The constant function on [-1/2, 1/2]."""
-    return StepFunction((), (_real(value, "constant value"),))
+    return StepFunction._from_canonical((), (_real(value, "constant value"),))
 
 
 def indicator_from_sign(threshold: float, polarity: int) -> StepFunction:
@@ -248,8 +287,8 @@ def indicator_from_sign(threshold: float, polarity: int) -> StepFunction:
     low = 0.5 * (1 - sign)
     if threshold == 0.5:
         # sign(omega + 1/2) >= 0 everywhere on Lambda under sign(0) = +1
-        return StepFunction((), (high,))
-    return StepFunction((0.0 if threshold == 0.0 else -threshold,), (low, high))
+        return StepFunction._from_canonical((), (high,))
+    return StepFunction._from_canonical((0.0 if threshold == 0.0 else -threshold,), (low, high))
 
 
 @dataclass(frozen=True)

@@ -378,6 +378,27 @@ def test_timedelta_is_refused_with_a_typed_error(probe):
         TIMEDELTA_PROBES[probe]()
 
 
+# every kind of integer site, each called with its in-range value
+INTEGER_SITES = {
+    "run_sweep-seed": lambda k: run_sweep(k, 1),
+    "run_sweep-trials": lambda k: run_sweep(0, k),
+    "ScenarioConfig-seed": lambda k: ScenarioConfig("sweep", seed=k),
+    "integrate_level-index": lambda k: ProductFunction((constant(2.0), constant(3.0))).integrate_level(k),
+    "polarity": lambda k: indicator_from_sign(0.25, k),
+}
+
+
+@pytest.mark.parametrize("site", INTEGER_SITES)
+def test_integer_sites_judge_a_0_d_array_by_its_scalar(site):
+    # as errors._as_float does: run_sweep(np.array(3), 1) used to be refused
+    # while constant(np.array(3)) was taken
+    call = INTEGER_SITES[site]
+    assert call(np.array(1)) == call(1)
+    for refused in (np.array(True), np.array(np.timedelta64(1))):
+        with pytest.raises(ValidationError, match=r"must be (an integer of at least -?\d|\+1 or -1), got array\("):
+            call(refused)
+
+
 BIG = 10**400
 OVERFLOWING_OPERANDS = {
     "StepFunction-times-int": lambda: StepFunction((0.1,), (0.0, 1.0)) * BIG,
@@ -412,6 +433,13 @@ def test_vector_of_the_wrong_length_is_refused_before_an_array_is_built():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("given", [{1, 2}, {1, 2, 3}, {1: 0, 2: 0}, {1: 0, 2: 0, 3: 0}], ids=repr)
+def test_set_or_dict_vector_reads_shape_at_every_size(given):
+    # the length test takes sequences only: a two-item set used to read "got length 2"
+    with pytest.raises(ValidationError, match=r"^vector must be a real 3-vector, got shape \(\)$"):
+        unit_vector(given)
 
 
 def _float_calls():

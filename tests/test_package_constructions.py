@@ -1,0 +1,132 @@
+"""Step functions, branch nodes and histories the package builds skip the input rule, safely.
+
+``StepFunction._from_canonical``, ``branching._node`` and ``branching._history``
+store values the package has already checked.  Each test here holds them to
+the checking constructors: the same object from the same inputs, the errors
+that arithmetic can still raise, and no checking constructor on the sweep's
+hot loop.
+"""
+
+import math
+from collections import Counter
+
+import pytest
+
+import test_pinned_numbers as pinned
+from hvlab import (
+    BranchHistory,
+    BranchNode,
+    HermitianOp,
+    PureState,
+    StepFunction,
+    ValidationError,
+    bell_value_operator,
+    constant,
+    disagreement_witness,
+    run_scenario,
+    run_sweep,
+)
+from hvlab import branching
+from hvlab.scenarios import load_config
+
+from test_scenarios import DEMO_CONFIGS
+
+
+def _exact_floats(items) -> bool:
+    return type(items) is tuple and all(type(x) is float for x in items)
+
+
+@pytest.fixture
+def routed(monkeypatch):
+    """Build every unchecked object also through its public constructor, and count the two agreeing."""
+    agreed = Counter()
+    from_canonical, node, history = StepFunction._from_canonical, branching._node, branching._history
+
+    def checked_step_function(breakpoints, values):
+        built = from_canonical(breakpoints, values)
+        assert _exact_floats(built.breakpoints) and _exact_floats(built.values)
+        assert built == StepFunction(breakpoints, values)
+        agreed["StepFunction"] += 1
+        return built
+
+    def checked_node(axis, outcome, level_function):
+        built = node(axis, outcome, level_function)
+        public = BranchNode(axis, outcome, level_function)
+        assert built == public and type(built.axis) is type(public.axis)
+        agreed["BranchNode"] += 1
+        return built
+
+    def checked_history(initial_state, nodes):
+        built = history(initial_state, nodes)
+        assert built == BranchHistory(initial_state, nodes) and type(built.nodes) is tuple
+        agreed["BranchHistory"] += 1
+        return built
+
+    monkeypatch.setattr(StepFunction, "_from_canonical", staticmethod(checked_step_function))
+    monkeypatch.setattr(branching, "_node", checked_node)
+    monkeypatch.setattr(branching, "_history", checked_history)
+    return agreed
+
+
+def test_demo_configs_build_what_the_public_constructors_build(routed):
+    assert len(DEMO_CONFIGS) == 9
+    for path in DEMO_CONFIGS:
+        run_scenario(load_config(path))
+    assert min(routed[name] for name in ("StepFunction", "BranchNode", "BranchHistory")) > 0
+
+
+def test_pinned_inputs_build_what_the_public_constructors_build(routed):
+    # the pinned digests hold too, so the routed run changed no output; the
+    # sweep summaries are those of seeds 0, 3 and 7
+    pinned.test_outcome_probabilities_pinned()
+    pinned.test_branch_records_pinned()
+    pinned.test_sweep_summaries_pinned()
+    pinned.test_thousand_trial_sweep_summaries_pinned()
+    assert min(routed[name] for name in ("StepFunction", "BranchNode", "BranchHistory")) > 0
+
+
+_HUGE = StepFunction((0.0,), (1e308, 1.0))
+
+OVERFLOWS = {
+    "f * g": lambda: _HUGE * _HUGE,
+    "f + f": lambda: _HUGE + _HUGE,
+    "f * 10.0": lambda: _HUGE * 10.0,
+    "f - (-f)": lambda: _HUGE - (-_HUGE),
+    "bell_value_operator": lambda: bell_value_operator(
+        PureState((0.0, 0.0, 1.0)), HermitianOp(1.7e308, (1e308, 0.0, 0.0))
+    ),
+}
+
+
+@pytest.mark.parametrize("case", OVERFLOWS)
+def test_overflowing_arithmetic_still_raises(case):
+    with pytest.raises(ValidationError, match=r"^non-finite segment value inf$"):
+        OVERFLOWS[case]()
+
+
+def test_package_built_maps_stay_canonical():
+    # a + |b| and a - |b| round to the same float: the map merges to a constant
+    op = HermitianOp(1e20, (0.0, 0.6, 0.8))
+    assert bell_value_operator(PureState((0.0, 0.0, 1.0)), op) == constant(1e20)
+    # the two disagreeing cells on either side of 0.1 merge into one
+    region = disagreement_witness(
+        StepFunction((-0.2, 0.1), (0.0, 1.0, 0.0)), StepFunction((0.1,), (0.0, 2.0))
+    ).omega_region
+    assert region.breakpoints == (-0.2,) and region.values == (0.0, 1.0)
+    assert math.isclose(region.integrate(), 0.7)
+
+
+def test_sweep_calls_no_checking_constructor(monkeypatch):
+    calls = Counter()
+    for cls in (StepFunction, BranchNode):
+
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__):
+            calls[_name] += 1
+            _init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    run_sweep(0, 20)
+    assert calls == {}
+    # the counters see a public construction
+    BranchNode((1.0, 0.0, 0.0), "selected", StepFunction((), (1.0,)))
+    assert calls == {"StepFunction": 1, "BranchNode": 1}
