@@ -147,9 +147,11 @@ def branch(history: BranchHistory, axis) -> tuple[BranchHistory, BranchHistory]:
     _require(history, BranchHistory, "history")
     state, initial, nodes = history.current_state, history.initial_state, history.nodes
     selected = bell_value(state, u)
+    # selected is a 0/1 indicator: each 1 - v is exact and neighbours stay different
+    complement = StepFunction._from_canonical(selected.breakpoints, tuple([1.0 - v for v in selected.values]))
     return (
         _history(initial, nodes + (_node(u, _SELECTED, selected),)),
-        _history(initial, nodes + (_node(u, _COMPLEMENT, 1.0 - selected),)),
+        _history(initial, nodes + (_node(u, _COMPLEMENT, complement),)),
     )
 
 
@@ -219,7 +221,8 @@ def integrate_in_order(
     :meth:`ProductFunction.integrate_level` does; the joint function stays
     factored, so every order yields the same number, and the intermediate
     single-level marginals are the two conditional-measurement routes (up to
-    the normalization prefactors).
+    the normalization prefactors).  The product is ``_in_order``'s, which the
+    scenarios' order check runs on each order from one prefactor.
     """
     nodes = _require(history, BranchHistory, "history").nodes
     k = len(nodes)
@@ -232,10 +235,14 @@ def integrate_in_order(
         levels = None
     if levels is None or sorted(levels) != list(range(1, k + 1)):
         raise ValidationError(f"order {order!r} is not a permutation of 1..{k}")
-    total = _prefactor(nodes, normalize_all_levels)
-    for level in levels:
-        total *= nodes[level - 1].normalizer
-    return total
+    return _in_order(_prefactor(nodes, normalize_all_levels), [nodes[level - 1] for level in levels])
+
+
+def _in_order(prefactor: float, nodes: Sequence[BranchNode]) -> float:
+    # the prefactor times each node's normalizer, in the nodes' order
+    for node in nodes:
+        prefactor *= node.normalizer
+    return prefactor
 
 
 def repeated_measurement_check(psi: PureState, axis) -> StepFunction:

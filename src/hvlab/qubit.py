@@ -250,8 +250,15 @@ class PureState:
 
 
 def projector(m) -> HermitianOp:
-    """Rank-1 projector (1 + m.sigma)/2 onto the unit Bloch axis ``m``."""
-    return HermitianOp(0.5, tuple(x * 0.5 for x in unit_vector(m, "projector axis")))
+    """Rank-1 projector (1 + m.sigma)/2 onto the unit Bloch axis ``m``.
+
+    Halving a checked axis gives a finite vector part, so the operator is
+    stored as ``HermitianOp(0.5, m / 2)`` would store it, without its checks.
+    """
+    op = object.__new__(HermitianOp)
+    _set(op, "a", 0.5)
+    _set(op, "b", _Triple([x * 0.5 for x in unit_vector(m, "projector axis")]))
+    return op
 
 
 def expectation(psi: PureState, op: HermitianOp) -> float:

@@ -41,7 +41,7 @@ from .bell import (
     route_operator_product,
     route_state_update,
 )
-from .branching import BranchHistory, branch, integrate_in_order, joint_function
+from .branching import BranchHistory, _in_order, _prefactor, branch, joint_function
 from .errors import ConfigError, HvlabError, ScenarioError, ValidationError, _integer, _real, _require
 from .qubit import (
     PureState,
@@ -395,11 +395,12 @@ def _route_check(psi: PureState, n, m) -> tuple[dict, dict, float, StepFunction,
 
 
 def _order_check(history: BranchHistory, normalize_all_levels: bool = False) -> tuple[list, float]:
-    """Order independence: the iterated integrals in every order of the levels, and their spread."""
-    values = [
-        integrate_in_order(history, order, normalize_all_levels)
-        for order in permutations(range(1, history.depth + 1))
-    ]
+    """Order independence: the iterated integrals in every order of the levels, and their spread.
+
+    Each is ``integrate_in_order``'s for that order, bit for bit, from one prefactor.
+    """
+    prefactor = _prefactor(history.nodes, normalize_all_levels)
+    values = [_in_order(prefactor, nodes) for nodes in permutations(history.nodes)]
     return values, max(values) - min(values)
 
 
@@ -782,7 +783,7 @@ def run_sweep(seed: int, trials: int, tolerance: float = DEFAULT_TOLERANCE) -> d
     max_completeness_error = 0.0
     for _ in range(order_trials):
         s = _random_unit(rng)
-        history = BranchHistory(PureState(s))
+        history = branching._history(PureState(s), ())
         depth = int(rng.integers(2, 4))
         for _ in range(depth):
             axis = _random_unit(rng)

@@ -34,6 +34,9 @@ Conventions
   - ``constant`` and ``indicator_from_sign`` skip all of it after their own
     tests: one finite value, or the two distinct values 0.0 and 1.0 beside a
     breakpoint in the open interval.
+  - ``branch``'s complement, ``1 - v`` of each value of the selected 0/1
+    indicator, skips all of it: its breakpoints are the indicator's, and
+    each ``1 - v`` is exact, so neighbouring values stay different.
 """
 
 from __future__ import annotations

@@ -29,6 +29,7 @@ from hvlab import (
     route_operator_product,
     route_state_update,
     run_scenario,
+    scenarios,
     sequence_probability,
 )
 
@@ -282,6 +283,21 @@ def test_all_permutations_agree_for_depth_three(rng):
         history = chain_selected(PureState(s), axes)
         values = [integrate_in_order(history, order) for order in permutations((1, 2, 3))]
         assert max(values) - min(values) <= 1e-12
+
+
+@pytest.mark.parametrize("normalize_all_levels", [False, True])
+def test_order_check_is_integrate_in_order_bit_for_bit(rng, normalize_all_levels):
+    # the order check takes the prefactor once and runs the product per order of the nodes
+    for depth in (1, 2, 3, 4):
+        for _ in range(25):
+            history = BranchHistory(PureState(random_unit(rng)))
+            for _ in range(depth):
+                history = branch(history, random_unit(rng))[int(rng.integers(2))]
+            orders = permutations(range(1, depth + 1))
+            want = [integrate_in_order(history, order, normalize_all_levels) for order in orders]
+            values, spread = scenarios._order_check(history, normalize_all_levels)
+            assert list(map(float.hex, values)) == list(map(float.hex, want))
+            assert spread == max(want) - min(want)
 
 
 # ---------------------------------------------------------------------------

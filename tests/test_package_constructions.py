@@ -1,13 +1,14 @@
-"""Step functions, branch nodes and histories the package builds skip the input rule, safely.
+"""Step functions, branch nodes, histories and projectors the package builds skip the input rule, safely.
 
-``StepFunction._from_canonical``, ``branching._node`` and ``branching._history``
-store values the package has already checked.  Each test here holds them to
-the checking constructors: the same object from the same inputs, the errors
-that arithmetic can still raise, and no checking constructor on the sweep's
-hot loop.
+``StepFunction._from_canonical``, ``branching._node``, ``branching._history``
+and ``qubit.projector`` store values the package has already checked.  Each
+test here holds them to the checking constructors: the same object from the
+same inputs, the errors that arithmetic can still raise, and no checking
+constructor on the sweep's hot loop.
 """
 
 import math
+import sys
 from collections import Counter
 
 import pytest
@@ -25,8 +26,9 @@ from hvlab import (
     disagreement_witness,
     run_scenario,
     run_sweep,
+    unit_vector,
 )
-from hvlab import branching
+from hvlab import branching, qubit, scenarios
 from hvlab.scenarios import load_config
 
 from test_scenarios import DEMO_CONFIGS
@@ -41,6 +43,7 @@ def routed(monkeypatch):
     """Build every unchecked object also through its public constructor, and count the two agreeing."""
     agreed = Counter()
     from_canonical, node, history = StepFunction._from_canonical, branching._node, branching._history
+    projector = qubit.projector
 
     def checked_step_function(breakpoints, values):
         built = from_canonical(breakpoints, values)
@@ -62,17 +65,31 @@ def routed(monkeypatch):
         agreed["BranchHistory"] += 1
         return built
 
+    def checked_projector(m):
+        built = projector(m)
+        public = HermitianOp(0.5, [x * 0.5 for x in unit_vector(m, "projector axis")])
+        assert built == public and type(built.a) is float and type(built.b) is type(public.b)
+        agreed["HermitianOp"] += 1
+        return built
+
     monkeypatch.setattr(StepFunction, "_from_canonical", staticmethod(checked_step_function))
     monkeypatch.setattr(branching, "_node", checked_node)
     monkeypatch.setattr(branching, "_history", checked_history)
+    # the modules that import projector by name call it through their own binding
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("hvlab") and getattr(module, "projector", None) is projector:
+            monkeypatch.setattr(module, "projector", checked_projector)
     return agreed
+
+
+ROUTED = ("StepFunction", "BranchNode", "BranchHistory", "HermitianOp")
 
 
 def test_demo_configs_build_what_the_public_constructors_build(routed):
     assert len(DEMO_CONFIGS) == 9
     for path in DEMO_CONFIGS:
         run_scenario(load_config(path))
-    assert min(routed[name] for name in ("StepFunction", "BranchNode", "BranchHistory")) > 0
+    assert min(routed[name] for name in ROUTED) > 0
 
 
 def test_pinned_inputs_build_what_the_public_constructors_build(routed):
@@ -82,7 +99,7 @@ def test_pinned_inputs_build_what_the_public_constructors_build(routed):
     pinned.test_branch_records_pinned()
     pinned.test_sweep_summaries_pinned()
     pinned.test_thousand_trial_sweep_summaries_pinned()
-    assert min(routed[name] for name in ("StepFunction", "BranchNode", "BranchHistory")) > 0
+    assert min(routed[name] for name in ROUTED) > 0
 
 
 _HUGE = StepFunction((0.0,), (1e308, 1.0))
@@ -118,15 +135,28 @@ def test_package_built_maps_stay_canonical():
 
 def test_sweep_calls_no_checking_constructor(monkeypatch):
     calls = Counter()
-    for cls in (StepFunction, BranchNode):
+    for cls in (StepFunction, BranchNode, BranchHistory, HermitianOp):
 
         def counted(self, *args, _init=cls.__init__, _name=cls.__name__):
             calls[_name] += 1
             _init(self, *args)
 
         monkeypatch.setattr(cls, "__init__", counted)
+
+    def counted_in_order(*args, _integrate=branching.integrate_in_order):
+        calls["integrate_in_order"] += 1
+        return _integrate(*args)
+
+    # scenarios too, in case it calls the function through a name of its own
+    for module in (branching, scenarios):
+        monkeypatch.setattr(module, "integrate_in_order", counted_in_order, raising=False)
     run_sweep(0, 20)
     assert calls == {}
-    # the counters see a public construction
-    BranchNode((1.0, 0.0, 0.0), "selected", StepFunction((), (1.0,)))
-    assert calls == {"StepFunction": 1, "BranchNode": 1}
+    # the counters see public constructions and a public call
+    level = StepFunction((), (1.0,))
+    history = BranchHistory(PureState((0.0, 0.0, 1.0)), [BranchNode((1.0, 0.0, 0.0), "selected", level)])
+    HermitianOp(0.5, (0.5, 0.0, 0.0))
+    branching.integrate_in_order(history, [1])
+    assert calls == dict.fromkeys(
+        ["StepFunction", "BranchNode", "BranchHistory", "HermitianOp", "integrate_in_order"], 1
+    )

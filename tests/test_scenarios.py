@@ -26,6 +26,8 @@ from hvlab import (
     unit_vector,
 )
 
+from hvlab.cli import main
+
 from conftest import X, Y, Z, random_unit
 
 REPO = Path(__file__).resolve().parent.parent
@@ -334,6 +336,27 @@ def test_conditional_oracle_near_orthogonality(tmp_path, scenario):
 def test_scenario_error_carries_context():
     with pytest.raises(ScenarioError, match="idempotence"):
         run_scenario(ScenarioConfig("idempotence", state=Z, axes={"n": -Z}))
+
+
+# a branching chain whose selected branch at the given level has probability 0
+ZERO_LEVEL_CHAINS = {
+    1: "scenario = branching_chain\nstate = 0 0 1\nn = 0 0 -1\nm = 1 0 0\n",
+    2: "scenario = branching_chain\nstate = 0 0 1\nn = 1 0 0\nm = -1 0 0\nc = 0 0 1\n",
+}
+
+
+@pytest.mark.parametrize("level", ZERO_LEVEL_CHAINS)
+def test_branching_chain_through_a_zero_probability_level_exits_two(tmp_path, capsys, level):
+    message = (
+        f"scenario 'branching_chain': level {level} has normalizer 0.0; "
+        "cannot divide by a zero-probability branch"
+    )
+    config = write_config(tmp_path, ZERO_LEVEL_CHAINS[level])
+    with pytest.raises(ScenarioError) as raised:
+        run_scenario(load_config(config))
+    assert str(raised.value) == message
+    assert main(["run", str(config)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_sweep_scenario_and_run_sweep():
