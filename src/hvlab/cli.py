@@ -31,6 +31,7 @@ from .scenarios import (
     ScenarioConfig,
     ScenarioReport,
     _indented_json,
+    _rewritten,
     emit_trace,
     load_config,
     run_scenario,
@@ -99,7 +100,8 @@ def _out_dir(args: argparse.Namespace) -> Path | None:
 def _write(out: Path | None, name: str, text: str) -> None:
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        (out / name).write_text(text, encoding="utf-8")
+        with _rewritten(out / name) as stream:
+            stream.write(text.encode("utf-8"))
 
 
 def _report(config: ScenarioConfig, args: argparse.Namespace) -> tuple[ScenarioReport, str | None]:

@@ -22,11 +22,12 @@ import math
 import os
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import permutations
 from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
-from typing import Callable, Iterator, Mapping
+from typing import BinaryIO, Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -42,7 +43,16 @@ from .bell import (
     route_state_update,
 )
 from .branching import BranchHistory, _in_order, _prefactor, branch, joint_function
-from .errors import ConfigError, HvlabError, ScenarioError, ValidationError, _integer, _real, _require
+from .errors import (
+    ConfigError,
+    HvlabError,
+    ReductionUndefinedError,
+    ScenarioError,
+    ValidationError,
+    _integer,
+    _real,
+    _require,
+)
 from .qubit import (
     PureState,
     _Axis,
@@ -560,7 +570,14 @@ def _run_branching_chain(config: ScenarioConfig) -> ScenarioReport:
         qm_value = 1.0
         qm = {"normalized_total": qm_value}
     else:
-        qm_value = chain_probability(psi, axes) / chain_probability(psi, axes[:-1])
+        try:
+            qm_value = chain_probability(psi, axes) / chain_probability(psi, axes[:-1])
+        except ReductionUndefinedError as exc:
+            if exc.index != len(axes) - 1:
+                raise
+            # only the final outcome is (near) impossible: its conditional is
+            # still the last chain step, and every earlier level was nonzero
+            qm_value = 0.5 * (1.0 + _cosine(axes[-2], axes[-1]))
         qm = {"final_outcome_conditional": qm_value}
     hv = {
         "joint_integral": joint_integral,
@@ -1000,6 +1017,31 @@ class _GridRows:
                 stream.write(rows.replace(b"\n", tail))
 
 
+# what os.open needs to write bytes as given: O_BINARY stops Windows'
+# C runtime from turning "\n" into "\r\n" (it exists only there)
+_REWRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
+@contextmanager
+def _rewritten(path) -> Iterator[BinaryIO]:
+    """Open ``path`` to write from its first byte; on leaving, cut the file to what was written.
+
+    The file is created if missing and never opened with ``O_TRUNC``: on
+    ext4, truncating an existing file at open frees its page cache, so the
+    writes must allocate pages again and the close starts writeback.  The
+    cut runs in a ``finally``, so a write that raises leaves exactly the
+    bytes written before it and no tail of the old file.  A reader that has
+    the file open meanwhile can see a mix of old and new bytes; nothing is
+    synced to disk.
+    """
+    # an open on the descriptor does not truncate; only os.open touches the path
+    with open(os.open(path, _REWRITE_FLAGS, 0o666), "wb") as stream:
+        try:
+            yield stream
+        finally:
+            stream.truncate()
+
+
 def emit_trace(config: ScenarioConfig, out_dir) -> list[Path]:
     """Write one ``omega,value`` CSV per step function the scenario produces.
 
@@ -1008,9 +1050,12 @@ def emit_trace(config: ScenarioConfig, out_dir) -> list[Path]:
     function at a time; values carry 17 significant digits and re-integrate
     (breakpoint-aware) to the reported integrals.  Rows end in ``\\n`` on
     every platform.  The grid is formatted once per call and shared by every
-    role's file; nothing is kept between calls.  Returns the
-    written paths; a scenario without traces (``sandwich``, ``sweep``) returns
-    an empty list without being run.
+    role's file; nothing is kept between calls.  An existing file is
+    rewritten in place and cut to its new length, not truncated first: a
+    reader that has it open meanwhile can see a mix of old and new bytes,
+    and nothing is synced to disk.  Returns the written paths; a scenario
+    without traces (``sandwich``, ``sweep``) returns an empty list without
+    being run.
     """
     reads = _config_scenario(config).reads
     out = Path(_require(out_dir, (str, os.PathLike), "out_dir"))
@@ -1023,7 +1068,7 @@ def emit_trace(config: ScenarioConfig, out_dir) -> list[Path]:
     rows = _GridRows(grid)
     for role, fn in traces.items():
         path = out / f"{config.scenario}__{role}.csv"
-        with path.open("wb") as stream:
+        with _rewritten(path) as stream:
             stream.write(b"omega,value\n")
             rows.write(stream, fn)
         written.append(path)

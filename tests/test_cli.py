@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from hvlab import ScenarioReport
+from hvlab import ScenarioReport, emit_trace, load_config
 from hvlab.cli import main
 
 DEMO_CONFIG_DIR = Path(__file__).resolve().parent.parent / "demos" / "configs"
@@ -63,6 +63,16 @@ def test_run_writes_report_to_out_dir(tmp_path, capsys):
     written = (out / "route_agreement__report.json").read_bytes()
     assert json.loads(written)["pass"] is True
     assert written == stdout.encode("utf-8")
+
+
+def test_run_rewrites_a_longer_report_to_its_own_bytes(tmp_path, capsys):
+    config = write(tmp_path, "route.cfg", ROUTE_CFG)
+    out = tmp_path / "reports"
+    out.mkdir()
+    report = out / "route_agreement__report.json"
+    report.write_bytes(b"stale\r\n" * 10_000)
+    assert main(["run", str(config), "--out", str(out)]) == 0
+    assert report.read_bytes() == capsys.readouterr().out.encode("utf-8")
 
 
 def test_run_honors_out_env_var(tmp_path, capsys, monkeypatch):
@@ -278,6 +288,18 @@ def test_trace_writes_files(tmp_path, capsys):
     ]
     for name in listing["files"]:
         assert (out / name).read_text().startswith("omega,value\n")
+
+
+def test_trace_over_a_directory_exits_two(tmp_path, capsys):
+    config = write(tmp_path, "route.cfg", ROUTE_CFG)
+    out = tmp_path / "traces"
+    (out / "route_agreement__route_b.csv").mkdir(parents=True)
+    with pytest.raises(OSError):
+        emit_trace(load_config(config), out)
+    assert main(["trace", str(config), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and "route_agreement__route_b.csv" in captured.err
 
 
 def test_trace_without_out_exits_two(tmp_path, capsys, monkeypatch):

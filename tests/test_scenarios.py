@@ -1,7 +1,9 @@
+import builtins
 import hashlib
 import io
 import json
 import math
+import os
 import re
 import tracemalloc
 from dataclasses import fields, replace
@@ -356,6 +358,39 @@ def test_branching_chain_through_a_zero_probability_level_exits_two(tmp_path, ca
         run_scenario(load_config(config))
     assert str(raised.value) == message
     assert main(["run", str(config)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# branching chains where only the final selected outcome has probability 0
+FINAL_ZERO_CHAINS = {
+    2: "scenario = branching_chain\nstate = 0 0 1\nn = 1 0 0\nm = -1 0 0\n",
+    3: "scenario = branching_chain\nstate = 0 0 1\nn = 1 0 0\nm = 0 1 0\nc = 0 -1 0\n",
+}
+
+
+@pytest.mark.parametrize("levels", FINAL_ZERO_CHAINS)
+def test_branching_chain_with_an_impossible_final_outcome_passes(tmp_path, capsys, levels):
+    # the quantum chain stops at the last step, but that outcome's
+    # conditional (the last chain step) is defined and is 0
+    config = write_config(tmp_path, FINAL_ZERO_CHAINS[levels])
+    report = run_scenario(load_config(config))
+    assert report.passed and report.max_abs_error == 0.0
+    assert report.qm_values == {"final_outcome_conditional": 0.0}
+    assert report.hv_values["joint_integral"] == 0.0
+    tree = report.details["branch_tree"]
+    assert [node["zero_probability"] for node in tree] == [False] * (levels - 1) + [True]
+    assert main(["run", str(config)]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+    written = emit_trace(load_config(config), tmp_path / "traces")
+    assert [p.name for p in written] == [f"branching_chain__level_{k}.csv" for k in range(1, levels + 1)]
+    last = written[-1].read_text(encoding="utf-8").splitlines()
+    assert last[0] == "omega,value" and all(row.endswith(",0") for row in last[1:])
+    # dividing by every level still meets the zero one
+    message = (
+        f"scenario 'branching_chain': level {levels} has normalizer 0.0; "
+        "cannot divide by a zero-probability branch"
+    )
+    assert main(["run", str(config), "--normalize-all-levels"]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
@@ -836,6 +871,73 @@ def test_demo_config_trace_bytes_are_pinned(path, grid_points, tmp_path):
     config = replace(load_config(path), grid_points=grid_points)
     pinned = json.loads((PINNED_REPORTS / "trace_digests.json").read_text(encoding="utf-8"))
     assert trace_digest(emit_trace(config, tmp_path)) == pinned[path.stem][str(grid_points)]
+
+
+def test_demo_config_traces_written_over_longer_and_shorter_files_are_pinned(tmp_path):
+    # one directory for every write: each file is written over the previous
+    # grid's, which is longer (20001 -> 2), shorter (2 -> 2001, 2001 -> 20001)
+    # or, the first time, missing
+    pinned = json.loads((PINNED_REPORTS / "trace_digests.json").read_text(encoding="utf-8"))
+    for path in DEMO_CONFIGS:
+        if path.stem == "sweep":
+            continue
+        for grid_points in (20001, 2, 2001, 20001):
+            config = replace(load_config(path), grid_points=grid_points)
+            digest = trace_digest(emit_trace(config, tmp_path))
+            assert digest == pinned[path.stem][str(grid_points)], (path.stem, grid_points)
+
+
+class DiskFull(OSError):
+    pass
+
+
+def test_a_trace_write_that_fails_leaves_no_stale_tail(monkeypatch, tmp_path):
+    config = ScenarioConfig("idempotence", state=Z, axes={"n": X}, grid_points=2001)
+    path = emit_trace(config, tmp_path)[0]
+    old = path.read_bytes()
+    parts = []
+
+    def write_a_third_then_fail(self, stream, fn, _write=scenarios._GridRows.write):
+        rows = io.BytesIO()
+        _write(self, rows, fn)
+        parts.append(rows.getvalue()[: len(rows.getvalue()) // 3])
+        stream.write(parts[-1])
+        raise DiskFull("no space left on device")
+
+    monkeypatch.setattr(scenarios._GridRows, "write", write_a_third_then_fail)
+    with pytest.raises(DiskFull):
+        emit_trace(config, tmp_path)
+    assert path.read_bytes() == b"omega,value\n" + parts[0]
+    assert len(parts[0]) > 0 and path.stat().st_size < len(old)
+
+
+def test_output_files_are_never_truncated_when_opened(monkeypatch, tmp_path):
+    # every trace and report is opened by os.open without O_TRUNC; an open
+    # of the path for writing ("wb", write_text) truncates it first
+    os_opens, path_writes = [], []
+
+    def counted_os_open(path, flags, *args, _open=os.open):
+        os_opens.append((Path(path).name, flags))
+        return _open(path, flags, *args)
+
+    def counted_open(file, mode="r", *args, _open=open, **kwargs):
+        if not isinstance(file, int) and set(mode) & set("wax+"):
+            path_writes.append((Path(file).name, mode))
+        return _open(file, mode, *args, **kwargs)
+
+    config = write_config(tmp_path, ROUTE_CFG, "route.cfg")
+    out = tmp_path / "out"
+    monkeypatch.setattr(scenarios.os, "open", counted_os_open)
+    for module in (builtins, io):
+        monkeypatch.setattr(module, "open", counted_open)
+    for _ in range(2):  # a new file, then over it
+        written = emit_trace(replace(load_config(config), grid_points=21), out)
+        assert main(["run", str(config), "--out", str(out)]) == 0
+    monkeypatch.undo()
+    assert path_writes == []
+    names = [p.name for p in written] + ["route_agreement__report.json"]
+    assert sorted(name for name, _ in os_opens) == sorted(names * 2)
+    assert not any(flags & os.O_TRUNC for _, flags in os_opens)
 
 
 def test_reintegration_across_all_trace_scenarios(tmp_path):
