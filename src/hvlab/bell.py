@@ -168,7 +168,10 @@ def disagreement_witness(lhs: StepFunction, rhs: StepFunction) -> ConflictWitnes
     Comparison is exact (tolerance zero): both operands are built from closed
     forms, so equal segments are bit-equal.  One sample is reported per
     segment of the common breakpoint partition on which the sides disagree,
-    so both reported values are constant over the sampled interval.
+    so both reported values are constant over the sampled interval.  For
+    canonical operands, as every ``StepFunction`` is, ``measure > 0.0``
+    exactly when ``lhs != rhs``: differing tuples leave a disagreeing cell
+    between two distinct floats, whose width cannot round to zero.
     """
     breakpoints, pairs = _common_segments(
         _require(lhs, StepFunction, "lhs"), _require(rhs, StepFunction, "rhs")

@@ -17,7 +17,6 @@ reports and traces are written.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from argparse import SUPPRESS
@@ -169,11 +168,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         return 2
     written = emit_trace(config, out)
     if written:
-        listing = {"scenario": config.scenario, "files": [p.name for p in written]}
-        sys.stdout.write(_indented_json(listing) + "\n")
+        record = {"scenario": config.scenario, "files": [p.name for p in written]}
     else:
-        notice = {"scenario": config.scenario, "notice": "scenario produces no omega traces"}
-        sys.stdout.write(json.dumps(notice) + "\n")
+        record = {"scenario": config.scenario, "notice": "scenario produces no omega traces"}
+    sys.stdout.write(_indented_json(record) + "\n")
     return 0
 
 

@@ -757,8 +757,11 @@ def run_sweep(seed: int, trials: int, tolerance: float = DEFAULT_TOLERANCE) -> d
     (``_order_check``) and idempotence (``_idempotence_check``).  Only the
     sweep checks genericity of pointwise route disagreement, branch
     completeness and outcome-tree conservation, and skips draws within
-    ``DEGENERACY_MARGIN`` of a degenerate case.  Reports counts, worst-case
-    errors, and any failing inputs verbatim.
+    ``DEGENERACY_MARGIN`` of a degenerate case.  A route draw counts as
+    disagreeing when ``via_state != via_product``: both maps are canonical,
+    so that is ``disagreement_witness(via_state, via_product).measure > 0.0``
+    without building the witness.  Reports counts, worst-case errors, and any
+    failing inputs verbatim.
     """
     seed = _integer(seed, "seed", 0)
     trials = _integer(trials, "trials", 1)
@@ -791,7 +794,7 @@ def run_sweep(seed: int, trials: int, tolerance: float = DEFAULT_TOLERANCE) -> d
             if (
                 abs(_cosine(n, m)) < 1.0 - DEGENERACY_MARGIN
                 and abs(_cosine(n, s)) < 1.0 - DEGENERACY_MARGIN
-                and disagreement_witness(via_state, via_product).measure > 0.0
+                and via_state != via_product
             ):
                 disagreeing += 1
 
@@ -1053,7 +1056,10 @@ def emit_trace(config: ScenarioConfig, out_dir) -> list[Path]:
     role's file; nothing is kept between calls.  An existing file is
     rewritten in place and cut to its new length, not truncated first: a
     reader that has it open meanwhile can see a mix of old and new bytes,
-    and nothing is synced to disk.  Returns the written paths; a scenario
+    and nothing is synced to disk.  The roles are written one after another:
+    when one path fails, the files of the roles before it hold the new grid,
+    those after it keep the previous run's bytes, and the error propagates
+    (``hvlab trace`` exits 2).  Returns the written paths; a scenario
     without traces (``sandwich``, ``sweep``) returns an empty list without
     being run.
     """

@@ -1,8 +1,9 @@
+import math
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hvlab import (
@@ -10,6 +11,7 @@ from hvlab import (
     PureState,
     ReductionUndefinedError,
     ScenarioConfig,
+    StepFunction,
     UndefinedConditionalError,
     ValidationError,
     WitnessUndefinedError,
@@ -18,14 +20,18 @@ from hvlab import (
     classical_conditional,
     conditional_expectation,
     constant,
+    disagreement_witness,
     expectation,
     nonuniqueness_witness,
     projector,
     route_operator_product,
     route_state_update,
     run_scenario,
+    run_sweep,
     sandwich,
+    scenarios,
     sum_conflict_witness,
+    unit_vector,
 )
 
 import matrix_oracle as oracle
@@ -555,3 +561,92 @@ def test_collinear_matches_the_np_cross_form(rng):
     results = [_collinear(n, m) for n, m in pairs]
     assert results == [by_np_cross(n, m) for n, m in pairs]
     assert True in results and False in results
+
+
+# ---------------------------------------------------------------------------
+# canonical inequality is a disagreement of positive measure
+# ---------------------------------------------------------------------------
+
+_BREAKPOINTS = st.floats(min_value=-0.499, max_value=0.499, allow_nan=False)
+_LEVELS = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)
+
+
+@st.composite
+def _canonical_pairs(draw):
+    """A step function and a second one: equal, one value apart, one breakpoint apart, or independent."""
+    bps = sorted(set(draw(st.lists(_BREAKPOINTS, max_size=5))))
+    f = StepFunction(bps, draw(st.lists(_LEVELS, min_size=len(bps) + 1, max_size=len(bps) + 1)))
+    bps, values = list(f.breakpoints), list(f.values)
+    kind = draw(st.sampled_from(["equal", "value", "breakpoint", "breakpoint by one ulp", "independent"]))
+    if kind == "value":
+        i = draw(st.integers(0, len(values) - 1))
+        # differs from itself and both neighbours, so g keeps f's breakpoints
+        neighbours = values[max(i - 1, 0) : i + 2]
+        values[i] = draw(_LEVELS.filter(lambda v: v not in neighbours))
+    elif kind.startswith("breakpoint") and bps:
+        i = draw(st.integers(0, len(bps) - 1))
+        low = bps[i - 1] if i else -0.5
+        high = bps[i + 1] if i + 1 < len(bps) else 0.5
+        if kind == "breakpoint":
+            moved = draw(st.floats(min_value=low, max_value=high, exclude_min=True, exclude_max=True))
+        else:
+            moved = math.nextafter(bps[i], draw(st.sampled_from([low, high])))
+        assume(low < moved < high and moved != bps[i])
+        bps[i] = moved
+    elif kind == "independent":
+        more = sorted(set(draw(st.lists(_BREAKPOINTS, max_size=5))))
+        bps, values = more, draw(st.lists(_LEVELS, min_size=len(more) + 1, max_size=len(more) + 1))
+    return f, StepFunction(bps, values)
+
+
+@settings(max_examples=300)
+@given(pair=_canonical_pairs())
+@example(pair=(StepFunction([0.0], [0.0, 1.0]), StepFunction([-0.0], [0.0, 1.0])))
+@example(pair=(StepFunction([0.25], [0.0, 1.0]), StepFunction([math.nextafter(0.25, 1.0)], [0.0, 1.0])))
+@example(pair=(StepFunction([], [1.0]), StepFunction([], [math.nextafter(1.0, 2.0)])))
+def test_canonical_inequality_is_a_positive_disagreement_measure(pair):
+    f, g = pair
+    assert (f != g) == (disagreement_witness(f, g).measure > 0.0)
+
+
+def _negated(v):
+    return unit_vector([-x for x in v])
+
+
+# geometries of one seeded draw (s, n, m); the last three make the routes coincide
+_ROUTE_GEOMETRIES = {
+    "drawn": lambda s, n, m: (s, n, m),
+    "n = s": lambda s, n, m: (s, s, m),
+    "m = n": lambda s, n, m: (s, n, n),
+    "n = s = m": lambda s, n, m: (s, s, s),
+    "n = s = -m": lambda s, n, m: (s, s, _negated(s)),
+    "m = -n": lambda s, n, m: (s, n, _negated(n)),
+}
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), geometry=st.sampled_from(sorted(_ROUTE_GEOMETRIES)))
+def test_route_pairs_differ_exactly_where_a_witness_has_measure(seed, geometry):
+    # the sweep's draws, three unit axes at a time from one seeded generator
+    s, n, m = _ROUTE_GEOMETRIES[geometry](*scenarios._random_units(np.random.default_rng(seed), 3))
+    via_state = route_state_update(n, m)
+    via_product = route_operator_product(PureState(s), n, m)
+    coincide = geometry in ("n = s = m", "n = s = -m", "m = -n")
+    assert (via_state == via_product) is coincide
+    assert (via_state != via_product) == (disagreement_witness(via_state, via_product).measure > 0.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sweep_route_pairs_differ_exactly_where_a_witness_has_measure(monkeypatch, seed):
+    pairs = []
+
+    def recorded(psi, n, m, _check=scenarios._route_check):
+        result = _check(psi, n, m)
+        pairs.append(result[3:])
+        return result
+
+    monkeypatch.setattr(scenarios, "_route_check", recorded)
+    run_sweep(seed, 200)
+    assert len(pairs) == 200
+    for via_state, via_product in pairs:
+        assert (via_state != via_product) == (disagreement_witness(via_state, via_product).measure > 0.0)

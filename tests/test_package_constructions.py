@@ -4,7 +4,7 @@
 and ``qubit.projector`` store values the package has already checked.  Each
 test here holds them to the checking constructors: the same object from the
 same inputs, the errors that arithmetic can still raise, and no checking
-constructor on the sweep's hot loop.
+constructor (nor a disagreement witness) on the sweep's hot loop.
 """
 
 import math
@@ -28,7 +28,7 @@ from hvlab import (
     run_sweep,
     unit_vector,
 )
-from hvlab import branching, qubit, scenarios
+from hvlab import bell, branching, qubit, scenarios
 from hvlab.scenarios import load_config
 
 from test_scenarios import DEMO_CONFIGS
@@ -147,16 +147,32 @@ def test_sweep_calls_no_checking_constructor(monkeypatch):
         calls["integrate_in_order"] += 1
         return _integrate(*args)
 
+    # the route phase tests canonical maps with != and builds no witness
+    def counted_witness(*args, _witness=bell.disagreement_witness):
+        calls["disagreement_witness"] += 1
+        return _witness(*args)
+
     # scenarios too, in case it calls the function through a name of its own
     for module in (branching, scenarios):
         monkeypatch.setattr(module, "integrate_in_order", counted_in_order, raising=False)
+    for module in (bell, scenarios):
+        monkeypatch.setattr(module, "disagreement_witness", counted_witness)
     run_sweep(0, 20)
     assert calls == {}
-    # the counters see public constructions and a public call
+    # the counters see public constructions and public calls
     level = StepFunction((), (1.0,))
     history = BranchHistory(PureState((0.0, 0.0, 1.0)), [BranchNode((1.0, 0.0, 0.0), "selected", level)])
     HermitianOp(0.5, (0.5, 0.0, 0.0))
     branching.integrate_in_order(history, [1])
+    scenarios.disagreement_witness(level, level)
     assert calls == dict.fromkeys(
-        ["StepFunction", "BranchNode", "BranchHistory", "HermitianOp", "integrate_in_order"], 1
+        [
+            "StepFunction",
+            "BranchNode",
+            "BranchHistory",
+            "HermitianOp",
+            "integrate_in_order",
+            "disagreement_witness",
+        ],
+        1,
     )

@@ -22,6 +22,7 @@ from hvlab import (
     ValidationError,
     emit_trace,
     load_config,
+    route_state_update,
     run_scenario,
     run_sweep,
     scenarios,
@@ -404,6 +405,18 @@ def test_sweep_scenario_and_run_sweep():
     report = run_scenario(ScenarioConfig("sweep", seed=11, trials=200))
     assert report.passed
     assert report.hv_values["nonuniqueness_fraction"] == summary["nonuniqueness_fraction"]
+
+
+def test_sweep_fails_when_the_routes_always_agree(monkeypatch):
+    # both routes then give equal maps on every draw, so no draw disagrees and
+    # the genericity bound is the only check that fails
+    monkeypatch.setattr(
+        scenarios, "route_operator_product", lambda psi, n, m: route_state_update(n, m)
+    )
+    summary = run_sweep(0, 50)
+    assert summary["nonuniqueness_fraction"] == 0.0
+    assert summary["pass"] is False
+    assert summary["failures"] == ["nonuniqueness fraction 0.0 below the 99% genericity bound"]
 
 
 class _ShrunkRowRng:
