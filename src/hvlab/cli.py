@@ -29,8 +29,9 @@ from .scenarios import (
     DEFAULT_SWEEP_TRIALS,
     ScenarioConfig,
     ScenarioReport,
+    _cut_to_written,
     _indented_json,
-    _rewritten,
+    _opened,
     emit_trace,
     load_config,
     run_scenario,
@@ -99,7 +100,7 @@ def _out_dir(args: argparse.Namespace) -> Path | None:
 def _write(out: Path | None, name: str, text: str) -> None:
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        with _rewritten(out / name) as stream:
+        with _opened(out / name) as stream, _cut_to_written(stream):
             stream.write(text.encode("utf-8"))
 
 

@@ -22,8 +22,9 @@ import math
 import os
 import time
 import warnings
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import permutations
 from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
@@ -978,7 +979,7 @@ def _format_rows(block: np.ndarray) -> tuple[bytes, np.ndarray]:
 
 
 class _GridRows:
-    """A grid's ``%.17g`` omega strings as one ASCII blob, built once per trace call.
+    """A grid's ``%.17g`` omega strings as one ASCII blob, shared by every trace at its size.
 
     Row ``i`` of the grid is ``text[offsets[i]:offsets[i + 1]]`` and ends in
     ``b"\\n"``.  The text is built by :func:`_format_rows` a block at a time,
@@ -986,6 +987,8 @@ class _GridRows:
     ``%.17g`` prints, made exactly in integer and Dekker-split float
     arithmetic, and the offsets add up the rows' lengths.  The grid is
     increasing and ends at ``OMEGA_MAX``, to the right of every breakpoint.
+    :func:`_grid_rows` keeps one instance between trace calls, so ``grid``
+    and ``offsets`` are read-only and ``text`` is ``bytes``.
     """
 
     def __init__(self, grid: np.ndarray):
@@ -996,6 +999,8 @@ class _GridRows:
         self.grid = grid
         self.text = b"".join(text for text, _ in blocks)
         self.offsets = np.concatenate(([0], *(lengths for _, lengths in blocks))).cumsum()
+        self.grid.setflags(write=False)
+        self.offsets.setflags(write=False)
 
     def write(self, stream, fn: StepFunction) -> None:
         """Write ``fn``'s ``omega,value`` rows on the grid and its breakpoints, one segment at a time.
@@ -1020,29 +1025,43 @@ class _GridRows:
                 stream.write(rows.replace(b"\n", tail))
 
 
+@lru_cache(maxsize=1)
+def _grid_rows(points: int) -> _GridRows:
+    """The rows of the ``points``-point trace grid, kept until a call with another size."""
+    return _GridRows(np.linspace(OMEGA_MIN, OMEGA_MAX, points))
+
+
 # what os.open needs to write bytes as given: O_BINARY stops Windows'
 # C runtime from turning "\n" into "\r\n" (it exists only there)
 _REWRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
 
 
-@contextmanager
-def _rewritten(path) -> Iterator[BinaryIO]:
-    """Open ``path`` to write from its first byte; on leaving, cut the file to what was written.
+def _opened(path) -> BinaryIO:
+    """``path`` open to write from its first byte, created if missing; its bytes stay until written.
 
-    The file is created if missing and never opened with ``O_TRUNC``: on
-    ext4, truncating an existing file at open frees its page cache, so the
-    writes must allocate pages again and the close starts writeback.  The
-    cut runs in a ``finally``, so a write that raises leaves exactly the
+    The file is never opened with ``O_TRUNC``: on ext4, truncating an
+    existing file at open frees its page cache, so the writes must allocate
+    pages again and the close starts writeback.  Closing the stream without
+    writing leaves the file as it was; :func:`_cut_to_written` cuts it to
+    what was written.
+    """
+    # an open on the descriptor does not truncate; only os.open touches the path
+    return open(os.open(path, _REWRITE_FLAGS, 0o666), "wb")
+
+
+@contextmanager
+def _cut_to_written(stream: BinaryIO) -> Iterator[BinaryIO]:
+    """On leaving, cut the file of an :func:`_opened` ``stream`` to the bytes written to it.
+
+    The cut runs in a ``finally``, so a write that raises leaves exactly the
     bytes written before it and no tail of the old file.  A reader that has
     the file open meanwhile can see a mix of old and new bytes; nothing is
     synced to disk.
     """
-    # an open on the descriptor does not truncate; only os.open touches the path
-    with open(os.open(path, _REWRITE_FLAGS, 0o666), "wb") as stream:
-        try:
-            yield stream
-        finally:
-            stream.truncate()
+    try:
+        yield stream
+    finally:
+        stream.truncate()
 
 
 def emit_trace(config: ScenarioConfig, out_dir) -> list[Path]:
@@ -1052,13 +1071,18 @@ def emit_trace(config: ScenarioConfig, out_dir) -> list[Path]:
     breakpoint, so no step edge is missed, written one segment of the step
     function at a time; values carry 17 significant digits and re-integrate
     (breakpoint-aware) to the reported integrals.  Rows end in ``\\n`` on
-    every platform.  The grid is formatted once per call and shared by every
-    role's file; nothing is kept between calls.  An existing file is
-    rewritten in place and cut to its new length, not truncated first: a
-    reader that has it open meanwhile can see a mix of old and new bytes,
-    and nothing is synced to disk.  The roles are written one after another:
-    when one path fails, the files of the roles before it hold the new grid,
-    those after it keep the previous run's bytes, and the error propagates
+    every platform.  The grid's text is shared by every role's file and kept
+    by :func:`_grid_rows`, about 35 bytes a point (70 KB at 2,001 points),
+    until a call with another ``grid_points``: callers tracing in a loop at
+    one size format it once; a one-shot ``hvlab trace`` gains nothing.  An
+    existing file is rewritten in place and cut to its new length, not
+    truncated first: a reader that has it open meanwhile can see a mix of
+    old and new bytes, and nothing is synced to disk.  Every role's path is
+    opened before any is written, so a failed open (a directory at the path,
+    no permission) changes no existing file and leaves a new one empty.  A
+    failed write (a full disk) can still leave a mix: the roles before it
+    hold the new rows, its own file the bytes written before the failure,
+    and those after it their previous bytes.  The error propagates
     (``hvlab trace`` exits 2).  Returns the written paths; a scenario
     without traces (``sandwich``, ``sweep``) returns an empty list without
     being run.
@@ -1069,13 +1093,12 @@ def emit_trace(config: ScenarioConfig, out_dir) -> list[Path]:
         return []
     traces = scenario_traces(config)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    grid = np.linspace(OMEGA_MIN, OMEGA_MAX, config.grid_points)
-    rows = _GridRows(grid)
-    for role, fn in traces.items():
-        path = out / f"{config.scenario}__{role}.csv"
-        with _rewritten(path) as stream:
-            stream.write(b"omega,value\n")
-            rows.write(stream, fn)
-        written.append(path)
+    rows = _grid_rows(config.grid_points)
+    written = [out / f"{config.scenario}__{role}.csv" for role in traces]
+    with ExitStack() as opened:
+        streams = [opened.enter_context(_opened(path)) for path in written]
+        for stream, fn in zip(streams, traces.values()):
+            with _cut_to_written(stream):
+                stream.write(b"omega,value\n")
+                rows.write(stream, fn)
     return written

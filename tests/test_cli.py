@@ -302,6 +302,33 @@ def test_trace_over_a_directory_exits_two(tmp_path, capsys):
     assert captured.err.startswith("error: ") and "route_agreement__route_b.csv" in captured.err
 
 
+def test_a_trace_that_cannot_open_its_last_file_changes_no_other(tmp_path, capsys):
+    # every role's path is opened before any byte is written: a directory at
+    # the last one leaves the earlier files with the previous run's bytes
+    config = write(tmp_path, "route.cfg", ROUTE_CFG)
+    out = tmp_path / "traces"
+    *others, last = emit_trace(load_config(config), out)
+    old = {path.name: path.read_bytes() for path in others}
+    last.unlink()
+    last.mkdir()
+    assert main(["trace", str(config), "--out", str(out), "--grid-points", "5"]) == 2
+    assert last.name in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in others} == old
+
+
+def test_a_trace_that_cannot_open_its_last_file_leaves_new_ones_empty(tmp_path, capsys):
+    # a role file the failed call created is left empty, not removed
+    config = write(tmp_path, "route.cfg", ROUTE_CFG)
+    out = tmp_path / "traces"
+    (out / "route_agreement__difference.csv").mkdir(parents=True)
+    assert main(["trace", str(config), "--out", str(out)]) == 2
+    assert sorted(p.name for p in out.iterdir() if p.is_file()) == [
+        "route_agreement__route_a.csv",
+        "route_agreement__route_b.csv",
+    ]
+    assert all(p.stat().st_size == 0 for p in out.iterdir() if p.is_file())
+
+
 def test_trace_without_out_exits_two(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("HVLAB_OUT", raising=False)
     config = write(tmp_path, "route.cfg", ROUTE_CFG)

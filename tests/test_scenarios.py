@@ -924,6 +924,66 @@ def test_a_trace_write_that_fails_leaves_no_stale_tail(monkeypatch, tmp_path):
     assert len(parts[0]) > 0 and path.stat().st_size < len(old)
 
 
+def test_a_trace_write_that_fails_in_a_middle_role_leaves_the_later_roles_unchanged(
+    monkeypatch, tmp_path
+):
+    config = load_config(write_config(tmp_path, ROUTE_CFG, "route.cfg"))
+    first, middle, last = emit_trace(config, tmp_path)
+    old_last = last.read_bytes()
+    new = replace(config, grid_points=21)
+    expected_first = reference_trace_bytes(scenarios.scenario_traces(new)[first.stem.split("__")[1]], 21)
+    parts = []
+
+    def fail_in_the_second_role(self, stream, fn, _write=scenarios._GridRows.write):
+        rows = io.BytesIO()
+        _write(self, rows, fn)
+        text = rows.getvalue()
+        parts.append(text if not parts else text[: len(text) // 3])
+        stream.write(parts[-1])
+        if len(parts) == 2:
+            raise DiskFull("no space left on device")
+
+    monkeypatch.setattr(scenarios._GridRows, "write", fail_in_the_second_role)
+    with pytest.raises(DiskFull):
+        emit_trace(new, tmp_path)
+    assert first.read_bytes() == expected_first == b"omega,value\n" + parts[0]
+    assert middle.read_bytes() == b"omega,value\n" + parts[1] and len(parts[1]) > 0
+    assert last.read_bytes() == old_last
+
+
+def test_consecutive_traces_at_one_grid_size_format_the_grid_once(monkeypatch, tmp_path):
+    config = load_config(write_config(tmp_path, ROUTE_CFG, "route.cfg"))
+    calls = []
+
+    def counted_format_rows(block, _format=scenarios._format_rows):
+        calls.append(len(block))
+        return _format(block)
+
+    monkeypatch.setattr(scenarios, "_format_rows", counted_format_rows)
+    scenarios._grid_rows.cache_clear()
+    formatted = []
+    for grid_points in (2001, 2001, 21, 2001):
+        calls.clear()
+        sized = replace(config, grid_points=grid_points)
+        written = emit_trace(sized, tmp_path)
+        formatted.append(sum(calls))
+        traces = scenarios.scenario_traces(sized)
+        for path in written:
+            fn = traces[path.stem.split("__")[1]]
+            assert path.read_bytes() == reference_trace_bytes(fn, grid_points), (grid_points, path.name)
+    assert formatted == [2001, 0, 21, 2001]
+
+
+def test_kept_grid_rows_are_read_only():
+    rows = scenarios._grid_rows(5)
+    assert scenarios._grid_rows(5) is rows
+    with pytest.raises(ValueError):
+        rows.grid[0] = 0.0
+    with pytest.raises(ValueError):
+        rows.offsets[0] = 1
+    assert rows.text == percent_g_rows(np.linspace(-0.5, 0.5, 5))
+
+
 def test_output_files_are_never_truncated_when_opened(monkeypatch, tmp_path):
     # every trace and report is opened by os.open without O_TRUNC; an open
     # of the path for writing ("wb", write_text) truncates it first
