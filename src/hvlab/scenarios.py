@@ -987,8 +987,15 @@ class _GridRows:
     ``%.17g`` prints, made exactly in integer and Dekker-split float
     arithmetic, and the offsets add up the rows' lengths.  The grid is
     increasing and ends at ``OMEGA_MAX``, to the right of every breakpoint.
-    :func:`_grid_rows` keeps one instance between trace calls, so ``grid``
-    and ``offsets`` are read-only and ``text`` is ``bytes``.
+
+    ``joined`` holds the whole text twice more, with ``,0`` and with ``,1``
+    before every newline: Bell's value maps and the branch levels are 0/1
+    indicators, and their rows are 75.4% of the benchmark's ``trace`` rows.
+    The key is the row tail's bytes, not the value, so a ``-0.0`` segment
+    (``,-0``) never takes the ``,0`` text.  Row ``i`` of a joined text starts at
+    ``offsets[i] + 2 * i``.  :func:`_grid_rows` keeps one instance between
+    trace calls, so ``grid`` and ``offsets`` are read-only and the texts are
+    ``bytes``: about 78 bytes a point in all.
     """
 
     def __init__(self, grid: np.ndarray):
@@ -1001,6 +1008,7 @@ class _GridRows:
         self.offsets = np.concatenate(([0], *(lengths for _, lengths in blocks))).cumsum()
         self.grid.setflags(write=False)
         self.offsets.setflags(write=False)
+        self.joined = {tail: self.text.replace(b"\n", tail) for tail in (b",0\n", b",1\n")}
 
     def write(self, stream, fn: StepFunction) -> None:
         """Write ``fn``'s ``omega,value`` rows on the grid and its breakpoints, one segment at a time.
@@ -1009,10 +1017,12 @@ class _GridRows:
         and ``fn`` of each.  A breakpoint starts its segment at the first
         grid row at or to its right.  One equal to that row's float (``-0.0``
         to ``0.0`` too) is that row, as ``np.union1d`` keeps one of equal
-        values; any other gets a row of its own.  A segment's grid rows are
-        slices of the grid text with ``,<value>`` put before every newline.
+        values; any other gets a row of its own.  A segment printing as
+        exactly ``0`` or ``1`` writes its grid rows as one uncopied slice of
+        its ``joined`` text; any other's are slices of the grid text with
+        ``,<value>`` put before every newline.
         """
-        grid, breakpoints = self.grid, fn.breakpoints
+        grid, breakpoints, offsets = self.grid, fn.breakpoints, self.offsets
         cuts = np.searchsorted(grid, breakpoints).tolist()
         for value, left, begin, end in zip(
             fn.values, (None, *breakpoints), [0, *cuts], [*cuts, len(grid)]
@@ -1020,9 +1030,13 @@ class _GridRows:
             tail = b",%.17g\n" % value
             if left is not None and grid[begin] != left:
                 stream.write(b"%.17g" % left + tail)
-            for lo in range(begin, end, _TRACE_BLOCK_ROWS):
-                rows = self.text[self.offsets[lo] : self.offsets[min(lo + _TRACE_BLOCK_ROWS, end)]]
-                stream.write(rows.replace(b"\n", tail))
+            joined = self.joined.get(tail)
+            if joined is not None:
+                stream.write(memoryview(joined)[offsets[begin] + 2 * begin : offsets[end] + 2 * end])
+            else:
+                for lo in range(begin, end, _TRACE_BLOCK_ROWS):
+                    rows = self.text[offsets[lo] : offsets[min(lo + _TRACE_BLOCK_ROWS, end)]]
+                    stream.write(rows.replace(b"\n", tail))
 
 
 @lru_cache(maxsize=1)
@@ -1071,8 +1085,10 @@ def emit_trace(config: ScenarioConfig, out_dir) -> list[Path]:
     breakpoint, so no step edge is missed, written one segment of the step
     function at a time; values carry 17 significant digits and re-integrate
     (breakpoint-aware) to the reported integrals.  Rows end in ``\\n`` on
-    every platform.  The grid's text is shared by every role's file and kept
-    by :func:`_grid_rows`, about 35 bytes a point (70 KB at 2,001 points),
+    every platform.  The grid's text, and two copies of it with ``,0`` and
+    ``,1`` before every newline that a segment printing as exactly ``0`` or
+    ``1`` writes as one slice, are shared by every role's file and kept by
+    :func:`_grid_rows`, about 78 bytes a point (155 KB at 2,001 points),
     until a call with another ``grid_points``: callers tracing in a loop at
     one size format it once; a one-shot ``hvlab trace`` gains nothing.  An
     existing file is rewritten in place and cut to its new length, not

@@ -773,6 +773,44 @@ def test_emit_trace_across_write_blocks(monkeypatch, tmp_path):
     )
 
 
+BLOCK = scenarios._TRACE_BLOCK_ROWS
+SEGMENT_VALUES = (0.0, -0.0, 1.0, -1.0, 0.5, 1.0 / 3.0)
+
+
+def segment_breakpoints(grid: np.ndarray) -> list[float]:
+    # breakpoints on grid points, between grid points and on both sides of the
+    # first write block's edge where those rows are interior
+    last = len(grid) - 1
+    on = {1, last // 2, last - 1, BLOCK - 1, BLOCK}
+    points = {float(grid[i]) for i in on if 0 < i < last}
+    for i in {0, last // 2, last - 1}:
+        lo, hi = float(grid[i]), float(grid[i + 1])
+        points |= {lo + (hi - lo) * f for f in (0.25, 0.5, 0.75)}
+    return sorted(points)
+
+
+def segment_functions(grid_points: int) -> list[StepFunction]:
+    # constant 0 and constant 1, then every value in every segment position,
+    # with a -0.0 segment on either side of a 0.0 one; stored as given, since
+    # the constructor merges -0.0 into a 0.0 neighbour
+    breakpoints = tuple(segment_breakpoints(np.linspace(-0.5, 0.5, grid_points)))
+    functions = [StepFunction((), (0.0,)), StepFunction((), (1.0,))]
+    for order in (SEGMENT_VALUES, SEGMENT_VALUES[::-1]):
+        for shift in range(len(order)):
+            values = tuple(order[(shift + i) % len(order)] for i in range(len(breakpoints) + 1))
+            functions.append(StepFunction._from_canonical(breakpoints, values))
+    return functions
+
+
+@pytest.mark.parametrize("grid_points", [2, 3, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1001])
+def test_trace_bytes_for_every_segment_value(monkeypatch, tmp_path, grid_points):
+    # 0 and 1 segments are slices of the kept joined texts, every other value
+    # (-0.0 among them) goes through the block loop; both give the reference
+    for fn in segment_functions(grid_points):
+        written = emit_hand_built_trace(monkeypatch, tmp_path, fn, grid_points)
+        assert written == reference_trace_bytes(fn, grid_points), (grid_points, fn.values[:3])
+
+
 def test_trace_rows_take_grid_text_for_an_equal_breakpoint():
     # a -0.0 breakpoint equals the grid's 0.0: one row, with the grid's text,
     # as np.union1d keeps one of them; a -0.0 segment value still prints as -0
@@ -981,7 +1019,15 @@ def test_kept_grid_rows_are_read_only():
         rows.grid[0] = 0.0
     with pytest.raises(ValueError):
         rows.offsets[0] = 1
-    assert rows.text == percent_g_rows(np.linspace(-0.5, 0.5, 5))
+    text = percent_g_rows(np.linspace(-0.5, 0.5, 5))
+    assert rows.text == text
+    assert sorted(rows.joined) == [b",0\n", b",1\n"]
+    for tail, joined in rows.joined.items():
+        assert type(joined) is bytes
+        with pytest.raises(TypeError):
+            joined[0] = 0
+        assert joined == text.replace(b"\n", tail)
+        assert len(joined) == len(rows.text) + 2 * 5
 
 
 def test_output_files_are_never_truncated_when_opened(monkeypatch, tmp_path):
