@@ -20,6 +20,7 @@ import argparse
 import os
 import sys
 from argparse import SUPPRESS
+from contextlib import closing
 from dataclasses import replace
 from pathlib import Path
 
@@ -29,9 +30,8 @@ from .scenarios import (
     DEFAULT_SWEEP_TRIALS,
     ScenarioConfig,
     ScenarioReport,
-    _cut_to_written,
     _indented_json,
-    _opened,
+    _Rewrite,
     emit_trace,
     load_config,
     run_scenario,
@@ -100,8 +100,11 @@ def _out_dir(args: argparse.Namespace) -> Path | None:
 def _write(out: Path | None, name: str, text: str) -> None:
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        with _opened(out / name) as stream, _cut_to_written(stream):
-            stream.write(text.encode("utf-8"))
+        with closing(_Rewrite(out / name)) as file:
+            try:
+                file.write(text.encode("utf-8"))
+            finally:
+                file.cut()
 
 
 def _report(config: ScenarioConfig, args: argparse.Namespace) -> tuple[ScenarioReport, str | None]:

@@ -22,13 +22,13 @@ import math
 import os
 import time
 import warnings
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, closing
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import permutations
 from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -162,7 +162,8 @@ class ScenarioConfig:
 def load_config(path) -> ScenarioConfig:
     """Parse a flat ``key = value`` scenario config file."""
     try:
-        text = Path(_require(path, (str, os.PathLike), "config path")).read_text(encoding="utf-8")
+        with open(Path(_require(path, (str, os.PathLike), "config path")), "rb") as file:
+            text = file.read().decode("utf-8")
         text = text.removeprefix("\ufeff")  # the byte-order mark some editors write
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: config is not UTF-8 text: {exc}") from exc
@@ -993,7 +994,7 @@ class _GridRows:
     indicators, and their rows are 75.4% of the benchmark's ``trace`` rows.
     The key is the row tail's bytes, not the value, so a ``-0.0`` segment
     (``,-0``) never takes the ``,0`` text.  Row ``i`` of a joined text starts at
-    ``offsets[i] + 2 * i``.  :func:`_grid_rows` keeps one instance between
+    ``offsets[i] + 2 * i``.  :func:`_grid_rows` keeps two instances between
     trace calls, so ``grid`` and ``offsets`` are read-only and the texts are
     ``bytes``: about 78 bytes a point in all.
     """
@@ -1039,9 +1040,13 @@ class _GridRows:
                     stream.write(rows.replace(b"\n", tail))
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=2)
 def _grid_rows(points: int) -> _GridRows:
-    """The rows of the ``points``-point trace grid, kept until a call with another size."""
+    """The rows of the ``points``-point trace grid, kept for the two sizes used last.
+
+    ``lru_cache`` builds a new entry before it evicts the old one, so keeping
+    two adds no peak: 1,713,673 bytes at 2,001 and 20,001 points.
+    """
     return _GridRows(np.linspace(OMEGA_MIN, OMEGA_MAX, points))
 
 
@@ -1050,32 +1055,33 @@ def _grid_rows(points: int) -> _GridRows:
 _REWRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
 
 
-def _opened(path) -> BinaryIO:
-    """``path`` open to write from its first byte, created if missing; its bytes stay until written.
+class _Rewrite:
+    """``path`` rewritten from its first byte through its descriptor, unbuffered.
 
-    The file is never opened with ``O_TRUNC``: on ext4, truncating an
-    existing file at open frees its page cache, so the writes must allocate
-    pages again and the close starts writeback.  Closing the stream without
-    writing leaves the file as it was; :func:`_cut_to_written` cuts it to
-    what was written.
+    Created if missing and never opened with ``O_TRUNC``: on ext4,
+    truncating at open frees the page cache, so the writes must allocate
+    pages again and the close starts writeback.  :meth:`write` counts the
+    bytes ``os.write`` takes; :meth:`cut` ends the file there, so after a
+    failed write (a full disk, a file size limit) it holds exactly the bytes
+    written before it.  Nothing is synced to disk.
     """
-    # an open on the descriptor does not truncate; only os.open touches the path
-    return open(os.open(path, _REWRITE_FLAGS, 0o666), "wb")
 
+    def __init__(self, path):
+        self.fd = os.open(path, _REWRITE_FLAGS, 0o666)
+        self.written = 0
 
-@contextmanager
-def _cut_to_written(stream: BinaryIO) -> Iterator[BinaryIO]:
-    """On leaving, cut the file of an :func:`_opened` ``stream`` to the bytes written to it.
+    def write(self, data) -> None:
+        view = memoryview(data)
+        while view:  # os.write may take fewer bytes than it is given
+            count = os.write(self.fd, view)
+            self.written += count
+            view = view[count:]
 
-    The cut runs in a ``finally``, so a write that raises leaves exactly the
-    bytes written before it and no tail of the old file.  A reader that has
-    the file open meanwhile can see a mix of old and new bytes; nothing is
-    synced to disk.
-    """
-    try:
-        yield stream
-    finally:
-        stream.truncate()
+    def cut(self) -> None:
+        os.ftruncate(self.fd, self.written)
+
+    def close(self) -> None:
+        os.close(self.fd)
 
 
 def emit_trace(config: ScenarioConfig, out_dir) -> list[Path]:
@@ -1088,17 +1094,17 @@ def emit_trace(config: ScenarioConfig, out_dir) -> list[Path]:
     every platform.  The grid's text, and two copies of it with ``,0`` and
     ``,1`` before every newline that a segment printing as exactly ``0`` or
     ``1`` writes as one slice, are shared by every role's file and kept by
-    :func:`_grid_rows`, about 78 bytes a point (155 KB at 2,001 points),
-    until a call with another ``grid_points``: callers tracing in a loop at
-    one size format it once; a one-shot ``hvlab trace`` gains nothing.  An
-    existing file is rewritten in place and cut to its new length, not
-    truncated first: a reader that has it open meanwhile can see a mix of
-    old and new bytes, and nothing is synced to disk.  Every role's path is
-    opened before any is written, so a failed open (a directory at the path,
-    no permission) changes no existing file and leaves a new one empty.  A
-    failed write (a full disk) can still leave a mix: the roles before it
-    hold the new rows, its own file the bytes written before the failure,
-    and those after it their previous bytes.  The error propagates
+    :func:`_grid_rows` for the two ``grid_points`` used last, about 78 bytes
+    a point each: a loop tracing at one or two sizes formats each once; a
+    one-shot ``hvlab trace`` gains nothing.  Each file is a :class:`_Rewrite`
+    of the existing one, written in place through its descriptor and cut to
+    its new length: a reader that has it open meanwhile can see a mix of old
+    and new bytes.  Every role's path is opened before any is written, so a
+    failed open (a directory at the path, no permission) changes no existing
+    file and leaves a new one empty.  A failed write (a full disk, a file
+    size limit) can still leave a mix: the roles before it hold the new
+    rows, its own file exactly the bytes written before the failure, and
+    those after it their previous bytes.  The error propagates
     (``hvlab trace`` exits 2).  Returns the written paths; a scenario
     without traces (``sandwich``, ``sweep``) returns an empty list without
     being run.
@@ -1112,9 +1118,11 @@ def emit_trace(config: ScenarioConfig, out_dir) -> list[Path]:
     rows = _grid_rows(config.grid_points)
     written = [out / f"{config.scenario}__{role}.csv" for role in traces]
     with ExitStack() as opened:
-        streams = [opened.enter_context(_opened(path)) for path in written]
-        for stream, fn in zip(streams, traces.values()):
-            with _cut_to_written(stream):
-                stream.write(b"omega,value\n")
-                rows.write(stream, fn)
+        files = [opened.enter_context(closing(_Rewrite(path))) for path in written]
+        for file, fn in zip(files, traces.values()):
+            try:
+                file.write(b"omega,value\n")
+                rows.write(file, fn)
+            finally:
+                file.cut()
     return written

@@ -1,10 +1,13 @@
 import builtins
+import errno
 import hashlib
 import io
 import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
@@ -117,6 +120,51 @@ def test_load_config_skips_a_utf8_byte_order_mark(tmp_path):
     assert load_config(write_config(tmp_path, "\ufeff" + ROUTE_CFG, "bom.cfg")) == plain
     with pytest.raises(ConfigError, match=r"unknown key '\\ufeffscenario'"):
         load_config(write_config(tmp_path, "\ufeff\ufeffscenario = sweep\n", "two.cfg"))
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        ROUTE_CFG.replace("\n", "\r\n").encode(),
+        ROUTE_CFG.replace("\n", "\r").encode(),
+        ROUTE_CFG.replace("\n", "\r\r\n").encode(),
+        ("\ufeff" + ROUTE_CFG).replace("\n", "\r\n").encode(),
+        ROUTE_CFG.replace("\n", "\x0c").encode(),
+        b"scenario = sweep\r\n\rnot a pair\r\n",
+    ],
+    ids=["crlf", "cr", "cr-crlf", "bom-crlf", "form-feed", "error-line"],
+)
+def test_load_config_reads_bytes_as_text_with_universal_newlines(tmp_path, raw):
+    # the config is decoded from its bytes, with no newline translation:
+    # splitlines gives the lines Path.read_text would, and so the same config
+    # or the same error, line number included
+    path = tmp_path / "raw.cfg"
+    path.write_bytes(raw)
+
+    def loaded():
+        try:
+            return load_config(path)
+        except ConfigError as exc:
+            return str(exc)
+
+    actual = loaded()
+    text = path.read_text(encoding="utf-8")
+    path.write_bytes(text.encode("utf-8"))
+    assert loaded() == actual
+    assert isinstance(actual, ScenarioConfig) or ":3: expected 'key = value'" in actual
+
+
+@pytest.mark.parametrize("offset", [0, 37, 10_000])
+def test_load_config_names_the_position_of_an_invalid_utf8_byte(tmp_path, offset):
+    body = (ROUTE_CFG + "# " + "padding " * 2_000 + "\n").replace("\n", "\r\n").encode()
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(body[:offset] + b"\xff" + body[offset:])
+    with pytest.raises(UnicodeDecodeError) as decoding:
+        path.read_text(encoding="utf-8")
+    with pytest.raises(ConfigError) as failure:
+        load_config(path)
+    assert str(failure.value) == f"{path}: config is not UTF-8 text: {decoding.value}"
+    assert f"position {offset}:" in str(failure.value)
 
 
 def test_load_config_rejects_unknown_and_duplicate_keys(tmp_path):
@@ -615,15 +663,18 @@ def test_indented_json_rejects_what_it_cannot_write(value):
             scenarios._indented_json(container)
 
 
+def without_runtime(text: str) -> str:
+    masked, count = re.subn(r',\n  "runtime_ms": [^\n]*\n\}\n\Z', "\n}\n", text)
+    assert count == 1
+    return masked
+
+
 @pytest.mark.parametrize("path", DEMO_CONFIGS, ids=lambda p: p.stem)
 def test_demo_config_report_bytes_are_pinned(path):
     # tests/reports/<name>.json holds each demo config's to_json() text with the
     # last key, runtime_ms, removed; refactors must reproduce it byte for byte
-    text = run_scenario(load_config(path)).to_json()
-    masked, count = re.subn(r',\n  "runtime_ms": [^\n]*\n\}\n\Z', "\n}\n", text)
-    assert count == 1
     pinned = (PINNED_REPORTS / f"{path.stem}.json").read_text(encoding="utf-8")
-    assert masked == pinned
+    assert without_runtime(run_scenario(load_config(path)).to_json()) == pinned
 
 
 def test_report_carries_its_traces_outside_the_json(tmp_path):
@@ -989,7 +1040,121 @@ def test_a_trace_write_that_fails_in_a_middle_role_leaves_the_later_roles_unchan
     assert last.read_bytes() == old_last
 
 
-def test_consecutive_traces_at_one_grid_size_format_the_grid_once(monkeypatch, tmp_path):
+IDEMPOTENCE_CFG = "scenario = idempotence\nstate = 0 0 1\nn = 1 0 0\n"
+BRANCHING_CHAIN_CFG = REPO / "demos" / "configs" / "branching_chain.cfg"  # the longest report
+
+# hvlab's CLI under a file size limit; SIGXFSZ is ignored, so a write past
+# the limit is cut short and the next one fails with EFBIG
+FSIZE_LIMITED_MAIN = """
+import resource, signal, sys
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+limit = int(sys.argv[1])
+resource.setrlimit(resource.RLIMIT_FSIZE, (limit, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+from hvlab.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+def run_with_file_size_limit(limit: int, *argv) -> subprocess.CompletedProcess:
+    pytest.importorskip("resource")
+    src = Path(scenarios.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    command = [sys.executable, "-c", FSIZE_LIMITED_MAIN, str(limit), *map(str, argv)]
+    return subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_a_trace_past_a_file_size_limit_is_cut_to_the_bytes_written(tmp_path):
+    # a real write failure: the first role stops at the limit with no tail of
+    # the longer 20,001-point file it rewrites; the later roles keep theirs
+    config = write_config(tmp_path, IDEMPOTENCE_CFG, "idempotence.cfg")
+    out = tmp_path / "out"
+    assert main(["trace", str(config), "--out", str(out), "--grid-points", "20001"]) == 0
+    first, *later = sorted(out.glob("*.csv"))
+    old_later = [path.read_bytes() for path in later]
+    assert first.stat().st_size > 400_000
+    done = run_with_file_size_limit(20_000, "trace", config, "--out", out, "--grid-points", 2001)
+    assert done.returncode == 2 and f"[Errno {errno.EFBIG}]" in done.stderr, done.stderr
+    fn = scenarios.scenario_traces(replace(load_config(config), grid_points=2001))["level_1"]
+    assert first.read_bytes() == reference_trace_bytes(fn, 2001)[:20_000]
+    assert [path.read_bytes() for path in later] == old_later
+
+
+def test_a_report_past_a_file_size_limit_is_cut_to_the_bytes_written(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    report = out / "branching_chain__report.json"
+    report.write_bytes(b"stale\r\n" * 10_000)
+    done = run_with_file_size_limit(1_000, "run", BRANCHING_CHAIN_CFG, "--out", out)
+    assert done.returncode == 2 and f"[Errno {errno.EFBIG}]" in done.stderr, done.stderr
+    pinned = (PINNED_REPORTS / "branching_chain.json").read_bytes()
+    assert report.read_bytes() == pinned[:1_000]
+
+
+def write_at_most_seven_bytes(fd, data, _write=os.write):
+    return _write(fd, memoryview(data)[:7])
+
+
+def test_short_descriptor_writes_still_write_every_byte(monkeypatch, tmp_path, capsys):
+    route = load_config(write_config(tmp_path, ROUTE_CFG, "route.cfg"))
+    emit_trace(replace(route, grid_points=20001), tmp_path)  # longer files to write over
+    monkeypatch.setattr(scenarios.os, "write", write_at_most_seven_bytes)
+    for grid_points in (21, 2001):
+        sized = replace(route, grid_points=grid_points)
+        traces = scenarios.scenario_traces(sized)
+        for path in emit_trace(sized, tmp_path):
+            fn = traces[path.stem.split("__")[1]]
+            assert path.read_bytes() == reference_trace_bytes(fn, grid_points), (grid_points, path.name)
+    out = tmp_path / "out"
+    assert main(["run", str(BRANCHING_CHAIN_CFG), "--out", str(out)]) == 0
+    written = (out / "branching_chain__report.json").read_text(encoding="utf-8")
+    assert written == capsys.readouterr().out
+    assert without_runtime(written) == (PINNED_REPORTS / "branching_chain.json").read_text(encoding="utf-8")
+
+
+def fail_once_full(budget: int):
+    # os.write that writes `budget` bytes in all, then raises ENOSPC
+    left = [budget]
+
+    def write(fd, data, _write=os.write):
+        if left[0] == 0:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        count = _write(fd, memoryview(data)[: left[0]])
+        left[0] -= count
+        return count
+
+    return write
+
+
+@pytest.mark.parametrize("budget", [0, 5, 12, 13, 4096, 30_000])
+def test_a_trace_on_a_full_disk_holds_exactly_the_bytes_written(monkeypatch, tmp_path, budget):
+    config = load_config(write_config(tmp_path, IDEMPOTENCE_CFG, "idempotence.cfg"))
+    first = emit_trace(replace(config, grid_points=20001), tmp_path)[0]
+    expected = reference_trace_bytes(scenarios.scenario_traces(config)["level_1"], 2001)
+    monkeypatch.setattr(scenarios.os, "write", fail_once_full(budget))
+    with pytest.raises(OSError) as failure:
+        emit_trace(config, tmp_path)
+    monkeypatch.undo()
+    assert failure.value.errno == errno.ENOSPC
+    assert first.read_bytes() == expected[:budget]
+
+
+@pytest.mark.parametrize("budget", [0, 100, 1_000])
+def test_a_report_on_a_full_disk_holds_exactly_the_bytes_written(monkeypatch, tmp_path, budget):
+    out = tmp_path / "out"
+    out.mkdir()
+    report = out / "branching_chain__report.json"
+    report.write_bytes(b"stale\r\n" * 10_000)
+    monkeypatch.setattr(scenarios.os, "write", fail_once_full(budget))
+    assert main(["run", str(BRANCHING_CHAIN_CFG), "--out", str(out)]) == 2
+    monkeypatch.undo()
+    pinned = (PINNED_REPORTS / "branching_chain.json").read_bytes()
+    assert report.read_bytes() == pinned[:budget]
+
+
+def test_traces_format_a_grid_once_while_its_size_is_one_of_the_last_two(monkeypatch, tmp_path):
+    # _grid_rows keeps the two sizes used last: a third size evicts the one
+    # used least recently
     config = load_config(write_config(tmp_path, ROUTE_CFG, "route.cfg"))
     calls = []
 
@@ -1000,7 +1165,7 @@ def test_consecutive_traces_at_one_grid_size_format_the_grid_once(monkeypatch, t
     monkeypatch.setattr(scenarios, "_format_rows", counted_format_rows)
     scenarios._grid_rows.cache_clear()
     formatted = []
-    for grid_points in (2001, 2001, 21, 2001):
+    for grid_points in (2001, 2001, 21, 2001, 5, 21):
         calls.clear()
         sized = replace(config, grid_points=grid_points)
         written = emit_trace(sized, tmp_path)
@@ -1009,7 +1174,7 @@ def test_consecutive_traces_at_one_grid_size_format_the_grid_once(monkeypatch, t
         for path in written:
             fn = traces[path.stem.split("__")[1]]
             assert path.read_bytes() == reference_trace_bytes(fn, grid_points), (grid_points, path.name)
-    assert formatted == [2001, 0, 21, 2001]
+    assert formatted == [2001, 0, 21, 0, 5, 21]
 
 
 def test_kept_grid_rows_are_read_only():
