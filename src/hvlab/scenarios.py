@@ -876,107 +876,9 @@ def run_sweep(seed: int, trials: int, tolerance: float = DEFAULT_TOLERANCE) -> d
 _TRACE_BLOCK_ROWS = 4096
 
 
-def _veltkamp_split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # v == high + low exactly, each half with at most 26 significant bits
-    t = 134217729.0 * v  # 2**27 + 1
-    high = t - (t - v)
-    return high, v - high
-
-
-def _quad_tables() -> tuple[np.ndarray, np.ndarray]:
-    # each group q of four digits as four ASCII bytes read as one uint32: at
-    # index q all four, at 10_000 + q without its trailing zeros (NUL bytes
-    # instead); and the number of bytes printed at each index.  Small dtypes
-    # keep the import's temporaries, and so its peak memory, small.
-    places = np.array([1000, 100, 10, 1], np.uint16)
-    digits = (np.arange(10_000, dtype=np.uint16)[:, None] // places % 10).astype(np.uint8)
-    printed = np.logical_or.accumulate(digits[:, ::-1] > 0, axis=1)[:, ::-1]
-    text = digits + ord("0")
-    table = np.concatenate([text, np.where(printed, text, 0)])
-    counts = np.concatenate([np.full(10_000, 4, np.uint8), printed.sum(axis=1, dtype=np.uint8)])
-    return table.view(np.uint32).ravel(), counts
-
-
-# Tables for _format_rows.  A row is 32 bytes, read as four uint64 words and
-# padded with NUL bytes: the sign, "0." and the zeros after the point,
-# right-aligned before the first digit in byte 7; the other 16 digits as four
-# uint32 groups; a newline in byte 24.
-_QUAD_TEXT, _QUAD_BYTES = _quad_tables()
-_SCALE = np.array([1e17, 1e18, 1e19, 1e20])  # 10**(17 + zeros), exact
-_SCALE_HIGH, _SCALE_LOW = _veltkamp_split(_SCALE)
-# indexed by zeros + 4 * negative
-_PREFIXES = [b"-" * negative + b"0." + b"0" * zeros for negative in (0, 1) for zeros in range(4)]
-_PREFIX_TEXT = np.array([(p + b"0").rjust(8, b"\0") for p in _PREFIXES], "S8").view(np.uint64)
-_PREFIX_BYTES = np.array([len(p) + 2 for p in _PREFIXES])  # with the first digit and the newline
-_NEWLINE = np.array([b"\n"], "S8").view(np.uint64)[0]
-
-
 def _format_rows(block: np.ndarray) -> tuple[bytes, np.ndarray]:
-    """``b"".join(b"%.17g\\n" % x for x in block)`` and each row's length in bytes.
-
-    For ``1e-4 <= |x| < 1``, ``%.17g`` prints fixed notation: ``-`` if x is
-    negative, ``0.``, then ``k = 16 - floor(log10|x|)`` decimals, which are
-    the ``k - 17`` zeros after the point and the 17 digits of
-    ``n = |x| * 10**k`` rounded to an integer, ties to even as CPython's
-    dtoa rounds, with trailing zeros stripped.  Here ``17 <= k <= 20``, and
-    the rows are made exact in numpy as follows:
-
-    * ``floor(log10|x|)`` comes from comparing ``|x|`` with the literals
-      ``0.1``, ``0.01``, ``0.001`` (and ``1e-4`` for the range).  Each is the
-      double nearest its power of ten and lies above it, so no double falls
-      between a power and its literal and the comparisons are exact.
-    * ``10**k`` is exact in float64 for ``k <= 22``.  Dekker's two-product
-      (Veltkamp's split by ``2**27 + 1``; no FMA, no overflow or underflow
-      here) gives ``|x| * 10**k == product + error`` exactly.
-    * ``product`` lies in ``[1e16, 1e17]``, above ``2**53``, so it is an
-      even integer and ``n = int64(product) + int64(rint(error))`` is the
-      correctly rounded ``n``, with the right tie-break.
-    * ``10**16 <= n < 10**17``, so the 17 digits are those of ``n``: ``n``
-      reaches ``10**17`` only for an ``|x|`` within ``5e-18`` (relative) of
-      the next power of ten, and the double below 1, 0.1, 0.01 or 0.001 lies
-      at least half an ulp, over ``2**-54`` relative, below it, as each of
-      them is a double or has its literal above it.
-
-    Every other row (zeros, ``|x| < 1e-4``, anything at or above 1, and
-    non-finite values) keeps ``b"%.17g\\n" % x``; a trace grid has at most a
-    few of them.  Each row is laid out in 32 NUL-padded bytes, and their
-    other bytes, in row order, are the text.
-    """
-    rows = len(block)
-    a = np.abs(block)
-    fast = (a >= 1e-4) & (a < 1.0)
-    # a stand-in keeps the other rows' arithmetic finite; their text is replaced below
-    a = np.where(fast, a, 0.5)
-    zeros = (a < 0.1).astype(np.intp) + (a < 0.01) + (a < 0.001)  # k - 17
-    product = a * _SCALE[zeros]
-    a_high, a_low = _veltkamp_split(a)
-    s_high, s_low = _SCALE_HIGH[zeros], _SCALE_LOW[zeros]
-    error = ((a_high * s_high - product) + a_high * s_low + a_low * s_high) + a_low * s_low
-    n = product.astype(np.int64) + np.rint(error).astype(np.int64)
-    first = n // 10**16
-    high = n // 10**8
-    upper, lower = high - first * 10**8, n - high * 10**8
-    q0, q2 = upper // 10**4, lower // 10**4
-    quads = (q0, upper - q0 * 10**4, q2, lower - q2 * 10**4)
-
-    kind = zeros + 4 * (block < 0)
-    words = np.empty((rows, 4), np.uint64)
-    words[:, 0] = _PREFIX_TEXT[kind]
-    words[:, 3] = _NEWLINE
-    lengths = _PREFIX_BYTES[kind]
-    only_zeros_after = np.ones(rows, bool)
-    for column in (3, 2, 1, 0):
-        index = quads[column] + 10_000 * only_zeros_after
-        words.view(np.uint32)[:, 2 + column] = _QUAD_TEXT[index]
-        lengths += _QUAD_BYTES[index]
-        only_zeros_after &= quads[column] == 0
-    text = words.view(np.uint8)
-    text[:, 7] = first + ord("0")
-    for i in np.flatnonzero(~fast).tolist():
-        row = b"%.17g\n" % float(block[i])
-        text[i] = np.frombuffer(row.ljust(32, b"\0"), np.uint8)
-        lengths[i] = len(row)
-    return text[text != 0].tobytes(), lengths
+    rows = [b"%.17g\n" % x for x in block.tolist()]
+    return b"".join(rows), np.fromiter(map(len, rows), np.intp, len(rows))
 
 
 class _GridRows:
@@ -984,10 +886,9 @@ class _GridRows:
 
     Row ``i`` of the grid is ``text[offsets[i]:offsets[i + 1]]`` and ends in
     ``b"\\n"``.  The text is built by :func:`_format_rows` a block at a time,
-    so its temporaries are never all alive at once; the rows are the bytes
-    ``%.17g`` prints, made exactly in integer and Dekker-split float
-    arithmetic, and the offsets add up the rows' lengths.  The grid is
-    increasing and ends at ``OMEGA_MAX``, to the right of every breakpoint.
+    so its temporaries are never all alive at once, and the offsets add up
+    the rows' lengths.  The grid is increasing and ends at ``OMEGA_MAX``, to
+    the right of every breakpoint.
 
     ``joined`` holds the whole text twice more, with ``,0`` and with ``,1``
     before every newline: Bell's value maps and the branch levels are 0/1
@@ -1045,9 +946,14 @@ def _grid_rows(points: int) -> _GridRows:
     """The rows of the ``points``-point trace grid, kept for the two sizes used last.
 
     ``lru_cache`` builds a new entry before it evicts the old one, so keeping
-    two adds no peak: 1,713,673 bytes at 2,001 and 20,001 points.
+    two adds no peak: 1,713,673 bytes at 2,001 and 20,001 points.  A size
+    numpy cannot make an array of is a ConfigError.
     """
-    return _GridRows(np.linspace(OMEGA_MIN, OMEGA_MAX, points))
+    try:
+        grid = np.linspace(OMEGA_MIN, OMEGA_MAX, points)
+    except ValueError as exc:
+        raise ConfigError(f"grid_points {points} is too large: {exc}") from exc
+    return _GridRows(grid)
 
 
 # what os.open needs to write bytes as given: O_BINARY stops Windows'
@@ -1114,8 +1020,8 @@ def emit_trace(config: ScenarioConfig, out_dir) -> list[Path]:
     if "grid_points" not in reads:
         return []
     traces = scenario_traces(config)
-    out.mkdir(parents=True, exist_ok=True)
     rows = _grid_rows(config.grid_points)
+    out.mkdir(parents=True, exist_ok=True)
     written = [out / f"{config.scenario}__{role}.csv" for role in traces]
     with ExitStack() as opened:
         files = [opened.enter_context(closing(_Rewrite(path))) for path in written]

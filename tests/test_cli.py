@@ -342,6 +342,27 @@ def test_trace_zero_trials_exits_two(tmp_path, capsys):
     assert not (tmp_path / "traces").exists()
 
 
+# numpy refuses this size before it allocates anything
+TOO_MANY_POINTS = "99999999999999999999999"
+
+
+@pytest.mark.parametrize("given", ["flag", "config"])
+def test_trace_with_a_grid_too_large_for_numpy_exits_two(tmp_path, capsys, given):
+    if given == "flag":
+        config = write(tmp_path, "route.cfg", ROUTE_CFG)
+        flags = ["--grid-points", TOO_MANY_POINTS]
+    else:
+        config = write(tmp_path, "route.cfg", ROUTE_CFG + f"grid_points = {TOO_MANY_POINTS}\n")
+        flags = []
+    out = tmp_path / "traces"
+    assert main(["trace", str(config), "--out", str(out), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: grid_points {TOO_MANY_POINTS} ")
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
 def test_trace_no_functions_notice(tmp_path, capsys):
     config = write(tmp_path, "sandwich.cfg", SANDWICH_CFG)
     assert main(["trace", str(config), "--out", str(tmp_path / "traces")]) == 0

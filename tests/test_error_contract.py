@@ -460,9 +460,5 @@ def _float_calls():
 
 def test_only_the_one_rule_converts_to_float():
     # errors._as_float decides what a real number is; load_config parses its
-    # text with float(), and the trace-row formatter writes a float64 it made
-    assert set(_float_calls()) == {
-        ("errors", "_as_float"),
-        ("scenarios", "load_config"),
-        ("scenarios", "_format_rows"),
-    }
+    # text with float()
+    assert set(_float_calls()) == {("errors", "_as_float"), ("scenarios", "load_config")}
