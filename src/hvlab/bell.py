@@ -64,7 +64,8 @@ __all__ = [
 ]
 
 
-# a NamedTuple, built in about half a frozen dataclass's time: a route trial builds one to three
+# a NamedTuple, built in about half a frozen dataclass's time; the nonuniqueness and
+# sum_conflict reports build them, one per disagreeing cell (the sweep builds no witness)
 class _WitnessSample(NamedTuple):
     """One disagreement segment and the two sides' constant values on it."""
 

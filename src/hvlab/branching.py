@@ -89,10 +89,6 @@ class BranchNode:
         return self.normalizer <= ORTHOGONALITY_CUTOFF
 
 
-_NODE_TYPE = frozenset((BranchNode,))
-_EXACT_INT = frozenset((int,))
-
-
 @dataclass(frozen=True, init=False)
 class BranchHistory:
     """An initial state plus an ordered tuple of branch nodes (immutable)."""
@@ -106,10 +102,8 @@ class BranchHistory:
             checked = tuple(nodes)
         except TypeError as exc:  # nodes is not iterable
             raise ValidationError(f"BranchHistory nodes must be iterable, got {nodes!r}") from exc
-        # one C-level pass over the node types; the per-node check only when that fails
-        if not _NODE_TYPE.issuperset(map(type, checked)):
-            for node in checked:
-                _require(node, BranchNode, "BranchHistory node")
+        for node in checked:
+            _require(node, BranchNode, "BranchHistory node")
         _set(self, "nodes", checked)
 
     @property
@@ -227,10 +221,7 @@ def integrate_in_order(
     nodes = _require(history, BranchHistory, "history").nodes
     k = len(nodes)
     try:
-        levels = list(order)
-        # a plain int needs no _integer call: one below 1 fails the permutation test
-        if not _EXACT_INT.issuperset(map(type, levels)):
-            levels = [_integer(level, "order level", 1) for level in levels]
+        levels = [_integer(level, "order level", 1) for level in order]
     except (TypeError, ValidationError):  # order is not iterable, or a level not an integer
         levels = None
     if levels is None or sorted(levels) != list(range(1, k + 1)):

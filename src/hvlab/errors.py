@@ -78,7 +78,7 @@ def _require(value, cls, name: str):
 # A bool is an int, and numpy registers its timedelta64 as an Integral; neither
 # is a number here.
 _NOT_NUMBERS = (bool, np.timedelta64)
-_EXACT_FLOAT = frozenset((float,))
+_EXACT_FLOAT = frozenset((float,))  # qubit's test for a tuple of exact floats
 
 
 def _as_float(value) -> float:
@@ -98,10 +98,6 @@ def _as_float(value) -> float:
 
 def _reals(items: Iterable) -> tuple[float, ...]:
     """Each item by ``_as_float``, as a tuple of floats; its error for the first that fails."""
-    items = tuple(items)
-    # items that are all exactly float need no call: the rule returns each unchanged
-    if _EXACT_FLOAT.issuperset(map(type, items)):
-        return items
     return tuple(map(_as_float, items))
 
 
@@ -122,8 +118,6 @@ def _integer(value, name: str, minimum: int) -> int:
     A 0-d array is judged by the scalar it holds, as ``_as_float`` judges one.
     """
     x = value[()] if isinstance(value, np.ndarray) and value.ndim == 0 else value
-    # a plain int skips the slower abstract-base-class test
-    integral = type(x) is int or (not isinstance(x, _NOT_NUMBERS) and isinstance(x, numbers.Integral))
-    if integral and x >= minimum:
+    if not isinstance(x, _NOT_NUMBERS) and isinstance(x, numbers.Integral) and x >= minimum:
         return int(x)
     raise ValidationError(f"{name} must be an integer of at least {minimum}, got {value!r}")

@@ -25,7 +25,7 @@ import warnings
 from contextlib import ExitStack, closing
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations
+from itertools import accumulate, permutations
 from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 from typing import Callable, Iterator, Mapping
@@ -73,6 +73,7 @@ from .stepfn import OMEGA_MAX, OMEGA_MIN, StepFunction
 
 DEFAULT_TOLERANCE = 1e-12
 DEFAULT_GRID_POINTS = 2001
+MAX_GRID_POINTS = 10**7
 DEFAULT_SWEEP_TRIALS = 1000
 NORMALIZE_LIMIT = 1e-6
 # run_sweep skips or leaves uncounted draws this close to a degenerate case:
@@ -140,6 +141,10 @@ class ScenarioConfig:
                 _set(self, "lam", _real(self.lam, "lambda"))
             _require(self.normalize_all_levels, bool, "normalize_all_levels")
             _set(self, "grid_points", _integer(self.grid_points, "grid_points", 2))
+            if self.grid_points > MAX_GRID_POINTS:
+                raise ValidationError(
+                    f"grid_points {self.grid_points} is too large: at most {MAX_GRID_POINTS}"
+                )
             _set(self, "tolerance", _check_tolerance(self.tolerance))
             if self.seed is not None:
                 _set(self, "seed", _integer(self.seed, "seed", 0))
@@ -872,23 +877,13 @@ def run_sweep(seed: int, trials: int, tolerance: float = DEFAULT_TOLERANCE) -> d
 # ---------------------------------------------------------------------------
 
 
-# rows formatted into the grid text, or written by one ``write`` call, at a time
-_TRACE_BLOCK_ROWS = 4096
-
-
-def _format_rows(block: np.ndarray) -> tuple[bytes, np.ndarray]:
-    rows = [b"%.17g\n" % x for x in block.tolist()]
-    return b"".join(rows), np.fromiter(map(len, rows), np.intp, len(rows))
-
-
 class _GridRows:
     """A grid's ``%.17g`` omega strings as one ASCII blob, shared by every trace at its size.
 
     Row ``i`` of the grid is ``text[offsets[i]:offsets[i + 1]]`` and ends in
-    ``b"\\n"``.  The text is built by :func:`_format_rows` a block at a time,
-    so its temporaries are never all alive at once, and the offsets add up
-    the rows' lengths.  The grid is increasing and ends at ``OMEGA_MAX``, to
-    the right of every breakpoint.
+    ``b"\\n"``.  The text and the offsets, the running sum of the rows'
+    lengths, are built in one pass over ``grid.tolist()``.  The grid is
+    increasing and ends at ``OMEGA_MAX``, to the right of every breakpoint.
 
     ``joined`` holds the whole text twice more, with ``,0`` and with ``,1``
     before every newline: Bell's value maps and the branch levels are 0/1
@@ -901,13 +896,10 @@ class _GridRows:
     """
 
     def __init__(self, grid: np.ndarray):
-        blocks = [
-            _format_rows(grid[start : start + _TRACE_BLOCK_ROWS])
-            for start in range(0, len(grid), _TRACE_BLOCK_ROWS)
-        ]
+        rows = [b"%.17g\n" % x for x in grid.tolist()]
         self.grid = grid
-        self.text = b"".join(text for text, _ in blocks)
-        self.offsets = np.concatenate(([0], *(lengths for _, lengths in blocks))).cumsum()
+        self.text = b"".join(rows)
+        self.offsets = np.fromiter(accumulate(map(len, rows), initial=0), np.intp, len(rows) + 1)
         self.grid.setflags(write=False)
         self.offsets.setflags(write=False)
         self.joined = {tail: self.text.replace(b"\n", tail) for tail in (b",0\n", b",1\n")}
@@ -921,7 +913,7 @@ class _GridRows:
         to ``0.0`` too) is that row, as ``np.union1d`` keeps one of equal
         values; any other gets a row of its own.  A segment printing as
         exactly ``0`` or ``1`` writes its grid rows as one uncopied slice of
-        its ``joined`` text; any other's are slices of the grid text with
+        its ``joined`` text; any other writes its slice of the grid text with
         ``,<value>`` put before every newline.
         """
         grid, breakpoints, offsets = self.grid, fn.breakpoints, self.offsets
@@ -936,9 +928,7 @@ class _GridRows:
             if joined is not None:
                 stream.write(memoryview(joined)[offsets[begin] + 2 * begin : offsets[end] + 2 * end])
             else:
-                for lo in range(begin, end, _TRACE_BLOCK_ROWS):
-                    rows = self.text[offsets[lo] : offsets[min(lo + _TRACE_BLOCK_ROWS, end)]]
-                    stream.write(rows.replace(b"\n", tail))
+                stream.write(self.text[offsets[begin] : offsets[end]].replace(b"\n", tail))
 
 
 @lru_cache(maxsize=2)
@@ -946,14 +936,10 @@ def _grid_rows(points: int) -> _GridRows:
     """The rows of the ``points``-point trace grid, kept for the two sizes used last.
 
     ``lru_cache`` builds a new entry before it evicts the old one, so keeping
-    two adds no peak: 1,713,673 bytes at 2,001 and 20,001 points.  A size
-    numpy cannot make an array of is a ConfigError.
+    two adds no peak: 1,713,673 bytes at 2,001 and 20,001 points.
+    ``ScenarioConfig`` bounds ``points`` by ``MAX_GRID_POINTS``.
     """
-    try:
-        grid = np.linspace(OMEGA_MIN, OMEGA_MAX, points)
-    except ValueError as exc:
-        raise ConfigError(f"grid_points {points} is too large: {exc}") from exc
-    return _GridRows(grid)
+    return _GridRows(np.linspace(OMEGA_MIN, OMEGA_MAX, points))
 
 
 # what os.open needs to write bytes as given: O_BINARY stops Windows'

@@ -97,17 +97,11 @@ class StepFunction:
                 f"need exactly one more value than breakpoints, "
                 f"got {len(vals)} values for {len(bps)} breakpoints"
             )
-        # strictly increasing breakpoints lie in the open interval when the
-        # outer two do.  On a failure (a NaN fails every comparison) the range
-        # is reported before the order, breakpoint by breakpoint.
-        if bps and not (
-            OMEGA_MIN < bps[0] and bps[-1] < OMEGA_MAX and all(map(operator.lt, bps, bps[1:]))
-        ):
-            for b in bps:
-                if not (OMEGA_MIN < b < OMEGA_MAX):
-                    raise ValidationError(
-                        f"breakpoint {b!r} outside open interval ({OMEGA_MIN}, {OMEGA_MAX})"
-                    )
+        # the range before the order, breakpoint by breakpoint (a NaN fails both)
+        for b in bps:
+            if not (OMEGA_MIN < b < OMEGA_MAX):
+                raise ValidationError(f"breakpoint {b!r} outside open interval ({OMEGA_MIN}, {OMEGA_MAX})")
+        if not all(map(operator.lt, bps, bps[1:])):
             raise ValidationError("breakpoints must be strictly increasing")
         self._breakpoints, self._values = _canonical(bps, vals)
 

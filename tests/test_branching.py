@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from itertools import permutations
 
 import numpy as np
@@ -170,13 +171,15 @@ def test_integrate_in_order_validation():
         integrate_in_order(history, [1])
     with pytest.raises(ValidationError):
         integrate_in_order(history, [1, 1])
-    with pytest.raises(ValidationError):
-        integrate_in_order(history, [0, 1])
-    # these compare equal to a permutation of 1..2 but are not integers
-    for order in ([1.0, 2.0], [2, 1.0], [True, 2], (np.float64(2.0), np.float64(1.0)), None):
-        with pytest.raises(ValidationError, match="is not a permutation"):
+    # levels that compare equal to 1 and 2 but are not integers, a level
+    # below 1, and no sequence at all
+    not_integers = ([1.0, 2.0], [2, 1.0], [1.0, 2], [True, 2], [True, 1], (np.float64(2.0), np.float64(1.0)))
+    for order in (*not_integers, [0, 1], None):
+        message = f"^order {re.escape(repr(order))} is not a permutation of 1\\.\\.2$"
+        with pytest.raises(ValidationError, match=message):
             integrate_in_order(history, order)
     assert integrate_in_order(history, np.array([2, 1])) == integrate_in_order(history, [2, 1])
+    assert integrate_in_order(history, [np.int64(2), 1]) == integrate_in_order(history, [2, 1])
 
 
 def test_integrate_in_order_matches_level_by_level_integration(rng):
@@ -466,6 +469,9 @@ def test_branch_history_validation():
     psi = PureState(Z)
     with pytest.raises(ValidationError, match="^BranchHistory node must be a BranchNode, got int$"):
         BranchHistory(psi, (1, 2))
+    node = chain_selected(psi, [X]).nodes[0]
+    with pytest.raises(ValidationError, match="^BranchHistory node must be a BranchNode, got str$"):
+        BranchHistory(psi, [node, "x"])
     with pytest.raises(ValidationError, match="initial_state must be a PureState, got ndarray"):
         BranchHistory(Z)
     with pytest.raises(ValidationError, match="^BranchHistory nodes must be iterable, got None$"):

@@ -363,6 +363,28 @@ def test_trace_with_a_grid_too_large_for_numpy_exits_two(tmp_path, capsys, given
     assert not out.exists()
 
 
+# one past the bound, one numpy would try to allocate (728 TiB), and one it
+# cannot make an array of: the bound refuses each before any grid is built
+@pytest.mark.parametrize("points", [10**7 + 1, 10**14, 10**23])
+@pytest.mark.parametrize(
+    "command, given", [("run", "config"), ("trace", "config"), ("trace", "flag")]
+)
+def test_a_grid_above_the_bound_exits_two(tmp_path, capsys, points, command, given):
+    # run has no --grid-points flag; it reads the config's grid_points as trace does
+    if given == "flag":
+        config = write(tmp_path, "route.cfg", ROUTE_CFG)
+        flags = ["--grid-points", str(points)]
+    else:
+        config = write(tmp_path, "route.cfg", ROUTE_CFG + f"grid_points = {points}\n")
+        flags = []
+    out = tmp_path / "out"
+    assert main([command, str(config), "--out", str(out), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: grid_points {points} is too large: at most 10000000\n"
+    assert not out.exists()
+
+
 def test_trace_no_functions_notice(tmp_path, capsys):
     config = write(tmp_path, "sandwich.cfg", SANDWICH_CFG)
     assert main(["trace", str(config), "--out", str(tmp_path / "traces")]) == 0

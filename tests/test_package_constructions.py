@@ -4,7 +4,8 @@
 and ``qubit.projector`` store values the package has already checked.  Each
 test here holds them to the checking constructors: the same object from the
 same inputs, the errors that arithmetic can still raise, and no checking
-constructor (nor a disagreement witness) on the sweep's hot loop.
+constructor (nor a disagreement witness) on the sweep's hot loop, and no
+checking step function, order integral or real-number rule on the trace path.
 """
 
 import math
@@ -28,8 +29,8 @@ from hvlab import (
     run_sweep,
     unit_vector,
 )
-from hvlab import bell, branching, qubit, scenarios
-from hvlab.scenarios import load_config
+from hvlab import bell, branching, errors, qubit, scenarios, stepfn
+from hvlab.scenarios import emit_trace, load_config
 
 from test_scenarios import DEMO_CONFIGS
 
@@ -133,46 +134,57 @@ def test_package_built_maps_stay_canonical():
     assert math.isclose(region.integrate(), 0.7)
 
 
-def test_sweep_calls_no_checking_constructor(monkeypatch):
+def count_checking_calls(monkeypatch) -> Counter:
+    """Count each call of a checking constructor, the public ``integrate_in_order`` and
+    ``disagreement_witness``, and ``errors._reals``, the real-number rule for sequences."""
     calls = Counter()
     for cls in (StepFunction, BranchNode, BranchHistory, HermitianOp):
 
-        def counted(self, *args, _init=cls.__init__, _name=cls.__name__):
+        def counted_init(self, *args, _init=cls.__init__, _name=cls.__name__):
             calls[_name] += 1
             _init(self, *args)
 
-        monkeypatch.setattr(cls, "__init__", counted)
+        monkeypatch.setattr(cls, "__init__", counted_init)
 
-    def counted_in_order(*args, _integrate=branching.integrate_in_order):
-        calls["integrate_in_order"] += 1
-        return _integrate(*args)
+    def counted(name, function):
+        def call(*args):
+            calls[name] += 1
+            return function(*args)
 
+        return call
+
+    # each function in every module that may call it through a name of its own
+    for modules, name, function in (
+        ((branching, scenarios), "integrate_in_order", branching.integrate_in_order),
+        ((bell, scenarios), "disagreement_witness", bell.disagreement_witness),
+        ((errors, stepfn, qubit), "_reals", errors._reals),
+    ):
+        for module in modules:
+            monkeypatch.setattr(module, name, counted(name, function), raising=False)
+    return calls
+
+
+def test_sweep_calls_no_checking_constructor(monkeypatch):
+    calls = count_checking_calls(monkeypatch)
     # the route phase tests canonical maps with != and builds no witness
-    def counted_witness(*args, _witness=bell.disagreement_witness):
-        calls["disagreement_witness"] += 1
-        return _witness(*args)
-
-    # scenarios too, in case it calls the function through a name of its own
-    for module in (branching, scenarios):
-        monkeypatch.setattr(module, "integrate_in_order", counted_in_order, raising=False)
-    for module in (bell, scenarios):
-        monkeypatch.setattr(module, "disagreement_witness", counted_witness)
     run_sweep(0, 20)
     assert calls == {}
     # the counters see public constructions and public calls
     level = StepFunction((), (1.0,))
     history = BranchHistory(PureState((0.0, 0.0, 1.0)), [BranchNode((1.0, 0.0, 0.0), "selected", level)])
-    HermitianOp(0.5, (0.5, 0.0, 0.0))
+    HermitianOp(0.5, (0.5, 0, 0))
     branching.integrate_in_order(history, [1])
     scenarios.disagreement_witness(level, level)
-    assert calls == dict.fromkeys(
-        [
-            "StepFunction",
-            "BranchNode",
-            "BranchHistory",
-            "HermitianOp",
-            "integrate_in_order",
-            "disagreement_witness",
-        ],
-        1,
-    )
+    # _reals: the step function's breakpoints and values, and the operator's int vector
+    public = ["StepFunction", "BranchNode", "BranchHistory", "HermitianOp"]
+    public += ["integrate_in_order", "disagreement_witness"]
+    assert calls == {**dict.fromkeys(public, 1), "_reals": 3}
+
+
+def test_traces_call_no_checking_step_function_or_real_number_rule(monkeypatch, tmp_path):
+    # loading each demo config and writing its traces, as the trace benchmark
+    # does, builds every step function and order integral on the unchecked paths
+    calls = count_checking_calls(monkeypatch)
+    written = [emit_trace(load_config(path), tmp_path / path.stem) for path in DEMO_CONFIGS]
+    assert sum(map(len, written)) > 0
+    assert [calls[name] for name in ("StepFunction", "integrate_in_order", "_reals")] == [0, 0, 0]

@@ -241,6 +241,11 @@ def test_bad_config_field_is_a_config_error(tmp_path):
     for grid_points in (1, 2.5, "5", True):
         with pytest.raises(ConfigError, match="grid_points must be an integer of at least 2"):
             ScenarioConfig("sweep", grid_points=grid_points)
+    assert ScenarioConfig("sweep", grid_points=np.int64(10**7)).grid_points == 10**7
+    for grid_points in (10**7 + 1, np.int64(10**14), 10**23):
+        message = f"^grid_points {int(grid_points)} is too large: at most 10000000$"
+        with pytest.raises(ConfigError, match=message):
+            ScenarioConfig("sweep", grid_points=grid_points)
     for tolerance in (0.0, -1e-9):
         with pytest.raises(ConfigError, match="tolerance must be positive, got"):
             ScenarioConfig("sweep", tolerance=tolerance)
@@ -812,11 +817,11 @@ def test_emit_trace_keeps_signed_zeros_apart(monkeypatch, tmp_path, fn, expected
 
 
 def test_emit_trace_across_write_blocks(monkeypatch, tmp_path):
-    grid_points = 2 * scenarios._TRACE_BLOCK_ROWS + 1001
+    grid_points = 9193
     grid = np.linspace(-0.5, 0.5, grid_points)
-    # breakpoints on the grid, between grid points and on a block edge, in the
-    # first and the last block
-    edge = float(grid[scenarios._TRACE_BLOCK_ROWS])
+    # breakpoints on the grid, between grid points and on row 4,096, near
+    # either end of the grid
+    edge = float(grid[4096])
     breakpoints = (float(grid[7]), 0.5 * float(grid[100] + grid[101]), edge, 0.49, float(grid[-3]))
     fn = StepFunction(breakpoints, (0.25, -0.0, 1.0 / 3.0, 0.0, 2.0, -1.5))
     assert emit_hand_built_trace(monkeypatch, tmp_path, fn, grid_points) == reference_trace_bytes(
@@ -824,15 +829,14 @@ def test_emit_trace_across_write_blocks(monkeypatch, tmp_path):
     )
 
 
-BLOCK = scenarios._TRACE_BLOCK_ROWS
 SEGMENT_VALUES = (0.0, -0.0, 1.0, -1.0, 0.5, 1.0 / 3.0)
 
 
 def segment_breakpoints(grid: np.ndarray) -> list[float]:
-    # breakpoints on grid points, between grid points and on both sides of the
-    # first write block's edge where those rows are interior
+    # breakpoints on grid points, between grid points and on rows 4,095 and
+    # 4,096 where those rows are interior
     last = len(grid) - 1
-    on = {1, last // 2, last - 1, BLOCK - 1, BLOCK}
+    on = {1, last // 2, last - 1, 4095, 4096}
     points = {float(grid[i]) for i in on if 0 < i < last}
     for i in {0, last // 2, last - 1}:
         lo, hi = float(grid[i]), float(grid[i + 1])
@@ -853,10 +857,11 @@ def segment_functions(grid_points: int) -> list[StepFunction]:
     return functions
 
 
-@pytest.mark.parametrize("grid_points", [2, 3, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1001])
+@pytest.mark.parametrize("grid_points", [2, 3, 4095, 4096, 4097, 9193])
 def test_trace_bytes_for_every_segment_value(monkeypatch, tmp_path, grid_points):
     # 0 and 1 segments are slices of the kept joined texts, every other value
-    # (-0.0 among them) goes through the block loop; both give the reference
+    # (-0.0 among them) a slice of the grid text with its value put in; both
+    # give the reference
     for fn in segment_functions(grid_points):
         written = emit_hand_built_trace(monkeypatch, tmp_path, fn, grid_points)
         assert written == reference_trace_bytes(fn, grid_points), (grid_points, fn.values[:3])
@@ -877,7 +882,7 @@ def percent_g_rows(values) -> bytes:
 
 
 def test_grid_rows_are_the_percent_g_text():
-    sizes = [*range(2, 601), 4095, 4096, 4097, 2 * scenarios._TRACE_BLOCK_ROWS + 1001, 20001]
+    sizes = [*range(2, 601), 4095, 4096, 4097, 9193, 20001]
     for grid_points in sizes:
         grid = np.linspace(-0.5, 0.5, grid_points)
         rows = scenarios._GridRows(grid)
@@ -1114,11 +1119,11 @@ def test_traces_format_a_grid_once_while_its_size_is_one_of_the_last_two(monkeyp
     config = load_config(write_config(tmp_path, ROUTE_CFG, "route.cfg"))
     calls = []
 
-    def counted_format_rows(block, _format=scenarios._format_rows):
-        calls.append(len(block))
-        return _format(block)
+    def counted_grid_rows(grid, _build=scenarios._GridRows):
+        calls.append(len(grid))
+        return _build(grid)
 
-    monkeypatch.setattr(scenarios, "_format_rows", counted_format_rows)
+    monkeypatch.setattr(scenarios, "_GridRows", counted_grid_rows)
     scenarios._grid_rows.cache_clear()
     formatted = []
     for grid_points in (2001, 2001, 21, 2001, 5, 21):

@@ -117,6 +117,7 @@ _STORED_AS_FLOAT = {
     "float-subclass": ((_Float(-0.2),), (_Float(0.0), _Float(1.0)), (-0.2,), (0.0, 1.0)),
     "float64": ((np.float64(-0.2),), (np.float64(0.0), np.float64(1.0)), (-0.2,), (0.0, 1.0)),
     "float-and-float64": ((-0.2,), (0.0, np.float64(1.0)), (-0.2,), (0.0, 1.0)),
+    "float64-int-and-float": ((np.float64(0.1),), (1, 2.0), (0.1,), (1.0, 2.0)),
     "float32": ((np.float32(0.1),), (0.0, 1.0), (float(np.float32(0.1)),), (0.0, 1.0)),
     "int": ((0,), (0, 1), (0.0,), (0.0, 1.0)),
     "numpy-int-and-0-d-arrays": ((np.array(-0.2),), (np.int64(0), np.array(1)), (-0.2,), (0.0, 1.0)),
