@@ -240,7 +240,9 @@ def _sum_conflict_maps(psi: PureState, n_axis, m_axis, weight: float):
 
     Returns ``(E, lhs, rhs, map_n, map_m)``: the value map of E, the same
     mixture of the projector maps, and the maps of P_n and P_m in ``psi``.
-    Raises for a weight outside (0, 1) and for collinear axes.
+    Raises for a weight outside (0, 1), for collinear axes, and where the
+    computed eigenvalues of E are not strictly inside (0, 1), as they are
+    in exact arithmetic (a weight or an angle within rounding of the edge).
     """
     weight = _real(weight, "mixture weight")
     if not 0.0 < weight < 1.0:
@@ -250,6 +252,11 @@ def _sum_conflict_maps(psi: PureState, n_axis, m_axis, weight: float):
     if _collinear(n, m):
         raise WitnessUndefinedError("collinear axes degenerate the mixture conflict")
     mixture = weight * projector(n) + (1.0 - weight) * projector(m)
+    low, high = mixture.eigenvalues
+    if not (0.0 < low and high < 1.0):  # rounding reached a projector's eigenvalue
+        raise WitnessUndefinedError(
+            f"mixture eigenvalues {low!r} and {high!r} do not lie strictly inside (0, 1)"
+        )
     lhs = bell_value_operator(psi, mixture)
     map_n = bell_value(psi, n)
     map_m = bell_value(psi, m)
@@ -261,7 +268,8 @@ def sum_conflict_witness(psi: PureState, n_axis, m_axis, weight: float) -> Confl
     """Where the value map of a projector mixture differs from the mixture of maps.
 
     For ``E = weight * P_n + (1 - weight) * P_m`` with non-collinear axes, the
-    left side takes only the eigenvalues of E (both strictly inside (0, 1)),
+    left side takes only the eigenvalues of E (both strictly inside (0, 1);
+    where rounding puts one on 0 or 1 it raises ``WitnessUndefinedError``),
     while the right side takes {0, weight, 1 - weight, 1}; the witness
     necessarily contains every omega where both projector maps are 0 and every
     omega where both are 1, even though the two sides share the same integral.

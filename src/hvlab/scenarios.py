@@ -165,11 +165,20 @@ class ScenarioConfig:
 
 
 def load_config(path) -> ScenarioConfig:
-    """Parse a flat ``key = value`` scenario config file."""
+    """Parse a flat ``key = value`` scenario config file.
+
+    The file is read through one descriptor, unbuffered, as traces and
+    reports are written, and then decoded as UTF-8.
+    """
     try:
-        with open(Path(_require(path, (str, os.PathLike), "config path")), "rb") as file:
-            text = file.read().decode("utf-8")
-        text = text.removeprefix("\ufeff")  # the byte-order mark some editors write
+        fd = os.open(_require(path, (str, os.PathLike), "config path"), _READ_FLAGS)
+        try:
+            chunks = []
+            while chunk := os.read(fd, _READ_CHUNK):  # a read may return fewer bytes
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
+        text = b"".join(chunks).decode("utf-8").removeprefix("\ufeff")  # the BOM some editors write
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: config is not UTF-8 text: {exc}") from exc
     except OSError as exc:  # a missing file, a directory, no permission
@@ -942,8 +951,10 @@ def _grid_rows(points: int) -> _GridRows:
     return _GridRows(np.linspace(OMEGA_MIN, OMEGA_MAX, points))
 
 
-# what os.open needs to write bytes as given: O_BINARY stops Windows'
-# C runtime from turning "\n" into "\r\n" (it exists only there)
+# what os.open needs to read and write bytes as given: O_BINARY stops
+# Windows' C runtime from translating "\r\n" and "\n" (it exists only there)
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
+_READ_CHUNK = 65536
 _REWRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import product
 
 import numpy as np
@@ -531,6 +532,48 @@ def test_sum_conflict_collinear_and_weight_validation():
         sum_conflict_witness(psi, X, Y, 1.0)
     with pytest.raises(ValidationError, match="mixture weight must be a finite real number, got 'a'"):
         sum_conflict_witness(psi, X, Y, "a")
+
+
+# (weight, second axis) for state Z and first axis X: in exact arithmetic the
+# mixture's eigenvalues lie strictly inside (0, 1); rounded, the first five
+# reach 0 or 1, so its value map takes the projector values and the witness
+# misses the regions it must cover; the last two stay inside, a few ulps off
+def _tilted(eps):
+    return (math.sqrt(1.0 - eps * eps), eps, 0.0)
+
+
+EDGE_MIXTURES = {
+    "weight-1-ulp-below-1": (0.9999999999999999, (0.6, 0.8, 0.0)),
+    "weight-1e-16": (1e-16, (0.6, 0.8, 0.0)),
+    "weight-1e-17": (1e-17, (0.6, 0.8, 0.0)),
+    "angle-1e-8": (0.5, _tilted(1e-8)),
+    "angle-2e-9": (0.5, _tilted(2e-9)),
+}
+INSIDE_MIXTURES = {
+    "weight-1e-15": (1e-15, (0.6, 0.8, 0.0)),
+    "angle-1e-7": (0.5, _tilted(1e-7)),
+}
+
+
+@pytest.mark.parametrize("case", EDGE_MIXTURES)
+def test_sum_conflict_refuses_eigenvalues_rounded_onto_the_edge(case):
+    weight, m = EDGE_MIXTURES[case]
+    low, high = (weight * projector(X) + (1.0 - weight) * projector(m)).eigenvalues
+    assert not (0.0 < low and high < 1.0)
+    message = f"mixture eigenvalues {low!r} and {high!r} do not lie strictly inside (0, 1)"
+    with pytest.raises(WitnessUndefinedError, match=f"^{re.escape(message)}$"):
+        sum_conflict_witness(PureState(Z), X, m, weight)
+
+
+@pytest.mark.parametrize("case", INSIDE_MIXTURES)
+def test_sum_conflict_keeps_eigenvalues_just_inside_the_edge(case):
+    weight, m = INSIDE_MIXTURES[case]
+    low, high = (weight * projector(X) + (1.0 - weight) * projector(m)).eigenvalues
+    assert 0.0 < low < 1e-15 and 1.0 - 1e-15 < high < 1.0
+    report = run_scenario(ScenarioConfig("sum_conflict", state=Z, axes={"n": X, "m": m}, lam=weight))
+    assert report.passed
+    # the witness covers both regions where the projector maps agree
+    assert sum_conflict_witness(PureState(Z), X, m, weight).measure == 1.0
 
 
 def test_collinear_matches_the_np_cross_form(rng):

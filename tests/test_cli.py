@@ -385,6 +385,31 @@ def test_a_grid_above_the_bound_exits_two(tmp_path, capsys, points, command, giv
     assert not out.exists()
 
 
+# lambda and m for state Z and n X where the rounded mixture eigenvalues
+# reach 0 or 1; the last two m are (sqrt(1 - eps**2), eps, 0) for eps 1e-8
+# and 2e-9.  Each ran, and reported "pass": false with exit 1
+@pytest.mark.parametrize(
+    "lam, m",
+    [
+        ("0.9999999999999999", "0.6 0.8 0"),
+        ("1e-16", "0.6 0.8 0"),
+        ("1e-17", "0.6 0.8 0"),
+        ("0.5", "0.9999999999999999 1e-08 0"),
+        ("0.5", "1.0 2e-09 0"),
+    ],
+)
+@pytest.mark.parametrize("command", ["run", "trace"])
+def test_a_mixture_rounded_onto_a_projector_eigenvalue_exits_two(tmp_path, capsys, lam, m, command):
+    text = f"scenario = sum_conflict\nstate = 0 0 1\nn = 1 0 0\nm = {m}\nlambda = {lam}\n"
+    out = tmp_path / "out"
+    assert main([command, str(write(tmp_path, "sum.cfg", text)), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ")
+    assert "do not lie strictly inside (0, 1)" in captured.err
+    assert not out.exists()
+
+
 def test_trace_no_functions_notice(tmp_path, capsys):
     config = write(tmp_path, "sandwich.cfg", SANDWICH_CFG)
     assert main(["trace", str(config), "--out", str(tmp_path / "traces")]) == 0

@@ -167,6 +167,59 @@ def test_load_config_names_the_position_of_an_invalid_utf8_byte(tmp_path, offset
     assert f"position {offset}:" in str(failure.value)
 
 
+def test_load_config_reads_past_one_chunk_and_through_short_reads(monkeypatch, tmp_path):
+    # os.read returns at most _READ_CHUNK bytes, and may return fewer
+    plain = load_config(write_config(tmp_path, ROUTE_CFG))
+    padded = write_config(tmp_path, ("#" * 99 + "\n") * 3_072 + ROUTE_CFG, "padded.cfg")
+    assert padded.stat().st_size > 300 * 1024 > scenarios._READ_CHUNK
+    assert load_config(padded) == plain
+    reads = []
+
+    def short_read(fd, n, _read=os.read):
+        reads.append(n)
+        return _read(fd, min(n, 7))
+
+    monkeypatch.setattr(scenarios.os, "read", short_read)
+    assert load_config(write_config(tmp_path, "\ufeff" + ROUTE_CFG, "bom.cfg")) == plain
+    monkeypatch.undo()
+    assert len(reads) == math.ceil(len(("\ufeff" + ROUTE_CFG).encode()) / 7) + 1
+
+
+def test_load_config_and_run_open_no_buffered_file(monkeypatch, tmp_path):
+    # the config is read and the report written through descriptors alone
+    path = write_config(tmp_path, ROUTE_CFG, "route.cfg")
+    expected = load_config(path)
+
+    def refused(*args, **kwargs):
+        raise AssertionError(f"buffered open of {args[0]!r}")
+
+    for module in (builtins, io):
+        monkeypatch.setattr(module, "open", refused)
+    assert load_config(path) == expected
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    monkeypatch.undo()
+    assert (tmp_path / "out" / "route_agreement__report.json").is_file()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_load_config_closes_its_descriptor_on_every_outcome(tmp_path):
+    good = write_config(tmp_path, ROUTE_CFG)
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"scenario = \xff\n")
+
+    def descriptors():
+        return len(os.listdir("/proc/self/fd"))
+
+    for path, error in [(good, None), (tmp_path, "Is a directory"), (bad, "not UTF-8")]:
+        before = descriptors()
+        if error is None:
+            load_config(path)
+        else:
+            with pytest.raises(ConfigError, match=error):
+                load_config(path)
+        assert descriptors() == before, path
+
+
 def test_load_config_rejects_unknown_and_duplicate_keys(tmp_path):
     with pytest.raises(ConfigError):
         load_config(write_config(tmp_path, "scenario = sweep\nbogus = 1\n"))
@@ -1158,7 +1211,8 @@ def test_kept_grid_rows_are_read_only():
 
 def test_output_files_are_never_truncated_when_opened(monkeypatch, tmp_path):
     # every trace and report is opened by os.open without O_TRUNC; an open
-    # of the path for writing ("wb", write_text) truncates it first
+    # of the path for writing ("wb", write_text) truncates it first; the
+    # config is the one path os.open reads, once per load
     os_opens, path_writes = [], []
 
     def counted_os_open(path, flags, *args, _open=os.open):
@@ -1180,9 +1234,12 @@ def test_output_files_are_never_truncated_when_opened(monkeypatch, tmp_path):
         assert main(["run", str(config), "--out", str(out)]) == 0
     monkeypatch.undo()
     assert path_writes == []
+    writes = [(name, flags) for name, flags in os_opens if flags & os.O_ACCMODE != os.O_RDONLY]
+    reads = [name for name, flags in os_opens if flags & os.O_ACCMODE == os.O_RDONLY]
     names = [p.name for p in written] + ["route_agreement__report.json"]
-    assert sorted(name for name, _ in os_opens) == sorted(names * 2)
-    assert not any(flags & os.O_TRUNC for _, flags in os_opens)
+    assert sorted(name for name, _ in writes) == sorted(names * 2)
+    assert not any(flags & os.O_TRUNC for _, flags in writes)
+    assert reads == ["route.cfg"] * 4  # two load_config calls and two runs
 
 
 def test_reintegration_across_all_trace_scenarios(tmp_path):
