@@ -32,9 +32,10 @@ from .qubit import (
     ORTHOGONALITY_CUTOFF,
     HermitianOp,
     PureState,
+    _Axis,
+    _conditional_expectation,
     _cosine,
     _dot3,
-    chain_probability,
     projector,
     unit_vector,
 )
@@ -109,10 +110,14 @@ def bell_value(psi: PureState, m) -> StepFunction:
     """
     axis = unit_vector(m, "measurement axis")
     bloch = _require(psi, PureState, "psi").bloch
-    c = _cosine(bloch, axis)
+    return _bell_value(bloch, axis, _cosine(bloch, axis))
+
+
+def _bell_value(s: _Axis, m: _Axis, c: float) -> StepFunction:
+    # bell_value's core: the map of axis m in the state on axis s, where c is _cosine(s, m)
     if c == 0.0:
         # sign(s.m) at the exact tie (either zero) is p(s) p(m)
-        return indicator_from_sign(0.0, _polarity(bloch) * _polarity(axis))
+        return indicator_from_sign(0.0, _polarity(s) * _polarity(m))
     return indicator_from_sign(0.5 * abs(c), 1 if c > 0.0 else -1)
 
 
@@ -124,11 +129,14 @@ def bell_value_operator(psi: PureState, op: HermitianOp) -> StepFunction:
     included, with 1 and 0 relabelled as the eigenvalues a + |b| and a - |b|,
     so it integrates to the expectation a + b.s.  For b = 0 it is constant a.
     """
-    radius = _require(op, HermitianOp, "observable").b_norm
+    return _bell_value_operator(psi, op, *_require(op, HermitianOp, "observable")._spectrum())
+
+
+def _bell_value_operator(psi: PureState, op: HermitianOp, radius: float, low: float, high: float):
+    # bell_value_operator's core, given op's |b| and its eigenvalues a - |b| and a + |b|
     if radius == 0.0:
         return constant(op.a)
     ind = bell_value(psi, tuple(x / radius for x in op.b))
-    low, high = op.eigenvalues
     values = tuple([high if v == 1.0 else low for v in ind.values])
     return StepFunction._from_canonical(*_canonical(ind.breakpoints, values))
 
@@ -142,7 +150,8 @@ def route_state_update(condition_axis, observed_axis) -> StepFunction:
     original state and is symmetric under swapping the two axes.
     """
     n = unit_vector(condition_axis, "condition axis")
-    return bell_value(PureState(n), observed_axis)
+    m = unit_vector(observed_axis, "measurement axis")
+    return _bell_value(n, m, _cosine(n, m))
 
 
 def route_operator_product(psi: PureState, condition_axis, observed_axis) -> StepFunction:
@@ -152,15 +161,21 @@ def route_operator_product(psi: PureState, condition_axis, observed_axis) -> Ste
     B A B / Tr[rho B] evaluated without updating the state.  Its integral is
     (1 + n.m)/2, the same number the state-update route produces, but the
     omega dependence follows the *first* measurement axis n instead of m.
-    Raises :class:`ReductionUndefinedError` (from :func:`chain_probability`,
-    index 0) when Tr[rho B] = (1 + n.s)/2 falls at or below the cutoff.
+    Raises :class:`ReductionUndefinedError` (the chain step's, index 0) when
+    Tr[rho B] = (1 + n.s)/2 falls at or below the cutoff.
     """
     n = unit_vector(condition_axis, "condition axis")
     m = unit_vector(observed_axis, "observed axis")
-    # doubling Tr[rho B] is exact: denom is 1 + n.s bit for bit
-    denom = 2.0 * chain_probability(psi, [n])
-    ratio = (1.0 + _cosine(n, m)) / denom
-    return bell_value(psi, n) * ratio
+    return _routes(_require(psi, PureState, "psi").bloch, n, m)[1]
+
+
+def _routes(s: _Axis, n: _Axis, m: _Axis) -> tuple[StepFunction, StepFunction, float]:
+    # route_operator_product's core, with route_state_update's map and conditional_expectation's value
+    c_sn, c = _cosine(s, n), _cosine(n, m)
+    value = _conditional_expectation(c_sn, c)
+    # 1 + n.s is twice the conditioning step Tr[rho B] bit for bit: halving and doubling are exact
+    via_product = _bell_value(s, n, c_sn) * ((1.0 + c) / (1.0 + c_sn))
+    return _bell_value(n, m, c), via_product, value
 
 
 def disagreement_witness(lhs: StepFunction, rhs: StepFunction) -> ConflictWitness:
@@ -252,12 +267,12 @@ def _sum_conflict_maps(psi: PureState, n_axis, m_axis, weight: float):
     if _collinear(n, m):
         raise WitnessUndefinedError("collinear axes degenerate the mixture conflict")
     mixture = weight * projector(n) + (1.0 - weight) * projector(m)
-    low, high = mixture.eigenvalues
+    radius, low, high = mixture._spectrum()
     if not (0.0 < low and high < 1.0):  # rounding reached a projector's eigenvalue
         raise WitnessUndefinedError(
             f"mixture eigenvalues {low!r} and {high!r} do not lie strictly inside (0, 1)"
         )
-    lhs = bell_value_operator(psi, mixture)
+    lhs = _bell_value_operator(psi, mixture, radius, low, high)
     map_n = bell_value(psi, n)
     map_m = bell_value(psi, m)
     rhs = weight * map_n + (1.0 - weight) * map_m

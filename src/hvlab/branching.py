@@ -26,9 +26,10 @@ from itertools import product as _outcome_product
 from math import prod
 from typing import Sequence
 
-from .bell import bell_value
+from .bell import _bell_value, bell_value
 from .errors import ReductionUndefinedError, ValidationError, ZeroProbabilityError, _integer, _require
-from .qubit import ORTHOGONALITY_CUTOFF, PureState, _Axis, _set, chain_probability, unit_vector
+from .qubit import ORTHOGONALITY_CUTOFF, PureState, _Axis, _chain_step, _cosine, _set
+from .qubit import chain_probability, unit_vector
 from .stepfn import ProductFunction, StepFunction
 
 _SELECTED = "selected"
@@ -248,9 +249,13 @@ def repeated_measurement_check(psi: PureState, axis) -> StepFunction:
     the first level's maps and both complements would be thrown away.
     """
     u = unit_vector(axis, "measurement axis")
-    # the first selected outcome must have positive probability to prepare +u
-    chain_probability(psi, [u])
-    return bell_value(PureState(u), u)
+    return _repeated_measurement_check(_require(psi, PureState, "psi").bloch, u)
+
+
+def _repeated_measurement_check(s: _Axis, u: _Axis) -> StepFunction:
+    # repeated_measurement_check's core: chain step 0 must be possible to prepare +u
+    _chain_step(_cosine(s, u), 0)
+    return _bell_value(u, u, _cosine(u, u))
 
 
 def sequence_probability(initial: PureState, axes: Sequence, pattern: Sequence[str]) -> float:

@@ -222,8 +222,12 @@ class HermitianOp:
 
     @property
     def eigenvalues(self) -> tuple[float, float]:
+        return self._spectrum()[1:]
+
+    def _spectrum(self) -> tuple[float, float, float]:
+        # |b| and the eigenvalues a - |b| and a + |b| from one root
         r = self.b_norm
-        return (self.a - r, self.a + r)
+        return r, self.a - r, self.a + r
 
     def __add__(self, other):
         if isinstance(other, HermitianOp):
@@ -263,8 +267,12 @@ def projector(m) -> HermitianOp:
 
 def expectation(psi: PureState, op: HermitianOp) -> float:
     """<psi| op |psi> = a + b.s; equals (1 + s.m)/2 for a projector on m."""
-    b = _require(op, HermitianOp, "observable").b
-    return op.a + _dot3(b, _require(psi, PureState, "psi").bloch)
+    _require(op, HermitianOp, "observable")
+    return _expectation(_require(psi, PureState, "psi").bloch, op)
+
+
+def _expectation(s: _Axis, op: HermitianOp) -> float:
+    return op.a + _dot3(op.b, s)
 
 
 def sandwich(outer_axis, inner_axis) -> HermitianOp:
@@ -293,13 +301,26 @@ def conditional_expectation(psi: PureState, observed_axis, condition_axis) -> fl
     closed form, with the core of :func:`cosine_between`, so identical axes
     give exactly 1.0 and opposite ones exactly 0.0; dividing Tr[rho B A B] by
     Tr[rho B] would amplify the numerator's rounding error by 1 / Tr[rho B].
-    Raises :class:`ReductionUndefinedError` (from :func:`chain_probability`,
-    index 0) when Tr[rho B] falls at or below the orthogonality cutoff.
+    Raises :class:`ReductionUndefinedError` (the chain step's, index 0) when
+    Tr[rho B] falls at or below the orthogonality cutoff.
     """
     m = unit_vector(observed_axis, "observed axis")
     n = unit_vector(condition_axis, "condition axis")
-    chain_probability(psi, [n])
-    return 0.5 * (1.0 + _cosine(n, m))
+    return _conditional_expectation(_cosine(_require(psi, PureState, "psi").bloch, n), _cosine(n, m))
+
+
+def _conditional_expectation(c_sn: float, c: float) -> float:
+    # conditional_expectation's core from the cosines of s and n and of n and m; chain step 0 may raise
+    _chain_step(c_sn, 0)
+    return 0.5 * (1.0 + c)
+
+
+def _chain_step(c: float, k: int) -> float:
+    # step k of a chain, (1 + c)/2 for the cosine c of the state and the measured axis
+    step = 0.5 * (1.0 + c)
+    if step <= ORTHOGONALITY_CUTOFF:
+        raise ReductionUndefinedError(f"chain hits an orthogonal projector at step {k}", index=k)
+    return step
 
 
 def chain_probability(psi: PureState, axes: Iterable) -> float:
@@ -321,11 +342,6 @@ def chain_probability(psi: PureState, axes: Iterable) -> float:
     for k, a in indexed:
         # the name is needed only in an error, so a checked axis skips building it
         axis = a if type(a) is _Axis else unit_vector(a, f"axes[{k}]")
-        step = 0.5 * (1.0 + _cosine(current, axis))
-        if step <= ORTHOGONALITY_CUTOFF:
-            raise ReductionUndefinedError(
-                f"chain hits an orthogonal projector at step {k}", index=k
-            )
-        total *= step
+        total *= _chain_step(_cosine(current, axis), k)
         current = axis
     return total

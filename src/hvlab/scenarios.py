@@ -35,13 +35,13 @@ import numpy as np
 from . import branching
 from .bell import (
     ConflictWitness,
+    _bell_value,
     _classical_intersection,
     _collinear,
+    _routes,
     _sum_conflict_maps,
     bell_value,
     disagreement_witness,
-    route_operator_product,
-    route_state_update,
 )
 from .branching import BranchHistory, _in_order, _prefactor, branch, joint_function
 from .errors import (
@@ -59,6 +59,7 @@ from .qubit import (
     _Axis,
     _cosine,
     _dot3,
+    _expectation,
     _row_norms,
     _set,
     _unit_rows,
@@ -399,19 +400,17 @@ def _inputs_echo(config: ScenarioConfig) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _measure_check(psi: PureState, m) -> tuple[dict, dict, float, StepFunction]:
-    """Measure reproduction: hv and qm values, their distance and the value map of ``m``."""
-    value_map = bell_value(psi, m)
+def _measure_check(s: _Axis, m: _Axis) -> tuple[dict, dict, float, StepFunction]:
+    """Measure reproduction of ``m`` in the state on ``s``: hv and qm values, their distance, the map."""
+    value_map = _bell_value(s, m, _cosine(s, m))
     hv = {"measure": value_map.integrate()}
-    qm = {"expectation": expectation(psi, projector(m))}
+    qm = {"expectation": _expectation(s, projector(m))}
     return hv, qm, abs(hv["measure"] - qm["expectation"]), value_map
 
 
-def _route_check(psi: PureState, n, m) -> tuple[dict, dict, float, StepFunction, StepFunction]:
-    """Route agreement of ``m`` given ``n``: hv and qm values, their distance, both route maps."""
-    via_state = route_state_update(n, m)
-    via_product = route_operator_product(psi, n, m)
-    qm_value = conditional_expectation(psi, m, n)
+def _route_check(s: _Axis, n: _Axis, m: _Axis) -> tuple[dict, dict, float, StepFunction, StepFunction]:
+    """Route agreement of ``m`` given ``n`` in the state on ``s``: hv and qm values, distance, maps."""
+    via_state, via_product, qm_value = _routes(s, n, m)
     hv = {
         "route_state_update": via_state.integrate(),
         "route_operator_product": via_product.integrate(),
@@ -430,12 +429,12 @@ def _order_check(history: BranchHistory, normalize_all_levels: bool = False) -> 
     return values, max(values) - min(values)
 
 
-def _idempotence_check(psi: PureState, axis) -> tuple[StepFunction, float]:
+def _idempotence_check(s: _Axis, axis: _Axis) -> tuple[StepFunction, float]:
     """Idempotence: ``axis`` measured again after selecting it; its map and largest deviation from 1.
 
-    Step functions are canonical, so the deviation is 0.0 exactly when the map is the constant 1.
+    The state is on ``s``.  Step functions are canonical, so the deviation is 0.0 exactly when the map is 1.
     """
-    repeated = branching.repeated_measurement_check(psi, axis)
+    repeated = branching._repeated_measurement_check(s, axis)
     return repeated, max(abs(v - 1.0) for v in repeated.values)
 
 
@@ -445,7 +444,7 @@ def _idempotence_check(psi: PureState, axis) -> tuple[StepFunction, float]:
 
 
 def _run_measure_reproduction(config: ScenarioConfig) -> ScenarioReport:
-    hv, qm, err, value_map = _measure_check(PureState(config.state), config.axes["m"])
+    hv, qm, err, value_map = _measure_check(config.state, config.axes["m"])
     return ScenarioReport(
         hv_values=hv,
         qm_values=qm,
@@ -472,9 +471,7 @@ def _run_sandwich(config: ScenarioConfig) -> ScenarioReport:
 
 
 def _run_route_agreement(config: ScenarioConfig) -> ScenarioReport:
-    hv, qm, err, via_state, via_product = _route_check(
-        PureState(config.state), config.axes["n"], config.axes["m"]
-    )
+    hv, qm, err, via_state, via_product = _route_check(config.state, config.axes["n"], config.axes["m"])
     return ScenarioReport(
         hv_values=hv,
         qm_values=qm,
@@ -620,10 +617,7 @@ def _run_idempotence(config: ScenarioConfig) -> ScenarioReport:
     axis = config.axes["n"]
     # first measurement, then three repetitions of the same axis: the first
     # starts from psi, the others from the +axis each selected outcome prepares
-    prepared = PureState(axis)
-    repeated, deviations = zip(
-        *(_idempotence_check(state, axis) for state in (psi, prepared, prepared))
-    )
+    repeated, deviations = zip(*(_idempotence_check(s, axis) for s in (psi.bloch, axis, axis)))
     functions = (bell_value(psi, axis), *repeated)
     err = max(deviations)
     if err == 0.0:
@@ -770,13 +764,15 @@ def run_sweep(seed: int, trials: int, tolerance: float = DEFAULT_TOLERANCE) -> d
     Samples unit vectors from a fixed-seed generator and runs on each draw the
     checks the scenarios share: measure reproduction (``_measure_check``),
     route agreement (``_route_check``), order-independent integration
-    (``_order_check``) and idempotence (``_idempotence_check``).  Only the
-    sweep checks genericity of pointwise route disagreement, branch
-    completeness and outcome-tree conservation, and skips draws within
-    ``DEGENERACY_MARGIN`` of a degenerate case.  A route draw counts as
-    disagreeing when ``via_state != via_product``: both maps are canonical,
-    so that is ``disagreement_witness(via_state, via_product).measure > 0.0``
-    without building the witness.  Reports counts, worst-case errors, and any
+    (``_order_check``) and idempotence (``_idempotence_check``); all but the
+    order check take the drawn axes as checked and call the public functions'
+    cores, with no ``PureState`` per draw.  Only the sweep checks genericity
+    of pointwise route disagreement, branch completeness and outcome-tree
+    conservation, and skips draws within ``DEGENERACY_MARGIN`` of a degenerate
+    case.  A route draw counts as disagreeing when ``via_state != via_product``:
+    both maps are canonical, so that is
+    ``disagreement_witness(via_state, via_product).measure > 0.0`` without
+    building the witness.  Reports counts, worst-case errors, and any
     failing inputs verbatim.
     """
     seed = _integer(seed, "seed", 0)
@@ -788,7 +784,7 @@ def run_sweep(seed: int, trials: int, tolerance: float = DEFAULT_TOLERANCE) -> d
     max_measure_error = 0.0
     draws = _random_units(rng, 2 * trials)
     for s, m in zip(draws, draws):
-        err = _measure_check(PureState(s), m)[2]
+        err = _measure_check(s, m)[2]
         max_measure_error = max(max_measure_error, err)
         if err > tolerance:
             failures.append(f"measure_reproduction s={list(s)} m={list(m)} error={err!r}")
@@ -803,7 +799,7 @@ def run_sweep(seed: int, trials: int, tolerance: float = DEFAULT_TOLERANCE) -> d
             if 1.0 + _dot3(n, s) <= DEGENERACY_MARGIN:
                 continue
             route_trials += 1
-            _, _, err, via_state, via_product = _route_check(PureState(s), n, m)
+            _, _, err, via_state, via_product = _route_check(s, n, m)
             max_route_error = max(max_route_error, err)
             if err > tolerance:
                 failures.append(f"route_agreement s={list(s)} n={list(n)} m={list(m)} error={err!r}")
@@ -840,7 +836,7 @@ def run_sweep(seed: int, trials: int, tolerance: float = DEFAULT_TOLERANCE) -> d
     for s, axis in zip(draws, draws):
         if 1.0 + _dot3(s, axis) <= DEGENERACY_MARGIN:
             continue
-        if _idempotence_check(PureState(s), axis)[1] != 0.0:
+        if _idempotence_check(s, axis)[1] != 0.0:
             idempotence_failures += 1
             failures.append(f"idempotence s={list(s)} axis={list(axis)}")
 

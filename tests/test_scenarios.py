@@ -515,10 +515,13 @@ def test_sweep_scenario_and_run_sweep():
 
 def test_sweep_fails_when_the_routes_always_agree(monkeypatch):
     # both routes then give equal maps on every draw, so no draw disagrees and
-    # the genericity bound is the only check that fails
-    monkeypatch.setattr(
-        scenarios, "route_operator_product", lambda psi, n, m: route_state_update(n, m)
-    )
+    # the genericity bound is the only check that fails; the patch is on the
+    # route core that _route_check calls
+    def agreeing(s, n, m, _routes=scenarios._routes):
+        via_state, _, value = _routes(s, n, m)
+        return via_state, route_state_update(n, m), value
+
+    monkeypatch.setattr(scenarios, "_routes", agreeing)
     summary = run_sweep(0, 50)
     assert summary["nonuniqueness_fraction"] == 0.0
     assert summary["pass"] is False
